@@ -81,6 +81,18 @@ class RunConfig:
     lambda_count: int = 60
 
     def validate(self) -> None:
+        mistyped = []
+        for f in dataclass_fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue  # shear_modulus left unset
+            kind = float if f.default is None else type(f.default)
+            if not _has_kind(value, kind):
+                mistyped.append(
+                    f"{_FIELD_KEYS[f.name]}: must be {_KIND_NAMES[kind]}, got {value!r}"
+                )
+        if mistyped:
+            raise ConfigError("; ".join(mistyped))
         problems = []
         if self.model not in ("disc", "annulus"):
             problems.append(f"model: must be 'disc' or 'annulus', got {self.model!r}")
@@ -173,6 +185,22 @@ _CONFIG_KEYS = {
     "lambda_max": "lambda_max",
     "lambda_count": "lambda_count",
 }
+
+
+_FIELD_KEYS = {name: key for key, name in _CONFIG_KEYS.items()}
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
+
+
+def _has_kind(value, kind: type) -> bool:
+    """Whether a config value has its field's type; floats must be finite."""
+    if isinstance(value, bool):
+        return False
+    if kind is not float:
+        return isinstance(value, kind)
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -301,65 +329,45 @@ def run_solve(cfg: RunConfig):
     return p, solve_annulus_reduction(p, cfg.truncation_N)
 
 
+# JSON names of the problem fields that differ from the attribute names.
+_JSON_NAMES = {"lam": "lambda", "lam0": "lambda0", "lam1": "lambda1"}
+_ARTIFACT_TYPES = {
+    "disc": (DiscProblem, CoefficientSetDisc),
+    "annulus": (AnnulusProblem, CoefficientSetAnnulus),
+}
+
+
 def coefficients_to_json(problem, coeffs) -> dict:
     """Serialize a solved coefficient set; floats round-trip bitwise."""
-    if isinstance(coeffs, CoefficientSetDisc):
-        return {
-            "model": "disc",
-            "lambda": problem.lam,
-            "delta_star": problem.delta_star,
-            "theta1": problem.theta1,
-            "a_radius": problem.a_radius,
-            "truncation_N": coeffs.truncation_N,
-            "A_plus": coeffs.A_plus.tolist(),
-            "B_minus": coeffs.B_minus.tolist(),
-            "code_version": __version__,
-        }
-    return {
-        "model": "annulus",
-        "lambda0": problem.lam0,
-        "lambda1": problem.lam1,
-        "delta_star": problem.delta_star,
-        "theta1": problem.theta1,
-        "a_radius": problem.a_radius,
-        "truncation_N": coeffs.truncation_N,
-        "A_plus": coeffs.A_plus.tolist(),
-        "A_minus": coeffs.A_minus.tolist(),
-        "B_plus": coeffs.B_plus.tolist(),
-        "B_minus": coeffs.B_minus.tolist(),
-        "code_version": __version__,
-    }
+    doc = {"model": "disc" if isinstance(coeffs, CoefficientSetDisc) else "annulus"}
+    for f in dataclass_fields(problem):
+        doc[_JSON_NAMES.get(f.name, f.name)] = getattr(problem, f.name)
+    doc["truncation_N"] = coeffs.truncation_N
+    for f in dataclass_fields(coeffs):
+        if f.name != "truncation_N":
+            doc[f.name] = getattr(coeffs, f.name).tolist()
+    doc["code_version"] = __version__
+    return doc
 
 
 def load_coefficients(path):
     """Reload a serialized coefficient artifact into problem + coefficients."""
     raw = json.loads(Path(path).read_text())
-    if raw.get("model") == "disc":
-        problem = DiscProblem(
-            lam=raw["lambda"],
-            delta_star=raw["delta_star"],
-            theta1=raw["theta1"],
-            a_radius=raw["a_radius"],
-        )
-        coeffs = CoefficientSetDisc(
-            A_plus=np.asarray(raw["A_plus"]),
-            B_minus=np.asarray(raw["B_minus"]),
-            truncation_N=raw["truncation_N"],
-        )
-        return problem, coeffs
-    problem = AnnulusProblem(
-        lam0=raw["lambda0"],
-        lam1=raw["lambda1"],
-        delta_star=raw["delta_star"],
-        theta1=raw["theta1"],
-        a_radius=raw["a_radius"],
+    model = raw.get("model") if isinstance(raw, dict) else None
+    if model not in _ARTIFACT_TYPES:
+        raise ValueError(f"{path}: model must be 'disc' or 'annulus', got {model!r}")
+    problem_type, coeffs_type = _ARTIFACT_TYPES[model]
+    problem = problem_type(
+        **{
+            f.name: raw[_JSON_NAMES.get(f.name, f.name)]
+            for f in dataclass_fields(problem_type)
+        }
     )
-    coeffs = CoefficientSetAnnulus(
-        A_plus=np.asarray(raw["A_plus"]),
-        A_minus=np.asarray(raw["A_minus"]),
-        B_plus=np.asarray(raw["B_plus"]),
-        B_minus=np.asarray(raw["B_minus"]),
-        truncation_N=raw["truncation_N"],
+    coeffs = coeffs_type(
+        **{
+            f.name: raw[f.name] if f.name == "truncation_N" else np.asarray(raw[f.name])
+            for f in dataclass_fields(coeffs_type)
+        }
     )
     return problem, coeffs
 

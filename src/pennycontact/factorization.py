@@ -23,6 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import (
+    _families,
+    _interleave,
+    _power_sums,
+    _power_table,
+    _solve_interleaved,
+    system_matrix,
+)
 from .specfun import PoleError, cot_half_pi, tan_half_pi
 
 __all__ = [
@@ -117,43 +125,43 @@ class MatrixSample:
 # ----------------------------------------------------------------------
 
 
-def _check_disc_lambda(lam: float) -> None:
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lam must lie in (0, 1), got {lam!r}")
-
-
 def factor_recurrence_table(
     column_index: int, n_rows: int, order_K: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lambda-power tables a[n, k], b[n, k] for one disc factor column.
 
-    Matching powers of lambda in the column system gives, for k >= 1,
-
-        b[n, k] = (1/pi) sum_{m <= (k-1)//2} a[m, k-2m-1] / (n+m+1/2)
-        a[n, k] = (1/pi) sum_{m <= k//2}     b[m, k-2m]   / (n+m+1/2)
-
-    with order-zero rows b[n, 0] = -2 d_{l1}/pi and
+    The column system is the shared operator itself, so the tables follow
+    the model recurrence with order-zero seeds b[n, 0] = -2 d_{l1}/pi and
     a[n, 0] = b[0, 0]/(pi (n+1/2)) + 2 d_{l2}/pi.  For the first column
-    the b-seed feeds through to a[n, 0], which is therefore nonzero;
-    the reduction solver confirms this leading order.
+    the b-seed feeds through to a[n, 0], which is therefore nonzero; the
+    reduction solver confirms this leading order.
     """
     if column_index not in (1, 2):
         raise ValueError(f"column_index must be 1 or 2, got {column_index!r}")
-    if n_rows < 1 or order_K < 1:
-        raise ValueError("n_rows and order_K must be >= 1")
-    d1 = 1.0 if column_index == 1 else 0.0
-    d2 = 1.0 if column_index == 2 else 0.0
-    a = np.zeros((n_rows, order_K))
-    b = np.zeros((n_rows, order_K))
-    half = np.arange(n_rows) + 0.5
-    b[:, 0] = -2.0 * d1 / math.pi
-    a[:, 0] = b[0, 0] / (math.pi * half) + 2.0 * d2 / math.pi
-    for k in range(1, order_K):
-        for m in range((k - 1) // 2 + 1):
-            b[:, k] += a[m, k - 2 * m - 1] / (math.pi * (half + m))
-        for m in range(k // 2 + 1):
-            a[:, k] += b[m, k - 2 * m] / (math.pi * (half + m))
-    return a, b
+    d1 = float(column_index == 1)
+    d2 = float(column_index == 2)
+    return _power_table(2.0 * d2 / math.pi, -2.0 * d1 / math.pi, n_rows, order_K)
+
+
+def _disc_column_rhs(lam: float, N: int) -> np.ndarray:
+    """Kronecker forcings of the two disc columns, shape (N, slot, column)."""
+    n = np.arange(N)
+    rhs = np.zeros((N, 2, 2))
+    rhs[:, 0, 0] = -(2.0 / math.pi) * lam ** (2 * n)
+    rhs[:, 1, 1] = (2.0 / math.pi) * lam ** (2 * n + 1)
+    return rhs
+
+
+def _annulus_column_rhs(lam0: float, lam1: float, N: int) -> np.ndarray:
+    """Kronecker forcings of the three annulus columns, shape (N, slot, column)."""
+    t = lam0 / lam1
+    n = np.arange(N)
+    rhs = np.zeros((N, 4, 3))
+    rhs[:, 0, 0] = -(2.0 / math.pi) * lam1 ** (2 * n)
+    rhs[:, 1, 1] = (2.0 / math.pi) * lam1 ** (2 * n + 1)
+    rhs[:, 2, 1] = (2.0 / math.pi) * t ** (2 * n + 1)
+    rhs[:, 3, 2] = -(2.0 / math.pi) * t ** (2 * n + 2)
+    return rhs
 
 
 def solve_factor_columns_disc(
@@ -161,51 +169,29 @@ def solve_factor_columns_disc(
 ) -> tuple[DiscFactorColumn, DiscFactorColumn]:
     """Solve the two disc factor-column systems.
 
-    method='reduction' truncates to a dense 2N x 2N solve;
-    method='recurrence' sums the lambda-power tables to order_K.  The
-    two routes agree to the smaller of the two tail errors.
+    method='reduction' truncates to the dense 2N x 2N disc operator and
+    solves both columns with one LU; method='recurrence' sums the
+    lambda-power tables to order_K.  The two routes agree to the smaller
+    of the two tail errors.
     """
-    _check_disc_lambda(lam)
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"lam must lie in (0, 1), got {lam!r}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N!r}")
-    columns = []
     if method == "reduction":
-        n = np.arange(N)
-        nm = n[:, None] + n[None, :] + 0.5
-        lam_even = lam ** (2.0 * n)
-        lam_odd = lam ** (2.0 * n + 1.0)
-        base = np.eye(2 * N)
-        base[0::2, 1::2] -= (1.0 / math.pi) * lam_even[:, None] / nm
-        base[1::2, 0::2] -= (1.0 / math.pi) * lam_odd[:, None] / nm
-        for l in (1, 2):
-            rhs = np.zeros(2 * N)
-            if l == 1:
-                rhs[0::2] = -(2.0 / math.pi) * lam_even
-            else:
-                rhs[1::2] = (2.0 / math.pi) * lam_odd
-            x = np.linalg.solve(base, rhs)
-            columns.append(
-                DiscFactorColumn(
-                    lam=lam, column_index=l, A_plus=x[1::2], B_minus=x[0::2]
-                )
-            )
+        x = _solve_interleaved(lam, None, _disc_column_rhs(lam, N))
+        families = [_families(x[:, :, j]) for j in range(2)]
     elif method == "recurrence":
         rows = max(N, order_K // 2 + 1)
-        powers = lam ** np.arange(order_K)
-        n = np.arange(N)
+        families = []
         for l in (1, 2):
-            a, b = factor_recurrence_table(l, rows, order_K)
-            columns.append(
-                DiscFactorColumn(
-                    lam=lam,
-                    column_index=l,
-                    A_plus=lam ** (2 * n + 1) * (a[:N] @ powers),
-                    B_minus=lam ** (2 * n) * (b[:N] @ powers),
-                )
-            )
+            a, b = _power_sums(lam, *factor_recurrence_table(l, rows, order_K), N)
+            families.append({"A_plus": a, "B_minus": b})
     else:
         raise ValueError(f"unknown method {method!r}")
-    return tuple(columns)
+    return tuple(
+        DiscFactorColumn(lam=lam, column_index=j + 1, **families[j]) for j in range(2)
+    )
 
 
 def solve_factor_columns_annulus(
@@ -213,113 +199,36 @@ def solve_factor_columns_annulus(
 ) -> tuple[AnnulusFactorColumn, AnnulusFactorColumn, AnnulusFactorColumn]:
     """Solve the three annulus factor-column systems by reduction.
 
-    Unknowns are interleaved per index n as (B-_n, A+_n, A-_n, B+_n) in
-    a 4N x 4N block shared by the three right-hand sides.
+    The three right-hand sides share one LU of the 4N x 4N annulus
+    operator with inner ratio lam0/lam1.
     """
     if not 0.0 < lam0 < lam1 < 1.0:
         raise ValueError(
             f"need 0 < lam0 < lam1 < 1, got lam0={lam0!r}, lam1={lam1!r}"
         )
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N!r}")
-    t = lam0 / lam1
-    n = np.arange(N)
-    d_half = 2.0 * (n[:, None] + n[None, :]) + 1.0  # 2n+2m+1
-    d_neg = 2.0 * (n[:, None] - n[None, :]) - 1.0  # 2n-2m-1
-    d_three = 2.0 * (n[:, None] + n[None, :]) + 3.0  # 2n+2m+3
-    d_pos = 2.0 * (n[:, None] - n[None, :]) + 1.0  # 2n-2m+1
-
-    lam1_even = lam1 ** (2.0 * n)
-    lam1_odd = lam1 ** (2.0 * n + 1.0)
-    t_odd = t ** (2.0 * n + 1.0)
-    t_even2 = t ** (2.0 * n + 2.0)
-
-    base = np.eye(4 * N)
-    base[0::4, 1::4] -= (2.0 / math.pi) * lam1_even[:, None] / d_half
-    base[1::4, 0::4] -= (2.0 / math.pi) * lam1_odd[:, None] / d_half
-    base[1::4, 3::4] -= (2.0 / math.pi) * lam1_odd[:, None] / d_neg
-    base[2::4, 3::4] += (2.0 / math.pi) * t_odd[:, None] / d_three
-    base[2::4, 0::4] += (2.0 / math.pi) * t_odd[:, None] / d_pos
-    base[3::4, 2::4] += (2.0 / math.pi) * t_even2[:, None] / d_three
-
-    columns = []
-    for l in (1, 2, 3):
-        rhs = np.zeros(4 * N)
-        if l == 1:
-            rhs[0::4] = -(2.0 / math.pi) * lam1_even
-        elif l == 2:
-            rhs[1::4] = (2.0 / math.pi) * lam1_odd
-            rhs[2::4] = (2.0 / math.pi) * t_odd
-        else:
-            rhs[3::4] = -(2.0 / math.pi) * t_even2
-        x = np.linalg.solve(base, rhs)
-        columns.append(
-            AnnulusFactorColumn(
-                lam0=lam0,
-                lam1=lam1,
-                column_index=l,
-                A_plus=x[1::4],
-                A_minus=x[2::4],
-                B_plus=x[3::4],
-                B_minus=x[0::4],
-            )
+    x = _solve_interleaved(lam1, lam0 / lam1, _annulus_column_rhs(lam0, lam1, N))
+    return tuple(
+        AnnulusFactorColumn(
+            lam0=lam0, lam1=lam1, column_index=j + 1, **_families(x[:, :, j])
         )
-    return tuple(columns)
+        for j in range(3)
+    )
 
 
 def factor_system_residual(column) -> float:
-    """Back-substitution residual of a solved factor column."""
+    """Back-substitution residual max |M x - b| of a solved factor column."""
     if isinstance(column, DiscFactorColumn):
-        lam = column.lam
-        N = len(column.A_plus)
-        n = np.arange(N)
-        nm = n[:, None] + n[None, :] + 0.5
-        d1 = 1.0 if column.column_index == 1 else 0.0
-        d2 = 1.0 if column.column_index == 2 else 0.0
-        res_a = column.A_plus - lam ** (2 * n + 1) / math.pi * (
-            (column.B_minus / nm).sum(axis=1) + 2.0 * d2
-        )
-        res_b = column.B_minus - lam ** (2 * n) / math.pi * (
-            (column.A_plus / nm).sum(axis=1) - 2.0 * d1
-        )
-        return float(max(np.abs(res_a).max(), np.abs(res_b).max()))
-    if isinstance(column, AnnulusFactorColumn):
-        t = column.lam0 / column.lam1
-        lam1 = column.lam1
-        N = len(column.A_plus)
-        n = np.arange(N)
-        d_half = 2.0 * (n[:, None] + n[None, :]) + 1.0
-        d_neg = 2.0 * (n[:, None] - n[None, :]) - 1.0
-        d_three = 2.0 * (n[:, None] + n[None, :]) + 3.0
-        d_pos = 2.0 * (n[:, None] - n[None, :]) + 1.0
-        d1 = 1.0 if column.column_index == 1 else 0.0
-        d2 = 1.0 if column.column_index == 2 else 0.0
-        d3 = 1.0 if column.column_index == 3 else 0.0
-        res_bm = column.B_minus - (2.0 / math.pi) * lam1 ** (2 * n) * (
-            (column.A_plus / d_half).sum(axis=1) - d1
-        )
-        res_ap = column.A_plus - (2.0 / math.pi) * lam1 ** (2 * n + 1) * (
-            (column.B_minus / d_half).sum(axis=1)
-            + (column.B_plus / d_neg).sum(axis=1)
-            + d2
-        )
-        res_am = column.A_minus + (2.0 / math.pi) * t ** (2 * n + 1) * (
-            (column.B_plus / d_three).sum(axis=1)
-            + (column.B_minus / d_pos).sum(axis=1)
-            - d2
-        )
-        res_bp = column.B_plus + (2.0 / math.pi) * t ** (2 * n + 2) * (
-            (column.A_minus / d_three).sum(axis=1) + d3
-        )
-        return float(
-            max(
-                np.abs(res_bm).max(),
-                np.abs(res_ap).max(),
-                np.abs(res_am).max(),
-                np.abs(res_bp).max(),
-            )
-        )
-    raise TypeError(f"unsupported column type {type(column)!r}")
+        x = _interleave(column, 2)
+        lam, t = column.lam, None
+        rhs = _disc_column_rhs(column.lam, len(x))
+    elif isinstance(column, AnnulusFactorColumn):
+        x = _interleave(column, 4)
+        lam, t = column.lam1, column.lam0 / column.lam1
+        rhs = _annulus_column_rhs(column.lam0, column.lam1, len(x))
+    else:
+        raise TypeError(f"unsupported column type {type(column)!r}")
+    b = rhs[:, :, column.column_index - 1].ravel()
+    return float(np.abs(system_matrix(lam, t, len(x)) @ x.ravel() - b).max())
 
 
 # ----------------------------------------------------------------------
@@ -482,76 +391,59 @@ def _order_fit_abscissae() -> np.ndarray:
     return np.unique(snapped)
 
 
-def partial_index_estimate(side: str, columns) -> list[int]:
-    """Estimate the partial indices from the column orders at infinity.
+def _entry_orders(side: str, columns) -> np.ndarray:
+    """Fitted order at infinity of every factor-matrix entry.
 
-    Samples each factor matrix along the real axis inside its half-plane
-    of analyticity, fits the order of every entry from the log-log
-    slope, and takes the minimum entry order per column.  A slope more
-    than 0.2 away from an integer raises FitAmbiguityError.
+    Samples the factor matrix along the real axis inside its half-plane
+    of analyticity and fits the log-log slope of each entry; an entry
+    that vanishes at too many samples gets NaN.
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     if isinstance(columns[0], DiscFactorColumn):
-        evaluate = lambda s: eval_X_disc(side, s, columns)  # noqa: E731
-        dim = 2
+        evaluate = eval_X_disc
     elif isinstance(columns[0], AnnulusFactorColumn):
-        evaluate = lambda s: eval_X_annulus(side, s, columns)  # noqa: E731
-        dim = 3
+        evaluate = eval_X_annulus
     else:
         raise TypeError(f"unsupported column type {type(columns[0])!r}")
 
     radii = _order_fit_abscissae()
     sign = -1.0 if side == "plus" else 1.0
-    values = np.empty((len(radii), dim, dim), dtype=complex)
-    for k, t in enumerate(radii):
-        values[k] = evaluate(complex(sign * t, 0.0))
-
+    values = np.array([evaluate(side, complex(sign * t, 0.0), columns) for t in radii])
     log_t = np.log(radii)
-    indices = []
-    for j in range(dim):
-        entry_orders = []
-        for i in range(dim):
-            mags = np.abs(values[:, i, j])
-            keep = mags > 0.0
-            if keep.sum() < 4:
-                continue  # entry vanished; it cannot set the column order
-            slope = np.polyfit(log_t[keep], np.log(mags[keep]), 1)[0]
-            order = -slope
-            nearest = round(order)
-            if abs(order - nearest) > _ORDER_FIT_SLACK:
-                raise FitAmbiguityError(
-                    f"entry ({i + 1},{j + 1}) order fit {order:.3f} is not "
-                    f"within {_ORDER_FIT_SLACK} of an integer"
-                )
-            entry_orders.append(int(nearest))
-        if not entry_orders:
-            raise FitAmbiguityError(f"column {j + 1} vanished at all samples")
-        indices.append(min(entry_orders))
-    return indices
+    dim = values.shape[1]
+    orders = np.full((dim, dim), np.nan)
+    for i, j in np.ndindex(dim, dim):
+        mags = np.abs(values[:, i, j])
+        keep = mags > 0.0
+        if keep.sum() >= 4:
+            orders[i, j] = -np.polyfit(log_t[keep], np.log(mags[keep]), 1)[0]
+    return orders
+
+
+def partial_index_estimate(side: str, columns) -> list[int]:
+    """Estimate the partial indices from the column orders at infinity.
+
+    Takes the minimum fitted entry order per column.  A slope more than
+    0.2 away from an integer raises FitAmbiguityError.
+    """
+    orders = _entry_orders(side, columns)
+    nearest = np.round(orders)
+    ambiguous = np.argwhere(np.abs(orders - nearest).T > _ORDER_FIT_SLACK)
+    if len(ambiguous):
+        j, i = ambiguous[0]
+        raise FitAmbiguityError(
+            f"entry ({i + 1},{j + 1}) order fit {orders[i, j]:.3f} is not "
+            f"within {_ORDER_FIT_SLACK} of an integer"
+        )
+    vanished = np.flatnonzero(np.isnan(orders).all(axis=0))
+    if len(vanished):
+        raise FitAmbiguityError(f"column {vanished[0] + 1} vanished at all samples")
+    return [int(np.nanmin(column)) for column in nearest.T]
 
 
 def order_fit_distance(side: str, columns) -> float:
     """Largest distance of any entry-order fit from its nearest integer."""
-    if isinstance(columns[0], DiscFactorColumn):
-        evaluate = lambda s: eval_X_disc(side, s, columns)  # noqa: E731
-        dim = 2
-    else:
-        evaluate = lambda s: eval_X_annulus(side, s, columns)  # noqa: E731
-        dim = 3
-    radii = _order_fit_abscissae()
-    sign = -1.0 if side == "plus" else 1.0
-    values = np.empty((len(radii), dim, dim), dtype=complex)
-    for k, t in enumerate(radii):
-        values[k] = evaluate(complex(sign * t, 0.0))
-    log_t = np.log(radii)
-    worst = 0.0
-    for j in range(dim):
-        for i in range(dim):
-            mags = np.abs(values[:, i, j])
-            keep = mags > 0.0
-            if keep.sum() < 4:
-                continue
-            slope = np.polyfit(log_t[keep], np.log(mags[keep]), 1)[0]
-            worst = max(worst, abs(-slope - round(-slope)))
-    return worst
+    orders = _entry_orders(side, columns)
+    distance = np.abs(orders - np.round(orders))
+    return float(distance[~np.isnan(distance)].max(initial=0.0))

@@ -15,6 +15,7 @@ linear in delta_star.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,7 @@ __all__ = [
     "omega_tilde",
     "omega_annulus_flat",
     "recurrence_table",
+    "system_matrix",
     "solve_disc_reduction",
     "solve_disc_recurrence",
     "solve_annulus_reduction",
@@ -298,8 +300,43 @@ def omega_annulus_flat(
 
 
 # ----------------------------------------------------------------------
-# disc model: reduction and recurrence solvers
+# the truncated operator shared by the model and factor-column systems
 # ----------------------------------------------------------------------
+
+# Coefficient families in the per-n slot order of the interleaved unknowns,
+# and the factor taking the models' families to the shared operator's,
+# which has the B families halved.
+_SLOTS = ("B_minus", "A_plus", "A_minus", "B_plus")
+_MODEL_SCALE = np.array([0.5, 1.0, 1.0, 0.5])
+
+
+def system_matrix(lam: float, t: float | None, N: int) -> np.ndarray:
+    """Truncated operator of the disc (t is None) or annulus (inner ratio t) systems.
+
+    Unknowns interleave per index n as (B-, A+) in the 2N x 2N disc block
+    and (B-, A+, A-, B+) in the 4N x 4N annulus block, lam being the outer
+    ratio.  The B unknowns enter halved, so every coupling is
+    lam**p / (pi (n +- m + shift)) and the factor columns share the operator.
+    """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N!r}")
+    n, m = np.ogrid[:N, :N]
+    couplings = [
+        (0, 1, -(lam ** (2 * n)), n + m + 0.5),
+        (1, 0, -(lam ** (2 * n + 1)), n + m + 0.5),
+    ]
+    if t is not None:
+        couplings += [
+            (1, 3, -(lam ** (2 * n + 1)), n - m - 0.5),
+            (2, 3, t ** (2 * n + 1), n + m + 1.5),
+            (2, 0, t ** (2 * n + 1), n - m + 0.5),
+            (3, 2, t ** (2 * n + 2), n + m + 1.5),
+        ]
+    k = 2 if t is None else 4
+    matrix = np.eye(k * N)
+    for row, col, weight, den in couplings:
+        matrix[row::k, col::k] += weight / (math.pi * den)
+    return matrix
 
 
 def _solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -316,31 +353,95 @@ def _solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_disc_reduction(p: DiscProblem, N: int = DEFAULT_TRUNCATION) -> CoefficientSetDisc:
-    """Solve the truncated 2N x 2N disc system by a direct dense solve.
+def _interleave(coeffs, slots: int) -> np.ndarray:
+    """Stack the first `slots` coefficient families of coeffs as (N, slots)."""
+    return np.stack([getattr(coeffs, name) for name in _SLOTS[:slots]], axis=1)
 
-    Unknowns are interleaved (B-_0, A+_0, B-_1, A+_1, ...) which keeps
-    the matrix close to the identity for small lam.
+
+def _families(x: np.ndarray) -> dict:
+    """Coefficient families, by field name, of an interleaved x of shape (N, slots)."""
+    return {name: x[:, i] for i, name in enumerate(_SLOTS[: x.shape[1]])}
+
+
+def _solve_interleaved(lam: float, t: float | None, rhs: np.ndarray) -> np.ndarray:
+    """Solve the shared operator for rhs of shape (N, slots[, columns])."""
+    N, k = rhs.shape[:2]
+    x = _solve_dense(system_matrix(lam, t, N), rhs.reshape(N * k, -1))
+    return x.reshape(rhs.shape)
+
+
+def _solve_model(lam: float, t: float | None, forcing: np.ndarray) -> np.ndarray:
+    """Model unknowns, shape (N, slots), for the forcing of the original equations."""
+    scale = _MODEL_SCALE[: forcing.shape[1]]
+    return _solve_interleaved(lam, t, forcing * scale) / scale
+
+
+def _model_residual(
+    lam: float, t: float | None, unknowns: np.ndarray, forcing: np.ndarray
+) -> float:
+    """Max defect of the original (unhalved) model equations."""
+    scale = _MODEL_SCALE[: forcing.shape[1]]
+    matrix = system_matrix(lam, t, len(forcing))
+    defect = matrix @ (unknowns * scale).ravel() - (forcing * scale).ravel()
+    return float(np.abs(defect.reshape(forcing.shape) / scale).max())
+
+
+def _power_table(
+    seed_a, seed_b, n_rows: int, order_K: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda-power tables a[n, k], b[n, k] of the shared operator.
+
+    Matching powers of lambda, with b the halved B family, gives
+
+        b[n, k] = seed_b [k = 0] + (1/pi) sum_{m <= (k-1)//2} a[m, k-2m-1] / (n+m+1/2)
+        a[n, k] = seed_a [k = 0] + (1/pi) sum_{m <= k//2}     b[m, k-2m]   / (n+m+1/2)
+
+    filled order by order, the b row first.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N!r}")
-    lam = p.lam
-    n = np.arange(N)
-    nm = n[:, None] + n[None, :] + 0.5
-    lam_even = lam ** (2.0 * n)
-    lam_odd = lam ** (2.0 * n + 1.0)
+    if n_rows < 1 or order_K < 1:
+        raise ValueError("n_rows and order_K must be >= 1")
+    a = np.zeros((n_rows, order_K))
+    b = np.zeros((n_rows, order_K))
+    a[:, 0] = seed_a
+    b[:, 0] = seed_b
+    den = math.pi * (np.arange(order_K // 2 + 1)[:, None] + np.arange(n_rows) + 0.5)
+    for k in range(order_K):
+        for m in range((k - 1) // 2 + 1):
+            b[:, k] += a[m, k - 2 * m - 1] / den[m]
+        for m in range(k // 2 + 1):
+            a[:, k] += b[m, k - 2 * m] / den[m]
+    return a, b
 
-    matrix = np.eye(2 * N)
-    matrix[0::2, 1::2] -= (2.0 / math.pi) * lam_even[:, None] / nm
-    matrix[1::2, 0::2] -= (0.5 / math.pi) * lam_odd[:, None] / nm
-    rhs = np.zeros(2 * N)
-    forcing = np.array(
+
+def _power_sums(
+    lam: float, a: np.ndarray, b: np.ndarray, N: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """lam**(2n+1) sum_k a[n, k] lam**k and lam**(2n) sum_k b[n, k] lam**k, n < N."""
+    powers = lam ** np.arange(a.shape[1])
+    n = np.arange(N)
+    return lam ** (2 * n + 1) * (a[:N] @ powers), lam ** (2 * n) * (b[:N] @ powers)
+
+
+# ----------------------------------------------------------------------
+# disc model: reduction and recurrence solvers
+# ----------------------------------------------------------------------
+
+
+def _disc_forcing(p: DiscProblem, N: int) -> np.ndarray:
+    """Right-hand side, per n as (B-, A+), of the disc equations."""
+    n = np.arange(N)
+    omega = np.array(
         [omega1_disc("minus", 2.0 * k + 1.0, p.delta_star) for k in range(N)]
     )
-    rhs[1::2] = (lam_odd / math.pi) * forcing
+    forcing = np.zeros((N, 2))
+    forcing[:, 1] = p.lam ** (2 * n + 1) / math.pi * omega
+    return forcing
 
-    x = _solve_dense(matrix, rhs)
-    return CoefficientSetDisc(A_plus=x[1::2], B_minus=x[0::2], truncation_N=N)
+
+def solve_disc_reduction(p: DiscProblem, N: int = DEFAULT_TRUNCATION) -> CoefficientSetDisc:
+    """Solve the truncated 2N x 2N disc system by a direct dense solve."""
+    x = _solve_model(p.lam, None, _disc_forcing(p, N))
+    return CoefficientSetDisc(**_families(x), truncation_N=N)
 
 
 def recurrence_table(
@@ -348,28 +449,16 @@ def recurrence_table(
 ) -> RecurrenceTable:
     """Fill the triangular lambda-power table for the disc coefficients.
 
-    Matching powers of lambda in the system gives, for k >= 1,
-
-        a[n, k] = (1/(2 pi)) sum_{m <= k//2}    b[m, k-2m]   / (n+m+1/2)
-        b[n, k] = (2/pi)     sum_{m <= (k-1)//2} a[m, k-2m-1] / (n+m+1/2)
-
-    seeded by a[n, 0] = -delta_star/(2 pi (n+1/2)), b[n, 0] = 0.  Within
-    each order the b row is filled first; the m = k//2 term of the a sum
-    vanishes with b[., 0] and is kept only for symmetry with the general
-    formula.
+    A+_n = lam**(2n+1) sum_k a[n, k] lam**k and
+    B-_n = lam**(2n) sum_k b[n, k] lam**k, where a and b/2 follow the
+    shared recurrence of the halved system seeded by
+    a[n, 0] = -delta_star/(2 pi (n+1/2)) and b[n, 0] = 0.
     """
-    if n_rows < 1 or order_K < 1:
-        raise ValueError("n_rows and order_K must be >= 1")
-    a = np.zeros((n_rows, order_K))
-    b = np.zeros((n_rows, order_K))
     half = np.arange(n_rows) + 0.5
-    a[:, 0] = -delta_star / (2.0 * math.pi * half)
-    for k in range(1, order_K):
-        for m in range((k - 1) // 2 + 1):
-            b[:, k] += (2.0 / math.pi) * a[m, k - 2 * m - 1] / (half + m)
-        for m in range(k // 2 + 1):
-            a[:, k] += (0.5 / math.pi) * b[m, k - 2 * m] / (half + m)
-    return RecurrenceTable(a=a, b=b, order_K=order_K)
+    a, b_half = _power_table(
+        -delta_star / (2.0 * math.pi * half), 0.0, n_rows, order_K
+    )
+    return RecurrenceTable(a=a, b=2.0 * b_half, order_K=order_K)
 
 
 def solve_disc_recurrence(
@@ -383,36 +472,15 @@ def solve_disc_recurrence(
     """
     if N < 1 or K < 1:
         raise ValueError("N and K must be >= 1")
-    rows = max(N, K // 2 + 1)
-    table = recurrence_table(p.delta_star, rows, K)
-    powers = p.lam ** np.arange(K)
-    a_sum = table.a[:N] @ powers
-    b_sum = table.b[:N] @ powers
-    n = np.arange(N)
-    coeffs = CoefficientSetDisc(
-        A_plus=p.lam ** (2 * n + 1) * a_sum,
-        B_minus=p.lam ** (2 * n) * b_sum,
-        truncation_N=N,
-    )
-    return table, coeffs
+    table = recurrence_table(p.delta_star, max(N, K // 2 + 1), K)
+    A_plus, B_minus = _power_sums(p.lam, table.a, table.b, N)
+    return table, CoefficientSetDisc(A_plus=A_plus, B_minus=B_minus, truncation_N=N)
 
 
 def disc_system_residual(p: DiscProblem, c: CoefficientSetDisc) -> float:
     """Max defect of the truncated disc equations at the given coefficients."""
-    N = c.truncation_N
-    lam = p.lam
-    n = np.arange(N)
-    nm = n[:, None] + n[None, :] + 0.5
-    forcing = np.array(
-        [omega1_disc("minus", 2.0 * k + 1.0, p.delta_star) for k in range(N)]
-    )
-    res_b = c.B_minus - (2.0 / math.pi) * lam ** (2 * n) * (c.A_plus / nm).sum(axis=1)
-    res_a = (
-        c.A_plus
-        - (0.5 / math.pi) * lam ** (2 * n + 1) * (c.B_minus / nm).sum(axis=1)
-        - lam ** (2 * n + 1) / math.pi * forcing
-    )
-    return float(max(np.abs(res_b).max(), np.abs(res_a).max()))
+    forcing = _disc_forcing(p, c.truncation_N)
+    return _model_residual(p.lam, None, _interleave(c, 2), forcing)
 
 
 # ----------------------------------------------------------------------
@@ -420,17 +488,24 @@ def disc_system_residual(p: DiscProblem, c: CoefficientSetDisc) -> float:
 # ----------------------------------------------------------------------
 
 
-def _annulus_forcings(p: AnnulusProblem, N: int):
-    w1m = np.array(
-        [omega_annulus_flat(1, "minus", 2.0 * k + 1.0, p) for k in range(N)]
-    )
-    w1p = np.array(
-        [omega_annulus_flat(1, "plus", -(2.0 * k + 1.0), p) for k in range(N)]
-    )
-    w2m = np.array(
-        [omega_annulus_flat(2, "minus", 2.0 * k + 2.0, p) for k in range(N)]
-    )
-    return w1m, w1p, w2m
+@functools.lru_cache(maxsize=1)
+def _annulus_forcings(p: AnnulusProblem, N: int) -> np.ndarray:
+    """Read-only right-hand side, per n as (B-, A+, A-, B+), of the annulus equations.
+
+    Only the latest problem is remembered, so a solve followed by its
+    residual evaluates the forcing functions once.
+    """
+    t = p.radius_ratio
+    n = np.arange(N)
+    w1m = np.array([omega_annulus_flat(1, "minus", 2.0 * k + 1.0, p) for k in range(N)])
+    w1p = np.array([omega_annulus_flat(1, "plus", -2.0 * k - 1.0, p) for k in range(N)])
+    w2m = np.array([omega_annulus_flat(2, "minus", 2.0 * k + 2.0, p) for k in range(N)])
+    forcing = np.zeros((N, 4))
+    forcing[:, 1] = p.lam1 ** (2 * n + 1) / math.pi * w1m
+    forcing[:, 2] = t ** (2 * n + 1) / math.pi * w1p
+    forcing[:, 3] = 4.0 * t ** (2 * n + 2) / math.pi * w2m
+    forcing.flags.writeable = False
+    return forcing
 
 
 def solve_annulus_reduction(
@@ -438,91 +513,17 @@ def solve_annulus_reduction(
 ) -> CoefficientSetAnnulus:
     """Solve the truncated 4N x 4N annulus system by a direct dense solve.
 
-    Unknowns are interleaved per index n as (B-_n, A+_n, A-_n, B+_n).
     At lam0 = 0 the A- and B+ rows reduce to the identity and the
     remaining block coincides with the disc system.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N!r}")
-    lam1 = p.lam1
-    t = p.radius_ratio
-    n = np.arange(N)
-    nm_half = n[:, None] + n[None, :] + 0.5
-    nm_neg = n[:, None] - n[None, :] - 0.5
-    nm_three = n[:, None] + n[None, :] + 1.5
-    nm_pos = n[:, None] - n[None, :] + 0.5
-
-    lam1_even = lam1 ** (2.0 * n)
-    lam1_odd = lam1 ** (2.0 * n + 1.0)
-    t_odd = t ** (2.0 * n + 1.0)
-    t_even2 = t ** (2.0 * n + 2.0)
-
-    matrix = np.eye(4 * N)
-    matrix[0::4, 1::4] -= (2.0 / math.pi) * lam1_even[:, None] / nm_half
-    matrix[1::4, 0::4] -= (0.5 / math.pi) * lam1_odd[:, None] / nm_half
-    matrix[1::4, 3::4] -= (0.5 / math.pi) * lam1_odd[:, None] / nm_neg
-    matrix[2::4, 3::4] += (0.5 / math.pi) * t_odd[:, None] / nm_three
-    matrix[2::4, 0::4] += (0.5 / math.pi) * t_odd[:, None] / nm_pos
-    matrix[3::4, 2::4] += (2.0 / math.pi) * t_even2[:, None] / nm_three
-
-    w1m, w1p, w2m = _annulus_forcings(p, N)
-    rhs = np.zeros(4 * N)
-    rhs[1::4] = lam1_odd / math.pi * w1m
-    rhs[2::4] = t_odd / math.pi * w1p
-    rhs[3::4] = 4.0 * t_even2 / math.pi * w2m
-
-    x = _solve_dense(matrix, rhs)
-    return CoefficientSetAnnulus(
-        A_plus=x[1::4],
-        A_minus=x[2::4],
-        B_plus=x[3::4],
-        B_minus=x[0::4],
-        truncation_N=N,
-    )
+    x = _solve_model(p.lam1, p.radius_ratio, _annulus_forcings(p, N))
+    return CoefficientSetAnnulus(**_families(x), truncation_N=N)
 
 
 def annulus_system_residual(p: AnnulusProblem, c: CoefficientSetAnnulus) -> float:
     """Max defect of the truncated annulus equations at the coefficients."""
-    N = c.truncation_N
-    lam1 = p.lam1
-    t = p.radius_ratio
-    n = np.arange(N)
-    nm_half = n[:, None] + n[None, :] + 0.5
-    nm_neg = n[:, None] - n[None, :] - 0.5
-    nm_three = n[:, None] + n[None, :] + 1.5
-    nm_pos = n[:, None] - n[None, :] + 0.5
-    w1m, w1p, w2m = _annulus_forcings(p, N)
-
-    res_bm = c.B_minus - (2.0 / math.pi) * lam1 ** (2 * n) * (
-        c.A_plus / nm_half
-    ).sum(axis=1)
-    res_ap = (
-        c.A_plus
-        - (0.5 / math.pi)
-        * lam1 ** (2 * n + 1)
-        * ((c.B_minus / nm_half).sum(axis=1) + (c.B_plus / nm_neg).sum(axis=1))
-        - lam1 ** (2 * n + 1) / math.pi * w1m
-    )
-    res_am = (
-        c.A_minus
-        + (0.5 / math.pi)
-        * t ** (2 * n + 1)
-        * ((c.B_plus / nm_three).sum(axis=1) + (c.B_minus / nm_pos).sum(axis=1))
-        - t ** (2 * n + 1) / math.pi * w1p
-    )
-    res_bp = (
-        c.B_plus
-        + (2.0 / math.pi) * t ** (2 * n + 2) * (c.A_minus / nm_three).sum(axis=1)
-        - 4.0 * t ** (2 * n + 2) / math.pi * w2m
-    )
-    return float(
-        max(
-            np.abs(res_bm).max(),
-            np.abs(res_ap).max(),
-            np.abs(res_am).max(),
-            np.abs(res_bp).max(),
-        )
-    )
+    forcing = _annulus_forcings(p, c.truncation_N)
+    return _model_residual(p.lam1, p.radius_ratio, _interleave(c, 4), forcing)
 
 
 def system_residual(problem, coefficients) -> float:

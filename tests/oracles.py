@@ -3,8 +3,12 @@
 These are deliberately independent of the library under test: gamma via
 an upward product into the Stirling region, log-gamma via recursion, and
 the hypergeometric function as a brute-force raw series, all in mpmath
-working precision.
+working precision.  The truncated coefficient systems are re-derived term
+by term in their original scaling, so a wrong block in the library's
+shared operator cannot cancel out of the check.
 """
+
+import math
 
 import mpmath as mp
 
@@ -51,3 +55,104 @@ def hyp2f1_raw_series_oracle(a, b, c, x, dps=40):
             if abs(term) < mp.mpf("1e-35") * abs(total):
                 return total
         raise RuntimeError("oracle series did not converge")
+
+
+def disc_equation_defect(lam, forcing, A_plus, B_minus):
+    """Max defect of the truncated disc equations, summed term by term.
+
+        B-_n = (2/pi) lam^(2n) sum_m A+_m / (n+m+1/2)
+        A+_n = lam^(2n+1)/pi [ (1/2) sum_m B-_m / (n+m+1/2) + forcing_n ]
+    """
+    N = len(A_plus)
+    worst = 0.0
+    for n in range(N):
+        sum_a = sum(A_plus[m] / (n + m + 0.5) for m in range(N))
+        sum_b = sum(B_minus[m] / (n + m + 0.5) for m in range(N))
+        res_b = B_minus[n] - 2.0 / math.pi * lam ** (2 * n) * sum_a
+        res_a = A_plus[n] - lam ** (2 * n + 1) / math.pi * (0.5 * sum_b + forcing[n])
+        worst = max(worst, abs(res_b), abs(res_a))
+    return worst
+
+
+def annulus_equation_defect(lam1, t, w1m, w1p, w2m, A_plus, A_minus, B_plus, B_minus):
+    """Max defect of the truncated annulus equations, summed term by term.
+
+        B-_n = (2/pi) lam1^(2n) sum_m A+_m / (n+m+1/2)
+        A+_n = lam1^(2n+1)/pi [ (1/2) sum_m (B-_m / (n+m+1/2) + B+_m / (n-m-1/2)) + w1m_n ]
+        A-_n = t^(2n+1)/pi [ -(1/2) sum_m (B+_m / (n+m+3/2) + B-_m / (n-m+1/2)) + w1p_n ]
+        B+_n = t^(2n+2)/pi [ -2 sum_m A-_m / (n+m+3/2) + 4 w2m_n ]
+    """
+    N = len(A_plus)
+    worst = 0.0
+    for n in range(N):
+        sum_ap = sum(A_plus[m] / (n + m + 0.5) for m in range(N))
+        sum_am = sum(A_minus[m] / (n + m + 1.5) for m in range(N))
+        sum_b_outer = sum(
+            B_minus[m] / (n + m + 0.5) + B_plus[m] / (n - m - 0.5) for m in range(N)
+        )
+        sum_b_inner = sum(
+            B_plus[m] / (n + m + 1.5) + B_minus[m] / (n - m + 0.5) for m in range(N)
+        )
+        outer = lam1 ** (2 * n + 1) / math.pi
+        inner = t ** (2 * n + 1) / math.pi
+        inner_b = t ** (2 * n + 2) / math.pi
+        residuals = (
+            B_minus[n] - 2.0 / math.pi * lam1 ** (2 * n) * sum_ap,
+            A_plus[n] - outer * (0.5 * sum_b_outer + w1m[n]),
+            A_minus[n] - inner * (-0.5 * sum_b_inner + w1p[n]),
+            B_plus[n] - inner_b * (-2.0 * sum_am + 4.0 * w2m[n]),
+        )
+        worst = max(worst, *(abs(r) for r in residuals))
+    return worst
+
+
+def disc_column_defect(lam, column_index, A_plus, B_minus):
+    """Max defect of one disc factor-column system, summed term by term.
+
+        A+_n = lam^(2n+1)/pi [ sum_m B-_m / (n+m+1/2) + 2 d_{l2} ]
+        B-_n = lam^(2n)/pi   [ sum_m A+_m / (n+m+1/2) - 2 d_{l1} ]
+    """
+    d1 = 1.0 if column_index == 1 else 0.0
+    d2 = 1.0 if column_index == 2 else 0.0
+    N = len(A_plus)
+    worst = 0.0
+    for n in range(N):
+        sum_a = sum(A_plus[m] / (n + m + 0.5) for m in range(N))
+        sum_b = sum(B_minus[m] / (n + m + 0.5) for m in range(N))
+        res_a = A_plus[n] - lam ** (2 * n + 1) / math.pi * (sum_b + 2.0 * d2)
+        res_b = B_minus[n] - lam ** (2 * n) / math.pi * (sum_a - 2.0 * d1)
+        worst = max(worst, abs(res_a), abs(res_b))
+    return worst
+
+
+def annulus_column_defect(lam0, lam1, column_index, A_plus, A_minus, B_plus, B_minus):
+    """Max defect of one annulus factor-column system, summed term by term.
+
+        B-_n = (2/pi) lam1^(2n)   [ sum_m A+_m / (2n+2m+1) - d_{l1} ]
+        A+_n = (2/pi) lam1^(2n+1) [ sum_m (B-_m / (2n+2m+1) + B+_m / (2n-2m-1)) + d_{l2} ]
+        A-_n = -(2/pi) t^(2n+1)   [ sum_m (B+_m / (2n+2m+3) + B-_m / (2n-2m+1)) - d_{l2} ]
+        B+_n = -(2/pi) t^(2n+2)   [ sum_m A-_m / (2n+2m+3) + d_{l3} ]
+    """
+    t = lam0 / lam1
+    d1, d2, d3 = (1.0 if column_index == l else 0.0 for l in (1, 2, 3))
+    N = len(A_plus)
+    worst = 0.0
+    for n in range(N):
+        sum_ap = sum(A_plus[m] / (2 * n + 2 * m + 1) for m in range(N))
+        sum_am = sum(A_minus[m] / (2 * n + 2 * m + 3) for m in range(N))
+        sum_b_outer = sum(
+            B_minus[m] / (2 * n + 2 * m + 1) + B_plus[m] / (2 * n - 2 * m - 1)
+            for m in range(N)
+        )
+        sum_b_inner = sum(
+            B_plus[m] / (2 * n + 2 * m + 3) + B_minus[m] / (2 * n - 2 * m + 1)
+            for m in range(N)
+        )
+        residuals = (
+            B_minus[n] - 2.0 / math.pi * lam1 ** (2 * n) * (sum_ap - d1),
+            A_plus[n] - 2.0 / math.pi * lam1 ** (2 * n + 1) * (sum_b_outer + d2),
+            A_minus[n] + 2.0 / math.pi * t ** (2 * n + 1) * (sum_b_inner - d2),
+            B_plus[n] + 2.0 / math.pi * t ** (2 * n + 2) * (sum_am + d3),
+        )
+        worst = max(worst, *(abs(r) for r in residuals))
+    return worst

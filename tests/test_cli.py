@@ -76,6 +76,18 @@ class TestExitCodes:
     def test_unknown_command_is_config_error(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    def test_nonfinite_and_mistyped_inputs_are_config_errors(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"lambda": "0.5"}))
+        for argv in (
+            ["solve", "--delta-over-a", "nan"],
+            ["stress", "--r-max", "inf"],
+            ["solve", "--config", str(config)],
+        ):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, err
+
     def test_verify_passes_with_defaults(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = main(
@@ -120,6 +132,12 @@ class TestSolveArtifact:
         assert problem2 == problem
         assert np.array_equal(coeffs2.A_minus, coeffs.A_minus)
         assert np.array_equal(coeffs2.B_plus, coeffs.B_plus)
+
+    def test_unknown_model_is_rejected(self, tmp_path):
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps({"model": "disk"}))
+        with pytest.raises(ValueError, match="'disc' or 'annulus', got 'disk'"):
+            load_coefficients(path)
 
     def test_solve_cli_writes_file(self, tmp_path):
         out = tmp_path / "c.json"

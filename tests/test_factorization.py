@@ -25,6 +25,8 @@ from pennycontact.factorization import (
 )
 from pennycontact.specfun import PoleError
 
+from oracles import annulus_column_defect, disc_column_defect
+
 PI = math.pi
 
 
@@ -236,3 +238,18 @@ def test_validation_errors():
         factor_system_residual(object())
     with pytest.raises(ValueError):
         partial_index_estimate("sideways", solve_factor_columns_disc(0.5, 5))
+
+
+def test_disc_columns_satisfy_elementwise_equations():
+    for col in solve_factor_columns_disc(0.5, 12):
+        defect = disc_column_defect(0.5, col.column_index, col.A_plus, col.B_minus)
+        assert defect <= 1e-12
+
+
+@pytest.mark.parametrize("lam0", [0.2, 0.45])
+def test_annulus_columns_satisfy_elementwise_equations(lam0):
+    for col in solve_factor_columns_annulus(lam0, 0.5, 12):
+        defect = annulus_column_defect(
+            lam0, 0.5, col.column_index, col.A_plus, col.A_minus, col.B_plus, col.B_minus
+        )
+        assert defect <= 1e-12

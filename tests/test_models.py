@@ -22,6 +22,8 @@ from pennycontact.models import (
 )
 from pennycontact.specfun import PoleError
 
+from oracles import annulus_equation_defect, disc_equation_defect
+
 PI = math.pi
 
 
@@ -237,3 +239,25 @@ def test_singular_system_error():
 
     with pytest.raises(SingularSystemError, match="cond"):
         _solve_dense(np.zeros((3, 3)), np.ones(3))
+
+
+def test_disc_solution_satisfies_elementwise_equations():
+    p = DiscProblem(lam=0.5, delta_star=1.0)
+    c = solve_disc_reduction(p, 12)
+    forcing = [-p.delta_star / (2 * n + 1) for n in range(12)]
+    assert disc_equation_defect(p.lam, forcing, c.A_plus, c.B_minus) <= 1e-12
+
+
+@pytest.mark.parametrize("lam0", [0.2, 0.45])
+def test_annulus_solution_satisfies_elementwise_equations(lam0):
+    # lam0 = 0.45 has ratio**2 = 0.81 > 0.75, the hypergeometric
+    # omega-tilde branch
+    p = AnnulusProblem(lam0=lam0, lam1=0.5, delta_star=1.0)
+    c = solve_annulus_reduction(p, 12)
+    w1m = [omega_annulus_flat(1, "minus", 2 * n + 1.0, p) for n in range(12)]
+    w1p = [omega_annulus_flat(1, "plus", -(2 * n + 1.0), p) for n in range(12)]
+    w2m = [omega_annulus_flat(2, "minus", 2 * n + 2.0, p) for n in range(12)]
+    defect = annulus_equation_defect(
+        p.lam1, p.radius_ratio, w1m, w1p, w2m, c.A_plus, c.A_minus, c.B_plus, c.B_minus
+    )
+    assert defect <= 1e-12
