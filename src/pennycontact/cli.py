@@ -5,7 +5,8 @@ emission is deterministic for a fixed configuration and version (fixed
 grids, floats at 17 significant digits, no timestamps).
 
 Exit codes: 0 success, 1 configuration error, 2 numerical-verification
-failure.
+failure, 3 numerical failure (a singular truncated system, a series that
+did not converge, or an argument on a pole).
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from .models import (
     CoefficientSetAnnulus,
     CoefficientSetDisc,
     DiscProblem,
+    SingularSystemError,
     solve_annulus_reduction,
     solve_disc_recurrence,
     solve_disc_reduction,
 )
-from .specfun import SQRT_PI
+from .specfun import SQRT_PI, ConvergenceError, PoleError
 from .verify import run_verification
 
 __all__ = [
@@ -53,6 +55,10 @@ _FLOAT_FMT = "%.17g"
 # stress plot, three radius ratios for the displacement profiles.
 _FIGURE_LAMBDAS = (0.3, 0.5, 0.7)
 _FIGURE_DELTA_OVER_A = 0.05
+
+# Field grids evaluate grid_points x truncation_N values at once.
+_MAX_GRID_POINTS = 100_000
+_MAX_TRUNCATION_N = 1_000
 
 
 class ConfigError(ValueError):
@@ -118,8 +124,10 @@ class RunConfig:
             problems.append(
                 f"shear_modulus: must be positive, got {self.shear_modulus!r}"
             )
-        if self.truncation_N < 1:
-            problems.append(f"truncation_N: must be >= 1, got {self.truncation_N!r}")
+        if not 1 <= self.truncation_N <= _MAX_TRUNCATION_N:
+            problems.append(
+                f"truncation_N: must lie in 1..{_MAX_TRUNCATION_N}, got {self.truncation_N!r}"
+            )
         if self.order_K < 1:
             problems.append(f"order_K: must be >= 1, got {self.order_K!r}")
         if self.method not in ("reduction", "recurrence"):
@@ -130,8 +138,10 @@ class RunConfig:
             problems.append(
                 f"format: must be 'csv' or 'json', got {self.output_format!r}"
             )
-        if self.grid_points < 2:
-            problems.append(f"grid_points: must be >= 2, got {self.grid_points!r}")
+        if not 2 <= self.grid_points <= _MAX_GRID_POINTS:
+            problems.append(
+                f"grid_points: must lie in 2..{_MAX_GRID_POINTS}, got {self.grid_points!r}"
+            )
         if self.r_max <= 1.0:
             problems.append(f"r_max: must exceed 1, got {self.r_max!r}")
         if not 0.0 <= self.lambda_min < self.lambda_max < 1.0:
@@ -372,6 +382,10 @@ def load_coefficients(path):
     return problem, coeffs
 
 
+def _samples(r_over_a: np.ndarray, values: np.ndarray) -> list[FieldSample]:
+    return [FieldSample(float(r), float(v)) for r, v in zip(r_over_a, values)]
+
+
 def _sample_table(header: dict, samples: list[FieldSample]) -> Table:
     return Table(
         header=header,
@@ -385,14 +399,10 @@ def run_stress(cfg: RunConfig) -> tuple[Table, Table]:
     if cfg.model != "disc":
         raise ConfigError("model: stress curves are defined for the disc model")
     p, coeffs = run_solve(cfg)
-    contact = [
-        FieldSample(float(r), stress_contact(p, coeffs, float(r) / cfg.lam))
-        for r in _contact_grid(cfg.lam, cfg.grid_points)
-    ]
-    outer = [
-        FieldSample(float(r), stress_outer(p, coeffs, float(r)))
-        for r in _outer_grid(cfg.lam, cfg.grid_points, cfg.r_max)
-    ]
+    contact_r = _contact_grid(cfg.lam, cfg.grid_points)
+    contact = _samples(contact_r, stress_contact(p, coeffs, contact_r / cfg.lam))
+    outer_r = _outer_grid(cfg.lam, cfg.grid_points, cfg.r_max)
+    outer = _samples(outer_r, stress_outer(p, coeffs, outer_r))
     header = _base_header(cfg)
     return (
         _sample_table(
@@ -431,10 +441,8 @@ def run_displacement(cfg: RunConfig, lam: float | None = None) -> Table:
         raise ConfigError("model: displacement curves are defined for the disc model")
     sub = cfg if lam is None else replace(cfg, lam=lam)
     p, coeffs = run_solve(sub)
-    samples = [
-        FieldSample(float(r), displacement(p, coeffs, float(r)))
-        for r in _displacement_grid(sub.lam, sub.grid_points)
-    ]
+    grid = _displacement_grid(sub.lam, sub.grid_points)
+    samples = _samples(grid, displacement(p, coeffs, grid))
     return _sample_table({**_base_header(sub), "quantity": "u_z_over_a"}, samples)
 
 
@@ -611,6 +619,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (SingularSystemError, ConvergenceError, PoleError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,18 +7,21 @@ of DiscProblem everything is a pure number.  Each quantity has two
 series representations, one converging fast away from the relevant
 edge and one that makes the square-root edge behavior explicit; the
 public evaluators switch between them and both forms are exposed for
-cross-checking.
+cross-checking.  The stress and displacement evaluators take a float or
+an array of positions and return the same kind; an array is evaluated
+with one recurrence over the series index for all its points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .models import CoefficientSetDisc, DiscProblem
-from .specfun import SQRT_PI, f_m, f_m_limit, gauss_2f1
+from .specfun import SQRT_PI, ConvergenceError, f_m, f_m_limit
 
 __all__ = [
     "FieldSample",
@@ -41,6 +44,12 @@ __all__ = [
 # their fast regions.
 _CONTACT_SWITCH = 0.8
 _OUTER_SWITCH = 1.25
+
+# Positive series seeding the f_m recurrence: relative tolerance, term cap,
+# and array elements per cumulative-product block.
+_SERIES_RTOL = 1e-17
+_SERIES_MAX_TERMS = 100_000
+_SERIES_BLOCK = 1 << 12
 
 # Normalized small-lambda expansion of the intensity factor: coefficient
 # of lambda**(j+1) is SIF_SERIES_COEFFS[j], the whole series carrying a
@@ -78,79 +87,194 @@ class SifResult:
     coefficient_sum: float
 
 
+@lru_cache(maxsize=8)
 def _edge_weights(count: int) -> np.ndarray:
-    """Triangular matrix T[m, j] = (-m)_j / (1/2)_j, zero above the diagonal."""
+    """Triangular matrix T[m, j] = (-m)_j / (1/2)_j, zero above the diagonal.
+
+    Cached per count and returned read-only.
+    """
     T = np.ones((count, count))
     for j in range(1, count):
         T[:, j] = T[:, j - 1] * (j - 1.0 - np.arange(count)) / (j - 0.5)
-    return np.tril(T)
+    T = np.tril(T)
+    T.flags.writeable = False
+    return T
 
 
-def _hyp_column(coeffs: np.ndarray, x: float) -> float:
-    """sum_m coeffs[m] * 2F1(3/2, 1/2-m; 3/2-m; x) / (m - 1/2)."""
-    total = 0.0
-    for m, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        total += c * gauss_2f1(1.5, 0.5 - m, 1.5 - m, x) / (m - 0.5)
+def _edge_poly(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_m coeffs[m] sum_j T[m, j] u**j at every point of u."""
+    count = len(coeffs)
+    powers = u[np.newaxis, :] ** np.arange(count)[:, np.newaxis]
+    # einsum, not a BLAS matrix product: the same sums, without the BLAS
+    # workspace that raised the figures peak RSS by ~0.3 MiB
+    return coeffs @ np.einsum("mj,jp->mp", _edge_weights(count), powers)
+
+
+def _positive_series(ratio, z: np.ndarray) -> np.ndarray:
+    """Sum of t_0 = 1, t_{k+1} = t_k * ratio(k) * z at every point of z.
+
+    ratio(k) maps an array of term indices to positive coefficient ratios,
+    so no term cancels another.  Terms come in blocks of a cumulative
+    product over the term index, so a single point costs a few numpy calls,
+    not one per term.  A point is done once its last term is below the
+    tolerance times (1 - z) times its sum.  In the raw f_m series the term
+    ratio stays below z, so that bounds the tail; in the edge series the
+    term ratio has fallen below 2/3 by the time terms are that small.
+    """
+    total = np.ones_like(z)
+    last = np.ones_like(z)
+    live = np.arange(len(z))
+    start, width = 0, 32
+    while len(live):
+        if start > _SERIES_MAX_TERMS:
+            raise ConvergenceError(f"2F1 family seed did not converge in {start} terms")
+        k = np.arange(start, start + width, dtype=float)
+        terms = last[live, np.newaxis] * np.cumprod(
+            ratio(k)[np.newaxis, :] * z[live, np.newaxis], axis=1
+        )
+        total[live] += terms.sum(axis=1)
+        last[live] = terms[:, -1]
+        live = live[last[live] > _SERIES_RTOL * total[live] * (1.0 - z[live])]
+        start += width
+        width = min(2 * width, max(32, _SERIES_BLOCK // max(len(live), 1)))
     return total
 
 
-def stress_contact_series(p: DiscProblem, c: CoefficientSetDisc, r_over_b: float) -> float:
+def _f_family(count: int, x: np.ndarray) -> np.ndarray:
+    """F[m, i] = f_m(x[i]) = 2F1(1/2, m+1/2; m+3/2; x[i]) for m < count.
+
+    Downward recurrence f_m = sqrt(1-x) + x (m+1)/(m+3/2) f_{m+1}, from the
+    Euler integral; its multiplier is below 1, so errors in the seed at
+    m = count-1 shrink on the way down.  The seed is the raw power series
+    (positive terms) where max(count-1, 2) (1-x) > 1, and otherwise the edge
+    form f_limit x**-(m+1/2) - (2m+1) sqrt(1-x) 2F1(m+1, 1; 3/2; 1-x), whose
+    series in 1-x has positive terms as well.
+    """
+    top = count - 1
+    root = np.sqrt(1.0 - x)
+    seed = np.empty_like(x)
+    near = (1.0 - x) * max(top, 2) <= 1.0
+    far = ~near
+    if far.any():
+        seed[far] = _positive_series(
+            lambda k: (k + 0.5) * (top + 0.5 + k) / ((top + 1.5 + k) * (k + 1.0)),
+            x[far],
+        )
+    if near.any():
+        u = 1.0 - x[near]
+        tail = _positive_series(lambda k: (top + 1.0 + k) / (k + 1.5), u)
+        seed[near] = (
+            f_m_limit(top) * x[near] ** -(top + 0.5)
+            - (2 * top + 1) * root[near] * tail
+        )
+    # Recur on G_m = f_m / sqrt(1-x) = 1 + x (m+1)/(m+3/2) G_{m+1}: adding the
+    # exact 1 rounds without bias, where adding the same sqrt(1-x) at every
+    # step would repeat one rounding error down the whole family.
+    G = np.empty((count, len(x)))
+    G[top] = seed / root
+    for m in range(top - 1, -1, -1):
+        G[m] = 1.0 + x * ((m + 1.0) / (m + 1.5)) * G[m + 1]
+    G *= root
+    return G
+
+
+def _hyp_column(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_m coeffs[m] * 2F1(3/2, 1/2-m; 3/2-m; x) / (m - 1/2) at every x.
+
+    The column H_m = 2F1(3/2, 1/2-m; 3/2-m; x) follows the forward
+    recurrence H_m = (1-x)**-1/2 + x m/(m - 3/2) H_{m-1} from the exact
+    H_0 = (1-x)**-1/2; it runs on K_m = sqrt(1-x) H_m, for the same reason
+    as the G_m of _f_family.
+    """
+    K = np.empty((len(coeffs), len(x)))
+    K[0] = 1.0
+    for m in range(1, len(coeffs)):
+        K[m] = 1.0 + x * (m / (m - 1.5)) * K[m - 1]
+    return (coeffs / (np.arange(len(coeffs)) - 0.5)) @ K / np.sqrt(1.0 - x)
+
+
+def stress_contact_series(
+    p: DiscProblem, c: CoefficientSetDisc, r_over_b: float | np.ndarray
+) -> float | np.ndarray:
     """Contact stress under the disc via the hypergeometric series."""
-    _check_unit_interval(r_over_b)
-    x2 = r_over_b * r_over_b
-    lead = -p.delta_star / (p.lam * math.sqrt(math.pi * (1.0 - x2)))
+    r, scalar = _points(r_over_b)
+    _check_unit_interval(r)
+    x2 = r * r
+    lead = -p.delta_star / (p.lam * np.sqrt(math.pi * (1.0 - x2)))
     tail = -_hyp_column(c.B_minus, x2) / (2.0 * p.lam * SQRT_PI)
-    return p.theta1 * (lead + tail)
+    return _result(p.theta1 * (lead + tail), scalar)
 
 
-def stress_contact_edge(p: DiscProblem, c: CoefficientSetDisc, r_over_b: float) -> float:
+def stress_contact_edge(
+    p: DiscProblem, c: CoefficientSetDisc, r_over_b: float | np.ndarray
+) -> float | np.ndarray:
     """Contact stress via the finite double sum with the explicit edge factor."""
-    _check_unit_interval(r_over_b)
-    u = 1.0 - r_over_b * r_over_b
-    T = _edge_weights(len(c.B_minus))
-    poly = float(c.B_minus @ (T @ u ** np.arange(len(c.B_minus))))
-    return p.theta1 * (-p.delta_star + poly) / (p.lam * math.sqrt(math.pi * u))
+    r, scalar = _points(r_over_b)
+    _check_unit_interval(r)
+    u = 1.0 - r * r
+    poly = _edge_poly(c.B_minus, u)
+    value = p.theta1 * (-p.delta_star + poly) / (p.lam * np.sqrt(math.pi * u))
+    return _result(value, scalar)
 
 
-def stress_contact(p: DiscProblem, c: CoefficientSetDisc, r_over_b: float) -> float:
+def stress_contact(
+    p: DiscProblem, c: CoefficientSetDisc, r_over_b: float | np.ndarray
+) -> float | np.ndarray:
     """Nondimensional normal stress theta1*sigma_z under the inclusion.
 
     Valid for 0 <= r/b < 1; the representation switches at r/b = 0.8.
+    Accepts a float or an array of r/b and returns the same kind.
     """
-    _check_unit_interval(r_over_b)
-    if r_over_b <= _CONTACT_SWITCH:
-        return stress_contact_series(p, c, r_over_b)
-    return stress_contact_edge(p, c, r_over_b)
+    r, scalar = _points(r_over_b)
+    _check_unit_interval(r)
+    series = r <= _CONTACT_SWITCH
+    out = np.empty_like(r)
+    if series.any():
+        out[series] = stress_contact_series(p, c, r[series])
+    if not series.all():
+        out[~series] = stress_contact_edge(p, c, r[~series])
+    return _result(out, scalar)
 
 
-def stress_outer_series(p: DiscProblem, c: CoefficientSetDisc, r_over_a: float) -> float:
+def stress_outer_series(
+    p: DiscProblem, c: CoefficientSetDisc, r_over_a: float | np.ndarray
+) -> float | np.ndarray:
     """Stress outside the crack via the hypergeometric series."""
-    _check_outside_crack(r_over_a)
-    x2 = 1.0 / (r_over_a * r_over_a)
-    return p.theta1 * _hyp_column(c.A_plus, x2) * x2**1.5 / SQRT_PI
+    r, scalar = _points(r_over_a)
+    _check_outside_crack(r)
+    x2 = 1.0 / (r * r)
+    return _result(p.theta1 * _hyp_column(c.A_plus, x2) * x2**1.5 / SQRT_PI, scalar)
 
 
-def stress_outer_edge(p: DiscProblem, c: CoefficientSetDisc, r_over_a: float) -> float:
+def stress_outer_edge(
+    p: DiscProblem, c: CoefficientSetDisc, r_over_a: float | np.ndarray
+) -> float | np.ndarray:
     """Stress outside the crack with the near-tip edge factor pulled out."""
-    _check_outside_crack(r_over_a)
-    x2 = 1.0 / (r_over_a * r_over_a)
+    r, scalar = _points(r_over_a)
+    _check_outside_crack(r)
+    x2 = 1.0 / (r * r)
     u = 1.0 - x2
-    T = _edge_weights(len(c.A_plus))
-    poly = float(c.A_plus @ (T @ u ** np.arange(len(c.A_plus))))
-    return -2.0 * p.theta1 * x2**1.5 * poly / math.sqrt(math.pi * u)
+    poly = _edge_poly(c.A_plus, u)
+    return _result(-2.0 * p.theta1 * x2**1.5 * poly / np.sqrt(math.pi * u), scalar)
 
 
-def stress_outer(p: DiscProblem, c: CoefficientSetDisc, r_over_a: float) -> float:
+def stress_outer(
+    p: DiscProblem, c: CoefficientSetDisc, r_over_a: float | np.ndarray
+) -> float | np.ndarray:
     """Nondimensional normal stress theta1*sigma_z on r > a.
 
     The edge form is used up to r/a = 1.25 and the plain series beyond.
+    Accepts a float or an array of r/a and returns the same kind.
     """
-    _check_outside_crack(r_over_a)
-    if r_over_a < _OUTER_SWITCH:
-        return stress_outer_edge(p, c, r_over_a)
-    return stress_outer_series(p, c, r_over_a)
+    r, scalar = _points(r_over_a)
+    _check_outside_crack(r)
+    edge = r < _OUTER_SWITCH
+    out = np.empty_like(r)
+    if edge.any():
+        out[edge] = stress_outer_edge(p, c, r[edge])
+    if not edge.all():
+        out[~edge] = stress_outer_series(p, c, r[~edge])
+    return _result(out, scalar)
 
 
 def sif_asymptotic(lam: float, n_terms: int = 5) -> float:
@@ -197,28 +321,29 @@ def sif_exact(p: DiscProblem, c: CoefficientSetDisc) -> SifResult:
     )
 
 
-def displacement(p: DiscProblem, c: CoefficientSetDisc, r_over_a: float) -> float:
-    """Crack-face displacement u_z/a on the open annulus lam < r/a < 1."""
-    if not p.lam < r_over_a < 1.0:
+def displacement(
+    p: DiscProblem, c: CoefficientSetDisc, r_over_a: float | np.ndarray
+) -> float | np.ndarray:
+    """Crack-face displacement u_z/a on the open annulus lam < r/a < 1.
+
+    Accepts a float or an array of r/a and returns the same kind.
+    """
+    r, scalar = _points(r_over_a)
+    outside = ~((p.lam < r) & (r < 1.0))
+    if outside.any():
         raise ValueError(
-            f"r_over_a must lie in ({p.lam}, 1), got {r_over_a!r}"
+            f"r_over_a must lie in ({p.lam}, 1), got {float(r[outside][0])!r}"
         )
-    r = r_over_a
     lam = p.lam
-    b_arg = (lam / r) ** 2
-    a_arg = r * r
-    g_b = sum(
-        B / (2 * m + 1) * f_m(m, b_arg) for m, B in enumerate(c.B_minus) if B
-    )
-    g_a = sum(
-        A / (2 * m + 1) * f_m(m, a_arg) for m, A in enumerate(c.A_plus) if A
-    )
+    two_m1 = 2.0 * np.arange(len(c.A_plus)) + 1.0
+    g_b = (c.B_minus / two_m1) @ _f_family(len(c.B_minus), (lam / r) ** 2)
+    g_a = (c.A_plus / two_m1) @ _f_family(len(c.A_plus), r * r)
     value = (
-        (p.delta_star / SQRT_PI) * math.asin(lam / r)
+        (p.delta_star / SQRT_PI) * np.arcsin(lam / r)
         - (lam / (SQRT_PI * r)) * g_b
         + (2.0 / SQRT_PI) * g_a
     )
-    return p.theta1 * value
+    return _result(p.theta1 * value, scalar)
 
 
 def continuity_defects(p: DiscProblem, c: CoefficientSetDisc) -> tuple[float, float]:
@@ -255,11 +380,24 @@ def continuity_defects(p: DiscProblem, c: CoefficientSetDisc) -> tuple[float, fl
     return defect_b, defect_a
 
 
-def _check_unit_interval(r_over_b: float) -> None:
-    if not 0.0 <= r_over_b < 1.0:
-        raise ValueError(f"r_over_b must lie in [0, 1), got {r_over_b!r}")
+def _points(value) -> tuple[np.ndarray, bool]:
+    """Evaluation points as a flat float array, and whether a scalar came in."""
+    points = np.asarray(value, dtype=float)
+    return points.reshape(-1), points.ndim == 0
 
 
-def _check_outside_crack(r_over_a: float) -> None:
-    if not r_over_a > 1.0:
-        raise ValueError(f"r_over_a must exceed 1, got {r_over_a!r}")
+def _result(values: np.ndarray, scalar: bool):
+    """The values as the caller passed its points: a float or an array."""
+    return float(values[0]) if scalar else values
+
+
+def _check_unit_interval(r_over_b: np.ndarray) -> None:
+    bad = ~((0.0 <= r_over_b) & (r_over_b < 1.0))
+    if bad.any():
+        raise ValueError(f"r_over_b must lie in [0, 1), got {float(r_over_b[bad][0])!r}")
+
+
+def _check_outside_crack(r_over_a: np.ndarray) -> None:
+    bad = ~(r_over_a > 1.0)
+    if bad.any():
+        raise ValueError(f"r_over_a must exceed 1, got {float(r_over_a[bad][0])!r}")

@@ -281,11 +281,9 @@ def f_m_limit(m: int) -> float:
     m = int(m)
     if m <= 140:
         return math.pi * pochhammer(1.5, m) / (2.0 * math.factorial(m))
-    # ratio form for large m, where numerator and denominator overflow
-    out = math.pi / 2.0
-    for j in range(1, m + 1):
-        out *= (j + 0.5) / j
-    return out
+    # for large m, where both floats overflow: (3/2)_m / m! is the exact
+    # rational (2m+1) C(2m, m) / 4**m, rounded once by the integer division
+    return math.pi / 2.0 * ((2 * m + 1) * math.comb(2 * m, m) / 4**m)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,8 @@ from pennycontact.cli import (
     run_solve,
     run_stress,
 )
+from pennycontact.models import SingularSystemError
+from pennycontact.specfun import ConvergenceError, PoleError
 
 
 class TestConfig:
@@ -256,3 +258,50 @@ class TestFigures:
         cfg = load_config(None, {"model": "annulus", "lam0": 0.2, "lam1": 0.5})
         with pytest.raises(ConfigError):
             run_stress(cfg)
+
+
+class TestNumericalFailures:
+    @pytest.mark.parametrize(
+        "error",
+        [
+            SingularSystemError("truncated system is singular (cond ~ 1e+17)"),
+            ConvergenceError("2F1 series did not converge"),
+            PoleError("gamma pole at -3"),
+        ],
+    )
+    def test_numerical_failure_is_3(self, error, capsys, monkeypatch, tmp_path):
+        from pennycontact import cli as cli_module
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli_module, "solve_disc_reduction", fail)
+        for argv in (["solve"], ["displacement"], ["figures", "--out", str(tmp_path)]):
+            assert main(argv) == 3, argv
+            err = capsys.readouterr().err
+            assert err == f"error: {type(error).__name__}: {error}\n", err
+
+
+class TestCaps:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["displacement", "--grid-points", "100001"],
+            ["stress", "--n-trunc", "1001"],
+            ["solve", "--n-trunc", "1001"],
+        ],
+    )
+    def test_value_just_over_a_cap_is_config_error(self, argv, capsys, monkeypatch):
+        from pennycontact import cli as cli_module
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a capped run reached the solver")
+
+        monkeypatch.setattr(cli_module, "run_solve", must_not_run)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert argv[-1] in err
+
+    def test_values_at_the_caps_validate(self):
+        RunConfig(grid_points=100_000, truncation_N=1_000).validate()
