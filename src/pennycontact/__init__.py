@@ -21,7 +21,6 @@ from .factorization import (
     solve_factor_columns_disc,
 )
 from .fields import (
-    FieldSample,
     SifResult,
     continuity_defects,
     displacement,
@@ -71,7 +70,6 @@ __all__ = [
     "ConvergenceError",
     "DiscFactorColumn",
     "DiscProblem",
-    "FieldSample",
     "FitAmbiguityError",
     "PoleError",
     "RecurrenceTable",

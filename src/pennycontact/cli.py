@@ -12,6 +12,7 @@ did not converge, or an argument on a pole).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fields import FieldSample, displacement, sif_exact, stress_contact, stress_outer
+from .fields import displacement, sif_exact, stress_contact, stress_outer
 from .models import (
     AnnulusProblem,
     CoefficientSetAnnulus,
@@ -95,7 +96,7 @@ class RunConfig:
             kind = float if f.default is None else type(f.default)
             if not _has_kind(value, kind):
                 mistyped.append(
-                    f"{_FIELD_KEYS[f.name]}: must be {_KIND_NAMES[kind]}, got {value!r}"
+                    f"{_key(f.name)}: must be {_KIND_NAMES[kind]}, got {value!r}"
                 )
         if mistyped:
             raise ConfigError("; ".join(mistyped))
@@ -177,32 +178,21 @@ class RunConfig:
         )
 
 
-_CONFIG_KEYS = {
-    "model": "model",
-    "lambda": "lam",
-    "lambda0": "lam0",
-    "lambda1": "lam1",
-    "delta_over_a": "delta_over_a",
-    "nu": "nu",
-    "shear_modulus": "shear_modulus",
-    "truncation_N": "truncation_N",
-    "order_K": "order_K",
-    "method": "method",
-    "format": "output_format",
-    "grid_points": "grid_points",
-    "r_max": "r_max",
-    "lambda_min": "lambda_min",
-    "lambda_max": "lambda_max",
-    "lambda_count": "lambda_count",
-}
+# External names (config keys, artifact keys, messages) that differ from
+# the attribute names; every other field is known by its attribute name.
+_RENAMES = {"lam": "lambda", "lam0": "lambda0", "lam1": "lambda1", "output_format": "format"}
 
 
-_FIELD_KEYS = {name: key for key, name in _CONFIG_KEYS.items()}
-_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
+def _key(name: str) -> str:
+    return _RENAMES.get(name, name)
+
+
+_FIELD_NAMES = {_key(f.name): f.name for f in dataclass_fields(RunConfig)}
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number", list: "a list"}
 
 
 def _has_kind(value, kind: type) -> bool:
-    """Whether a config value has its field's type; floats must be finite."""
+    """Whether a config or artifact value has the given type; floats must be finite."""
     if isinstance(value, bool):
         return False
     if kind is not float:
@@ -223,11 +213,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"config: cannot read {path!r}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config: top-level JSON value must be an object")
-        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+        unknown = sorted(set(raw) - set(_FIELD_NAMES))
         if unknown:
             raise ConfigError(f"config: unknown keys {unknown}")
-        cfg = replace(cfg, **{_CONFIG_KEYS[k]: v for k, v in raw.items()})
-    known = {f.name for f in dataclass_fields(RunConfig)}
+        cfg = replace(cfg, **{_FIELD_NAMES[k]: v for k, v in raw.items()})
+    known = _FIELD_NAMES.values()
     cfg = replace(
         cfg, **{k: v for k, v in overrides.items() if v is not None and k in known}
     )
@@ -248,25 +238,35 @@ class Table:
     columns: tuple
     rows: list
 
-    def to_csv(self) -> str:
-        lines = [f"# {k}={_format_value(v)}" for k, v in self.header.items()]
+    def render(self, fmt: str) -> str:
+        """One indented JSON document, or CSV under `# key=value` header lines."""
+        if fmt == "json":
+            return _json_text(
+                {
+                    "header": dict(self.header),
+                    "columns": list(self.columns),
+                    "rows": [list(row) for row in self.rows],
+                }
+            )
+        lines = [
+            f"# {k}={_FLOAT_FMT % v if isinstance(v, float) else v}"
+            for k, v in self.header.items()
+        ]
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(_FLOAT_FMT % v for v in row))
+        lines += [",".join(_FLOAT_FMT % v for v in row) for row in self.rows]
         return "\n".join(lines) + "\n"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "header": {k: v for k, v in self.header.items()},
-            "columns": list(self.columns),
-            "rows": [list(row) for row in self.rows],
-        }
+
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return _FLOAT_FMT % v
-    return str(v)
+def _deliver(text: str, out) -> None:
+    """Write text to the --out path when one is given, else to stdout."""
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        Path(out).write_text(text)
 
 
 def _base_header(cfg: RunConfig) -> dict:
@@ -277,11 +277,8 @@ def _base_header(cfg: RunConfig) -> dict:
         "nu": cfg.nu,
         "truncation_N": cfg.truncation_N,
     }
-    if cfg.model == "disc":
-        header["lambda"] = cfg.lam
-    else:
-        header["lambda0"] = cfg.lam0
-        header["lambda1"] = cfg.lam1
+    for name in ("lam",) if cfg.model == "disc" else ("lam0", "lam1"):
+        header[_key(name)] = getattr(cfg, name)
     if cfg.shear_modulus is not None:
         header["shear_modulus"] = cfg.shear_modulus
         header["theta1"] = cfg.theta1
@@ -339,8 +336,6 @@ def run_solve(cfg: RunConfig):
     return p, solve_annulus_reduction(p, cfg.truncation_N)
 
 
-# JSON names of the problem fields that differ from the attribute names.
-_JSON_NAMES = {"lam": "lambda", "lam0": "lambda0", "lam1": "lambda1"}
 _ARTIFACT_TYPES = {
     "disc": (DiscProblem, CoefficientSetDisc),
     "annulus": (AnnulusProblem, CoefficientSetAnnulus),
@@ -351,7 +346,7 @@ def coefficients_to_json(problem, coeffs) -> dict:
     """Serialize a solved coefficient set; floats round-trip bitwise."""
     doc = {"model": "disc" if isinstance(coeffs, CoefficientSetDisc) else "annulus"}
     for f in dataclass_fields(problem):
-        doc[_JSON_NAMES.get(f.name, f.name)] = getattr(problem, f.name)
+        doc[_key(f.name)] = getattr(problem, f.name)
     doc["truncation_N"] = coeffs.truncation_N
     for f in dataclass_fields(coeffs):
         if f.name != "truncation_N":
@@ -361,37 +356,43 @@ def coefficients_to_json(problem, coeffs) -> dict:
 
 
 def load_coefficients(path):
-    """Reload a serialized coefficient artifact into problem + coefficients."""
+    """Reload a serialized coefficient artifact into problem + coefficients.
+
+    Keys, types and array lengths are checked against the dataclass fields;
+    a malformed artifact raises a one-line ValueError naming the file.
+    """
     raw = json.loads(Path(path).read_text())
     model = raw.get("model") if isinstance(raw, dict) else None
     if model not in _ARTIFACT_TYPES:
         raise ValueError(f"{path}: model must be 'disc' or 'annulus', got {model!r}")
     problem_type, coeffs_type = _ARTIFACT_TYPES[model]
-    problem = problem_type(
-        **{
-            f.name: raw[_JSON_NAMES.get(f.name, f.name)]
-            for f in dataclass_fields(problem_type)
-        }
-    )
-    coeffs = coeffs_type(
-        **{
-            f.name: raw[f.name] if f.name == "truncation_N" else np.asarray(raw[f.name])
-            for f in dataclass_fields(coeffs_type)
-        }
-    )
-    return problem, coeffs
+
+    def read(name: str, kind: type):
+        key = _key(name)
+        if key not in raw:
+            raise ValueError(f"{path}: missing key {key!r}")
+        if not _has_kind(raw[key], kind):
+            raise ValueError(f"{path}: {key}: must be {_KIND_NAMES[kind]}, got {raw[key]!r}")
+        return raw[key]
+
+    n = read("truncation_N", int)
+    families = {}
+    for f in dataclass_fields(coeffs_type):
+        if f.name != "truncation_N":
+            values = read(f.name, list)
+            if len(values) != n or not all(_has_kind(v, float) for v in values):
+                raise ValueError(f"{path}: {f.name}: must be a list of {n} finite numbers")
+            families[f.name] = np.asarray(values, dtype=float)
+    params = {f.name: read(f.name, float) for f in dataclass_fields(problem_type)}
+    try:
+        problem = problem_type(**params)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return problem, coeffs_type(**families, truncation_N=n)
 
 
-def _samples(r_over_a: np.ndarray, values: np.ndarray) -> list[FieldSample]:
-    return [FieldSample(float(r), float(v)) for r, v in zip(r_over_a, values)]
-
-
-def _sample_table(header: dict, samples: list[FieldSample]) -> Table:
-    return Table(
-        header=header,
-        columns=("r_over_a", "value"),
-        rows=[(s.r_over_a, s.value) for s in samples],
-    )
+def _curve(header: dict, r_over_a: np.ndarray, values: np.ndarray) -> Table:
+    return Table(header, ("r_over_a", "value"), list(zip(r_over_a.tolist(), values.tolist())))
 
 
 def run_stress(cfg: RunConfig) -> tuple[Table, Table]:
@@ -400,16 +401,18 @@ def run_stress(cfg: RunConfig) -> tuple[Table, Table]:
         raise ConfigError("model: stress curves are defined for the disc model")
     p, coeffs = run_solve(cfg)
     contact_r = _contact_grid(cfg.lam, cfg.grid_points)
-    contact = _samples(contact_r, stress_contact(p, coeffs, contact_r / cfg.lam))
     outer_r = _outer_grid(cfg.lam, cfg.grid_points, cfg.r_max)
-    outer = _samples(outer_r, stress_outer(p, coeffs, outer_r))
     header = _base_header(cfg)
     return (
-        _sample_table(
-            {**header, "branch": "contact", "quantity": "theta1_sigma_z"}, contact
+        _curve(
+            {**header, "branch": "contact", "quantity": "theta1_sigma_z"},
+            contact_r,
+            stress_contact(p, coeffs, contact_r / cfg.lam),
         ),
-        _sample_table(
-            {**header, "branch": "outer", "quantity": "theta1_sigma_z"}, outer
+        _curve(
+            {**header, "branch": "outer", "quantity": "theta1_sigma_z"},
+            outer_r,
+            stress_outer(p, coeffs, outer_r),
         ),
     )
 
@@ -442,15 +445,24 @@ def run_displacement(cfg: RunConfig, lam: float | None = None) -> Table:
     sub = cfg if lam is None else replace(cfg, lam=lam)
     p, coeffs = run_solve(sub)
     grid = _displacement_grid(sub.lam, sub.grid_points)
-    samples = _samples(grid, displacement(p, coeffs, grid))
-    return _sample_table({**_base_header(sub), "quantity": "u_z_over_a"}, samples)
+    header = {**_base_header(sub), "quantity": "u_z_over_a"}
+    return _curve(header, grid, displacement(p, coeffs, grid))
 
 
 def run_verify(cfg: RunConfig):
-    """Full invariant suite at the configured truncation."""
+    """Full invariant suite at the configured truncation.
+
+    The annulus checks run at (lambda0, lambda1), which must satisfy
+    0 < lambda0 < lambda1 < 1 whatever the model.
+    """
+    if not 0.0 < cfg.lam0 < cfg.lam1 < 1.0:
+        raise ConfigError(
+            "lambda0/lambda1: verify needs 0 < lambda0 < lambda1 < 1, got "
+            f"{cfg.lam0!r}, {cfg.lam1!r}"
+        )
     return run_verification(
         lam=cfg.lam,
-        lam0=cfg.lam0 if cfg.lam0 > 0 else 0.2,
+        lam0=cfg.lam0,
         lam1=cfg.lam1,
         delta_over_a=cfg.delta_over_a,
         n_trunc=cfg.truncation_N,
@@ -464,37 +476,86 @@ def run_figures(cfg: RunConfig, out_dir: Path) -> list[Path]:
     base = replace(cfg, model="disc", delta_over_a=_FIGURE_DELTA_OVER_A)
     written = []
 
-    fig1 = replace(base, lam=0.5)
-    contact, outer = run_stress(fig1)
-    written.append(_write_table(contact, out_dir / "fig1_contact.csv", "csv"))
-    written.append(_write_table(outer, out_dir / "fig1_outer.csv", "csv"))
+    def write(name: str, table: Table) -> None:
+        written.append(out_dir / name)
+        _deliver(table.render("csv"), written[-1])
 
-    sweep = run_sif_sweep(replace(base, lam=0.5))
-    written.append(_write_table(sweep, out_dir / "fig2_sif.csv", "csv"))
-
+    contact, outer = run_stress(replace(base, lam=0.5))
+    write("fig1_contact.csv", contact)
+    write("fig1_outer.csv", outer)
+    write("fig2_sif.csv", run_sif_sweep(replace(base, lam=0.5)))
     for lam in _FIGURE_LAMBDAS:
-        table = run_displacement(base, lam=lam)
         name = f"fig3_displacement_lam{int(round(lam * 100)):03d}.csv"
-        written.append(_write_table(table, out_dir / name, "csv"))
+        write(name, run_displacement(base, lam=lam))
     return written
 
 
-def _write_table(table: Table, path: Path, fmt: str) -> Path:
-    if fmt == "json":
-        path.write_text(json.dumps(table.to_json_obj(), indent=2) + "\n")
-    else:
-        path.write_text(table.to_csv())
-    return path
+# ----------------------------------------------------------------------
+# commands: each takes the validated config and the --out value and
+# returns the exit code
+# ----------------------------------------------------------------------
 
 
-def _emit(table: Table, fmt: str, out: str | None, stdout) -> None:
+def _solve_command(cfg: RunConfig, out) -> int:
+    _deliver(_json_text(coefficients_to_json(*run_solve(cfg))), out)
+    return 0
+
+
+def _stress_command(cfg: RunConfig, out) -> int:
+    fmt = cfg.output_format
+    contact, outer = run_stress(cfg)
     if out is None:
-        if fmt == "json":
-            stdout.write(json.dumps(table.to_json_obj(), indent=2) + "\n")
-        else:
-            stdout.write(table.to_csv())
+        _deliver(contact.render(fmt) + outer.render(fmt), None)
     else:
-        _write_table(table, Path(out), fmt)
+        Path(out).mkdir(parents=True, exist_ok=True)
+        _deliver(contact.render(fmt), Path(out) / f"stress_contact.{fmt}")
+        _deliver(outer.render(fmt), Path(out) / f"stress_outer.{fmt}")
+    return 0
+
+
+def _sif_command(cfg: RunConfig, out) -> int:
+    _deliver(run_sif_sweep(cfg).render(cfg.output_format), out)
+    return 0
+
+
+def _displacement_command(cfg: RunConfig, out) -> int:
+    _deliver(run_displacement(cfg).render(cfg.output_format), out)
+    return 0
+
+
+def _verify_command(cfg: RunConfig, out) -> int:
+    report = run_verify(cfg)
+    if cfg.output_format == "json":
+        text = _json_text(report.to_dict())
+    else:
+        text = "".join(
+            f"{'PASS' if c.passed else 'FAIL'} {c.name}: "
+            f"measured={c.measured:.6e} threshold={c.threshold:.6e}\n"
+            for c in report.checks
+        )
+        text += (
+            f"{'PASS' if report.passed else 'FAIL'} overall "
+            f"({sum(c.passed for c in report.checks)}/{len(report.checks)})\n"
+        )
+    _deliver(text, out)
+    return 0 if report.passed else 2
+
+
+def _figures_command(cfg: RunConfig, out) -> int:
+    written = run_figures(cfg, Path(out or "figures"))
+    _deliver("".join(f"{path}\n" for path in written), None)
+    return 0
+
+
+# Subcommand name -> (help text, command); the order is the help order.
+_COMMANDS = {
+    "solve": ("solve the coefficient system", _solve_command),
+    "stress": ("emit the two stress branches", _stress_command),
+    "sif": ("sweep the normalized intensity factor", _sif_command),
+    "displacement": ("emit the crack-face profile", _displacement_command),
+    "verify": ("run the numerical invariant suite", _verify_command),
+    "figures": ("emit all figure tables", _figures_command),
+}
 
 
 # ----------------------------------------------------------------------
@@ -509,12 +570,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = _Parser(prog="pennycontact", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    for name, (help_text, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON configuration file")
         sp.add_argument("--model", choices=("disc", "annulus"))
         sp.add_argument("--lambda", dest="lam", type=float, help="radius ratio b/a")
@@ -530,92 +593,19 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out", help="output path (directory for figures)")
         sp.add_argument("--grid-points", dest="grid_points", type=int)
         sp.add_argument("--r-max", dest="r_max", type=float)
-
-    sp = sub.add_parser("solve", help="solve the coefficient system")
-    add_common(sp)
-    sp = sub.add_parser("stress", help="emit the two stress branches")
-    add_common(sp)
-    sp = sub.add_parser("sif", help="sweep the normalized intensity factor")
-    add_common(sp)
-    sp.add_argument("--lambda-min", dest="lambda_min", type=float)
-    sp.add_argument("--lambda-max", dest="lambda_max", type=float)
-    sp.add_argument("--lambda-count", dest="lambda_count", type=int)
-    sp = sub.add_parser("displacement", help="emit the crack-face profile")
-    add_common(sp)
-    sp = sub.add_parser("verify", help="run the numerical invariant suite")
-    add_common(sp)
-    sp = sub.add_parser("figures", help="emit all figure tables")
-    add_common(sp)
+        if name == "sif":
+            sp.add_argument("--lambda-min", dest="lambda_min", type=float)
+            sp.add_argument("--lambda-max", dest="lambda_max", type=float)
+            sp.add_argument("--lambda-count", dest="lambda_count", type=int)
     return parser
 
 
 def main(argv=None) -> int:
-    stdout = sys.stdout
     try:
-        args = _build_parser().parse_args(argv)
-        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-        out = overrides.pop("out", None)
-        cfg = load_config(args.config, overrides)
-
-        if args.command == "solve":
-            problem, coeffs = run_solve(cfg)
-            doc = coefficients_to_json(problem, coeffs)
-            text = json.dumps(doc, indent=2) + "\n"
-            if out is None:
-                stdout.write(text)
-            else:
-                Path(out).write_text(text)
-            return 0
-
-        if args.command == "stress":
-            contact, outer = run_stress(cfg)
-            if out is None:
-                _emit(contact, cfg.output_format, None, stdout)
-                _emit(outer, cfg.output_format, None, stdout)
-            else:
-                out_dir = Path(out)
-                out_dir.mkdir(parents=True, exist_ok=True)
-                ext = cfg.output_format
-                _write_table(contact, out_dir / f"stress_contact.{ext}", ext)
-                _write_table(outer, out_dir / f"stress_outer.{ext}", ext)
-            return 0
-
-        if args.command == "sif":
-            _emit(run_sif_sweep(cfg), cfg.output_format, out, stdout)
-            return 0
-
-        if args.command == "displacement":
-            _emit(run_displacement(cfg), cfg.output_format, out, stdout)
-            return 0
-
-        if args.command == "verify":
-            report = run_verify(cfg)
-            if cfg.output_format == "json":
-                text = json.dumps(report.to_dict(), indent=2) + "\n"
-            else:
-                lines = [
-                    f"{'PASS' if c.passed else 'FAIL'} {c.name}: "
-                    f"measured={c.measured:.6e} threshold={c.threshold:.6e}"
-                    for c in report.checks
-                ]
-                lines.append(
-                    f"{'PASS' if report.passed else 'FAIL'} overall "
-                    f"({sum(c.passed for c in report.checks)}/{len(report.checks)})"
-                )
-                text = "\n".join(lines) + "\n"
-            if out is None:
-                stdout.write(text)
-            else:
-                Path(out).write_text(text)
-            return 0 if report.passed else 2
-
-        if args.command == "figures":
-            out_dir = Path(out) if out else Path("figures")
-            for path in run_figures(cfg, out_dir):
-                stdout.write(f"{path}\n")
-            return 0
-
-        raise ConfigError(f"unknown command {args.command!r}")
+        args = vars(_build_parser().parse_args(argv))
+        command = _COMMANDS[args.pop("command")][1]
+        config, out = args.pop("config"), args.pop("out")
+        return command(load_config(config, args), out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,6 @@ from .models import CoefficientSetDisc, DiscProblem
 from .specfun import SQRT_PI, ConvergenceError, f_m, f_m_limit
 
 __all__ = [
-    "FieldSample",
     "SifResult",
     "SIF_SERIES_COEFFS",
     "stress_contact",
@@ -61,14 +60,6 @@ SIF_SERIES_COEFFS = (
     (4.0 / math.pi**2) * (16.0 / math.pi**4 + 5.0 / 9.0),
     256.0 / math.pi**8 + 112.0 / (9.0 * math.pi**4) + 1.0 / 5.0,
 )
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """One sampled point of a nondimensional field curve."""
-
-    r_over_a: float
-    value: float
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (
+    ConvergenceError,
     PoleError,
     SQRT_PI,
     gauss_2f1,
@@ -56,7 +57,7 @@ _SERIES_RTOL = 1e-16
 _SERIES_MAX_TERMS = 100_000
 _POLE_TOL = 1e-9
 
-# omega-tilde branch crossover: series below, hypergeometric above.
+# omega-tilde branch crossover: series below, hypergeometric above (at small |s|).
 _OMEGA_SWITCH_T2 = 0.75
 
 
@@ -183,41 +184,35 @@ def omega1_disc(side: str, s: float, delta_star: float = 1.0) -> float:
     raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
 
-def _omega_tilde_series(side: str, s: float, ratio: float) -> float:
-    """Partial-fraction series for the annulus correction term."""
-    t2 = ratio * ratio
+def _pole_series(s: float, pole: float, step: float, coef: float, h: float, t2: float) -> float:
+    """sum_n c_n/(s - pole - n step) with c_0 = coef, c_{n+1} = c_n (n+h)/(n+h+1/2) t2."""
     total = 0.0
+    for n in range(_SERIES_MAX_TERMS):
+        den = s - pole
+        if -_POLE_TOL < den < _POLE_TOL:
+            raise PoleError(f"omega-tilde pole at s = {pole:.0f}")
+        term = coef / den
+        total += term
+        if abs(term) <= _SERIES_RTOL * abs(total):
+            return total
+        coef *= (n + h) / (n + h + 0.5) * t2
+        pole += step
+    raise ConvergenceError("omega-tilde series did not converge")
+
+
+def _omega_tilde_series(side: str, s: float, ratio: float) -> float:
+    """Partial-fraction series for the annulus correction term.
+
+    Plus side: poles at s = 2n + 2, c_0 = Gamma(3/2) ratio**2.
+    Minus side: poles at s = -(2n + 1), c_0 = Gamma(1/2) ratio.
+    """
+    t2 = ratio * ratio
     if side == "plus":
-        # poles at s = 2n + 2
-        coef = 0.5 * SQRT_PI * ratio * ratio  # Gamma(3/2)/1! * ratio^2
-        n = 0
-        while n < _SERIES_MAX_TERMS:
-            den = s - 2.0 * n - 2.0
-            if abs(den) < _POLE_TOL:
-                raise PoleError(f"omega-tilde+ pole at s = {2 * n + 2}")
-            term = coef / den
-            total += term
-            if abs(term) < _SERIES_RTOL * max(abs(total), 1e-300):
-                return (2.0 / math.pi) * total
-            coef *= (n + 1.5) / (n + 2.0) * t2
-            n += 1
-    elif side == "minus":
-        # poles at s = -2n - 1
-        coef = SQRT_PI * ratio  # Gamma(1/2)/0! * ratio
-        n = 0
-        while n < _SERIES_MAX_TERMS:
-            den = s + 2.0 * n + 1.0
-            if abs(den) < _POLE_TOL:
-                raise PoleError(f"omega-tilde- pole at s = {-(2 * n + 1)}")
-            term = coef / den
-            total += term
-            if abs(term) < _SERIES_RTOL * max(abs(total), 1e-300):
-                return total / math.pi
-            coef *= (n + 0.5) / (n + 1.0) * t2
-            n += 1
-    else:
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    raise RuntimeError("omega-tilde series did not converge")
+        coef = 0.5 * SQRT_PI * ratio * ratio
+        return (2.0 / math.pi) * _pole_series(s, 2.0, 2.0, coef, 1.5, t2)
+    if side == "minus":
+        return _pole_series(s, -1.0, -2.0, SQRT_PI * ratio, 0.5, t2) / math.pi
+    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
 
 def _omega_tilde_hypergeometric(side: str, s: float, ratio: float) -> float:
@@ -239,8 +234,11 @@ def _omega_tilde_hypergeometric(side: str, s: float, ratio: float) -> float:
 def omega_tilde(side: str, s: float, ratio: float, method: str = "auto") -> float:
     """Annulus correction term, by series or equivalent hypergeometric form.
 
-    ratio = lam0/lam1; both routes agree to roundoff and the automatic
-    branch picks the series for small ratio.
+    ratio = lam0/lam1.  The automatic branch takes the hypergeometric form
+    only where ratio**2 > 3/4 and |s| (1 - ratio**2) <= 1, the rule by which
+    fields._f_family picks its seed: there the series converges slowly,
+    while at larger |s| the 1-x transformation inside gauss_2f1 loses all
+    accuracy and the series stays at roundoff.
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"ratio must lie in [0, 1), got {ratio!r}")
@@ -251,7 +249,8 @@ def omega_tilde(side: str, s: float, ratio: float, method: str = "auto") -> floa
     if method == "hypergeometric":
         return _omega_tilde_hypergeometric(side, s, ratio)
     if method == "auto":
-        if ratio * ratio > _OMEGA_SWITCH_T2:
+        t2 = ratio * ratio
+        if t2 > _OMEGA_SWITCH_T2 and abs(s) * (1.0 - t2) <= 1.0:
             return _omega_tilde_hypergeometric(side, s, ratio)
         return _omega_tilde_series(side, s, ratio)
     raise ValueError(f"unknown method {method!r}")

@@ -305,3 +305,58 @@ class TestCaps:
 
     def test_values_at_the_caps_validate(self):
         RunConfig(grid_points=100_000, truncation_N=1_000).validate()
+
+
+class TestVerifyRadii:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--lambda0", "0.6", "--lambda1", "0.5"],
+            ["verify", "--lambda0", "0"],
+        ],
+    )
+    def test_needs_lambda0_between_zero_and_lambda1(self, argv, capsys, monkeypatch):
+        from pennycontact import cli as cli_module
+
+        def must_not_run(**kwargs):
+            raise AssertionError("verify ran with radii outside 0 < lambda0 < lambda1")
+
+        monkeypatch.setattr(cli_module, "run_verification", must_not_run)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lambda0/lambda1:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
+class TestArtifactSchema:
+    def artifact(self, tmp_path, **changes):
+        cfg = load_config(None, {"truncation_N": 6})
+        doc = coefficients_to_json(*run_solve(cfg))
+        doc.update(changes)
+        for key in [k for k, v in changes.items() if v is None]:
+            del doc[key]
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def assert_rejected(self, path, match):
+        with pytest.raises(ValueError, match=match) as info:
+            load_coefficients(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and "\n" not in message
+
+    def test_missing_family(self, tmp_path):
+        path = self.artifact(tmp_path, A_plus=None)
+        self.assert_rejected(path, "missing key 'A_plus'")
+
+    def test_mistyped_radius(self, tmp_path):
+        path = self.artifact(tmp_path, **{"lambda": "0.5"})
+        self.assert_rejected(path, "lambda: must be a finite number, got '0.5'")
+
+    def test_short_family(self, tmp_path):
+        path = self.artifact(tmp_path, B_minus=[0.0] * 5)
+        self.assert_rejected(path, "B_minus: must be a list of 6 finite numbers")
+
+    def test_out_of_range_problem(self, tmp_path):
+        path = self.artifact(tmp_path, **{"lambda": 1.5})
+        self.assert_rejected(path, "lam must lie in")
