@@ -169,8 +169,9 @@ def solve_factor_columns_disc(
 ) -> tuple[DiscFactorColumn, DiscFactorColumn]:
     """Solve the two disc factor-column systems.
 
-    method='reduction' truncates to the dense 2N x 2N disc operator and
-    solves both columns with one LU; method='recurrence' sums the
+    method='reduction' truncates to the 2N x 2N disc operator and solves
+    both columns with one LU of its N x N Schur complement (the B unknowns
+    eliminated); method='recurrence' sums the
     lambda-power tables to order_K.  The two routes agree to the smaller
     of the two tail errors.
     """
@@ -199,8 +200,8 @@ def solve_factor_columns_annulus(
 ) -> tuple[AnnulusFactorColumn, AnnulusFactorColumn, AnnulusFactorColumn]:
     """Solve the three annulus factor-column systems by reduction.
 
-    The three right-hand sides share one LU of the 4N x 4N annulus
-    operator with inner ratio lam0/lam1.
+    The three right-hand sides share one LU of the 2N x 2N Schur
+    complement of the 4N x 4N annulus operator with inner ratio lam0/lam1.
     """
     if not 0.0 < lam0 < lam1 < 1.0:
         raise ValueError(

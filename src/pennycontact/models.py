@@ -307,15 +307,19 @@ def omega_annulus_flat(
 # which has the B families halved.
 _SLOTS = ("B_minus", "A_plus", "A_minus", "B_plus")
 _MODEL_SCALE = np.array([0.5, 1.0, 1.0, 0.5])
+# The operator is bipartite: B slots couple only to A slots and back.
+_B_SLOTS = (0, 3)
+_A_SLOTS = (1, 2)
 
 
-def system_matrix(lam: float, t: float | None, N: int) -> np.ndarray:
-    """Truncated operator of the disc (t is None) or annulus (inner ratio t) systems.
+def _couplings(
+    lam: float, t: float | None, N: int
+) -> list[tuple[int, int, np.ndarray]]:
+    """(row slot, column slot, N x N block) of every off-diagonal coupling.
 
-    Unknowns interleave per index n as (B-, A+) in the 2N x 2N disc block
-    and (B-, A+, A-, B+) in the 4N x 4N annulus block, lam being the outer
-    ratio.  The B unknowns enter halved, so every coupling is
-    lam**p / (pi (n +- m + shift)) and the factor columns share the operator.
+    Each block is +-lam**p or t**p over pi (n +- m + shift), n being the row
+    index, and each joins a B slot to an A slot: the diagonal blocks are the
+    identity.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N!r}")
@@ -331,10 +335,22 @@ def system_matrix(lam: float, t: float | None, N: int) -> np.ndarray:
             (2, 0, t ** (2 * n + 1), n - m + 0.5),
             (3, 2, t ** (2 * n + 2), n + m + 1.5),
         ]
+    return [(row, col, weight / (math.pi * den)) for row, col, weight, den in couplings]
+
+
+def system_matrix(lam: float, t: float | None, N: int) -> np.ndarray:
+    """Truncated operator of the disc (t is None) or annulus (inner ratio t) systems.
+
+    Unknowns interleave per index n as (B-, A+) in the 2N x 2N disc block
+    and (B-, A+, A-, B+) in the 4N x 4N annulus block, lam being the outer
+    ratio.  The B unknowns enter halved, so every coupling is
+    lam**p / (pi (n +- m + shift)) and the factor columns share the operator.
+    """
+    couplings = _couplings(lam, t, N)
     k = 2 if t is None else 4
     matrix = np.eye(k * N)
-    for row, col, weight, den in couplings:
-        matrix[row::k, col::k] += weight / (math.pi * den)
+    for row, col, block in couplings:
+        matrix[row::k, col::k] += block
     return matrix
 
 
@@ -363,10 +379,31 @@ def _families(x: np.ndarray) -> dict:
 
 
 def _solve_interleaved(lam: float, t: float | None, rhs: np.ndarray) -> np.ndarray:
-    """Solve the shared operator for rhs of shape (N, slots[, columns])."""
+    """Solve the shared operator for rhs of shape (N, slots[, columns]).
+
+    The operator is bipartite: with the B unknowns b and the A unknowns a
+    grouped, it reads [[I, P], [Q, I]].  So a solves the Schur complement
+    (I - Q P) a = r_A - Q r_B, of half the operator's size, and b = r_B - P a.
+    """
     N, k = rhs.shape[:2]
-    x = _solve_dense(system_matrix(lam, t, N), rhs.reshape(N * k, -1))
-    return x.reshape(rhs.shape)
+    h = k // 2
+    b_slots, a_slots = list(_B_SLOTS[:h]), list(_A_SLOTS[:h])
+    P = np.zeros((h, N, h, N))
+    Q = np.zeros((h, N, h, N))
+    for row, col, block in _couplings(lam, t, N):
+        if row in b_slots:
+            P[b_slots.index(row), :, a_slots.index(col)] = block
+        else:
+            Q[a_slots.index(row), :, b_slots.index(col)] = block
+    P = P.reshape(h * N, h * N)
+    Q = Q.reshape(h * N, h * N)
+    r = rhs.reshape(N, k, -1).transpose(1, 0, 2)
+    r_b = r[b_slots].reshape(h * N, -1)
+    a = _solve_dense(np.eye(h * N) - Q @ P, r[a_slots].reshape(h * N, -1) - Q @ r_b)
+    x = np.empty_like(r)
+    x[a_slots] = a.reshape(h, N, -1)
+    x[b_slots] = (r_b - P @ a).reshape(h, N, -1)
+    return x.transpose(1, 0, 2).reshape(rhs.shape)
 
 
 def _solve_model(lam: float, t: float | None, forcing: np.ndarray) -> np.ndarray:
@@ -395,7 +432,7 @@ def _power_table(
         b[n, k] = seed_b [k = 0] + (1/pi) sum_{m <= (k-1)//2} a[m, k-2m-1] / (n+m+1/2)
         a[n, k] = seed_a [k = 0] + (1/pi) sum_{m <= k//2}     b[m, k-2m]   / (n+m+1/2)
 
-    filled order by order, the b row first.
+    filled order by order, the b column first, each sum as one matvec.
     """
     if n_rows < 1 or order_K < 1:
         raise ValueError("n_rows and order_K must be >= 1")
@@ -403,12 +440,13 @@ def _power_table(
     b = np.zeros((n_rows, order_K))
     a[:, 0] = seed_a
     b[:, 0] = seed_b
-    den = math.pi * (np.arange(order_K // 2 + 1)[:, None] + np.arange(n_rows) + 0.5)
+    m = np.arange(order_K // 2 + 1)
+    inv = 1.0 / (math.pi * (m[:, None] + np.arange(n_rows) + 0.5))
     for k in range(order_K):
-        for m in range((k - 1) // 2 + 1):
-            b[:, k] += a[m, k - 2 * m - 1] / den[m]
-        for m in range(k // 2 + 1):
-            a[:, k] += b[m, k - 2 * m] / den[m]
+        mb = m[: (k - 1) // 2 + 1]
+        b[:, k] += a[mb, k - 2 * mb - 1] @ inv[: mb.size]
+        ma = m[: k // 2 + 1]
+        a[:, k] += b[ma, k - 2 * ma] @ inv[: ma.size]
     return a, b
 
 
@@ -438,7 +476,7 @@ def _disc_forcing(p: DiscProblem, N: int) -> np.ndarray:
 
 
 def solve_disc_reduction(p: DiscProblem, N: int = DEFAULT_TRUNCATION) -> CoefficientSetDisc:
-    """Solve the truncated 2N x 2N disc system by a direct dense solve."""
+    """Solve the truncated 2N x 2N disc system by a dense solve for A+ alone."""
     x = _solve_model(p.lam, None, _disc_forcing(p, N))
     return CoefficientSetDisc(**_families(x), truncation_N=N)
 
@@ -510,7 +548,7 @@ def _annulus_forcings(p: AnnulusProblem, N: int) -> np.ndarray:
 def solve_annulus_reduction(
     p: AnnulusProblem, N: int = DEFAULT_TRUNCATION
 ) -> CoefficientSetAnnulus:
-    """Solve the truncated 4N x 4N annulus system by a direct dense solve.
+    """Solve the truncated 4N x 4N annulus system by a dense solve for A+ and A-.
 
     At lam0 = 0 the A- and B+ rows reduce to the identity and the
     remaining block coincides with the disc system.

@@ -5,12 +5,14 @@ an upward product into the Stirling region, log-gamma via recursion, and
 the hypergeometric function as a brute-force raw series, all in mpmath
 working precision.  The truncated coefficient systems are re-derived term
 by term in their original scaling, so a wrong block in the library's
-shared operator cannot cancel out of the check.
+shared operator cannot cancel out of the check, and the lambda-power
+tables are filled by the plain double loop over orders and terms.
 """
 
 import math
 
 import mpmath as mp
+import numpy as np
 
 
 def gamma_product_oracle(x, dps=50, shift=50):
@@ -156,3 +158,22 @@ def annulus_column_defect(lam0, lam1, column_index, A_plus, A_minus, B_plus, B_m
         )
         worst = max(worst, *(abs(r) for r in residuals))
     return worst
+
+
+def power_table_oracle(seed_a, seed_b, n_rows, order_K):
+    """Lambda-power tables of the shared operator, one term at a time.
+
+        b[n, k] = seed_b [k = 0] + (1/pi) sum_{m <= (k-1)//2} a[m, k-2m-1] / (n+m+1/2)
+        a[n, k] = seed_a [k = 0] + (1/pi) sum_{m <= k//2}     b[m, k-2m]   / (n+m+1/2)
+    """
+    a = np.zeros((n_rows, order_K))
+    b = np.zeros((n_rows, order_K))
+    a[:, 0] = seed_a
+    b[:, 0] = seed_b
+    den = math.pi * (np.arange(order_K // 2 + 1)[:, None] + np.arange(n_rows) + 0.5)
+    for k in range(order_K):
+        for m in range((k - 1) // 2 + 1):
+            b[:, k] += a[m, k - 2 * m - 1] / den[m]
+        for m in range(k // 2 + 1):
+            a[:, k] += b[m, k - 2 * m] / den[m]
+    return a, b
