@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .models import CoefficientSetDisc, DiscProblem
-from .specfun import SQRT_PI, ConvergenceError, f_m, f_m_limit
+from .specfun import SQRT_PI, _f_family, f_m, f_m_limit
 
 __all__ = [
     "SifResult",
@@ -43,12 +43,6 @@ __all__ = [
 # their fast regions.
 _CONTACT_SWITCH = 0.8
 _OUTER_SWITCH = 1.25
-
-# Positive series seeding the f_m recurrence: relative tolerance, term cap,
-# and array elements per cumulative-product block.
-_SERIES_RTOL = 1e-17
-_SERIES_MAX_TERMS = 100_000
-_SERIES_BLOCK = 1 << 12
 
 # Normalized small-lambda expansion of the intensity factor: coefficient
 # of lambda**(j+1) is SIF_SERIES_COEFFS[j], the whole series carrying a
@@ -99,74 +93,6 @@ def _edge_poly(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     # einsum, not a BLAS matrix product: the same sums, without the BLAS
     # workspace that raised the figures peak RSS by ~0.3 MiB
     return coeffs @ np.einsum("mj,jp->mp", _edge_weights(count), powers)
-
-
-def _positive_series(ratio, z: np.ndarray) -> np.ndarray:
-    """Sum of t_0 = 1, t_{k+1} = t_k * ratio(k) * z at every point of z.
-
-    ratio(k) maps an array of term indices to positive coefficient ratios,
-    so no term cancels another.  Terms come in blocks of a cumulative
-    product over the term index, so a single point costs a few numpy calls,
-    not one per term.  A point is done once its last term is below the
-    tolerance times (1 - z) times its sum.  In the raw f_m series the term
-    ratio stays below z, so that bounds the tail; in the edge series the
-    term ratio has fallen below 2/3 by the time terms are that small.
-    """
-    total = np.ones_like(z)
-    last = np.ones_like(z)
-    live = np.arange(len(z))
-    start, width = 0, 32
-    while len(live):
-        if start > _SERIES_MAX_TERMS:
-            raise ConvergenceError(f"2F1 family seed did not converge in {start} terms")
-        k = np.arange(start, start + width, dtype=float)
-        terms = last[live, np.newaxis] * np.cumprod(
-            ratio(k)[np.newaxis, :] * z[live, np.newaxis], axis=1
-        )
-        total[live] += terms.sum(axis=1)
-        last[live] = terms[:, -1]
-        live = live[last[live] > _SERIES_RTOL * total[live] * (1.0 - z[live])]
-        start += width
-        width = min(2 * width, max(32, _SERIES_BLOCK // max(len(live), 1)))
-    return total
-
-
-def _f_family(count: int, x: np.ndarray) -> np.ndarray:
-    """F[m, i] = f_m(x[i]) = 2F1(1/2, m+1/2; m+3/2; x[i]) for m < count.
-
-    Downward recurrence f_m = sqrt(1-x) + x (m+1)/(m+3/2) f_{m+1}, from the
-    Euler integral; its multiplier is below 1, so errors in the seed at
-    m = count-1 shrink on the way down.  The seed is the raw power series
-    (positive terms) where max(count-1, 2) (1-x) > 1, and otherwise the edge
-    form f_limit x**-(m+1/2) - (2m+1) sqrt(1-x) 2F1(m+1, 1; 3/2; 1-x), whose
-    series in 1-x has positive terms as well.
-    """
-    top = count - 1
-    root = np.sqrt(1.0 - x)
-    seed = np.empty_like(x)
-    near = (1.0 - x) * max(top, 2) <= 1.0
-    far = ~near
-    if far.any():
-        seed[far] = _positive_series(
-            lambda k: (k + 0.5) * (top + 0.5 + k) / ((top + 1.5 + k) * (k + 1.0)),
-            x[far],
-        )
-    if near.any():
-        u = 1.0 - x[near]
-        tail = _positive_series(lambda k: (top + 1.0 + k) / (k + 1.5), u)
-        seed[near] = (
-            f_m_limit(top) * x[near] ** -(top + 0.5)
-            - (2 * top + 1) * root[near] * tail
-        )
-    # Recur on G_m = f_m / sqrt(1-x) = 1 + x (m+1)/(m+3/2) G_{m+1}: adding the
-    # exact 1 rounds without bias, where adding the same sqrt(1-x) at every
-    # step would repeat one rounding error down the whole family.
-    G = np.empty((count, len(x)))
-    G[top] = seed / root
-    for m in range(top - 1, -1, -1):
-        G[m] = 1.0 + x * ((m + 1.0) / (m + 1.5)) * G[m + 1]
-    G *= root
-    return G
 
 
 def _hyp_column(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ linear in delta_star.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,8 @@ from .specfun import (
     ConvergenceError,
     PoleError,
     SQRT_PI,
+    _f_family,
+    _f_family_below,
     gauss_2f1,
     l_minus,
     l_plus_reciprocal,
@@ -236,7 +237,7 @@ def omega_tilde(side: str, s: float, ratio: float, method: str = "auto") -> floa
 
     ratio = lam0/lam1.  The automatic branch takes the hypergeometric form
     only where ratio**2 > 3/4 and |s| (1 - ratio**2) <= 1, the rule by which
-    fields._f_family picks its seed: there the series converges slowly,
+    specfun._f_family picks its seed: there the series converges slowly,
     while at larger |s| the 1-x transformation inside gauss_2f1 loses all
     accuracy and the series stays at roundoff.
     """
@@ -268,6 +269,8 @@ def omega_annulus_flat(
     which selects the pair (1 for the outer-edge functions, 2 for the
     inner ones); side picks the half-plane limit.  At lam0 = 0 the
     residual terms vanish and omega_1^- reduces to the disc forcing.
+    The solvers evaluate the forcing points as arrays (_annulus_omegas);
+    this scalar form is the reference those are tested against.
     """
     if s == 0.0:
         raise PoleError("omega is singular at s = 0")
@@ -310,6 +313,23 @@ _MODEL_SCALE = np.array([0.5, 1.0, 1.0, 0.5])
 # The operator is bipartite: B slots couple only to A slots and back.
 _B_SLOTS = (0, 3)
 _A_SLOTS = (1, 2)
+# Unknowns whose row weight is below this stay out of the dense Schur solve:
+# their rows, and with the forcings' matching weights the unknowns themselves,
+# would otherwise carry subnormal numbers into the gemm and the LU.
+_MIN_WEIGHT = 2.0**-1000
+
+
+def _row_weights(lam: float, t: float | None, N: int) -> np.ndarray:
+    """Signed weight, shape (slots, N), that every coupling of row (slot, n) carries.
+
+    -lam**(2n) (B-), -lam**(2n+1) (A+), t**(2n+1) (A-) and t**(2n+2) (B+):
+    in magnitude each falls monotonically with n.
+    """
+    n = np.arange(N)
+    weights = [-(lam ** (2 * n)), -(lam ** (2 * n + 1))]
+    if t is not None:
+        weights += [t ** (2 * n + 1), t ** (2 * n + 2)]
+    return np.array(weights)
 
 
 def _couplings(
@@ -317,25 +337,23 @@ def _couplings(
 ) -> list[tuple[int, int, np.ndarray]]:
     """(row slot, column slot, N x N block) of every off-diagonal coupling.
 
-    Each block is +-lam**p or t**p over pi (n +- m + shift), n being the row
+    Each block is the row weight over pi (n +- m + shift), n being the row
     index, and each joins a B slot to an A slot: the diagonal blocks are the
     identity.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N!r}")
     n, m = np.ogrid[:N, :N]
-    couplings = [
-        (0, 1, -(lam ** (2 * n)), n + m + 0.5),
-        (1, 0, -(lam ** (2 * n + 1)), n + m + 0.5),
-    ]
+    shifts = [(0, 1, n + m + 0.5), (1, 0, n + m + 0.5)]
     if t is not None:
-        couplings += [
-            (1, 3, -(lam ** (2 * n + 1)), n - m - 0.5),
-            (2, 3, t ** (2 * n + 1), n + m + 1.5),
-            (2, 0, t ** (2 * n + 1), n - m + 0.5),
-            (3, 2, t ** (2 * n + 2), n + m + 1.5),
+        shifts += [
+            (1, 3, n - m - 0.5),
+            (2, 3, n + m + 1.5),
+            (2, 0, n - m + 0.5),
+            (3, 2, n + m + 1.5),
         ]
-    return [(row, col, weight / (math.pi * den)) for row, col, weight, den in couplings]
+    weight = _row_weights(lam, t, N)[:, :, np.newaxis]
+    return [(row, col, weight[row] / (math.pi * den)) for row, col, den in shifts]
 
 
 def system_matrix(lam: float, t: float | None, N: int) -> np.ndarray:
@@ -378,28 +396,71 @@ def _families(x: np.ndarray) -> dict:
     return {name: x[:, i] for i, name in enumerate(_SLOTS[: x.shape[1]])}
 
 
+def _prefix_blocks(M4: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The leading rows[i] rows and cols[j] columns of each slot of M4 (h, N, h, N).
+
+    The result is one matrix in slot-major order, filled block by block into
+    one buffer: np.block's intermediate concatenations raised the
+    solve_sweep peak RSS by ~1.2 MiB.
+    """
+    out = np.empty((rows.sum(), cols.sum()))
+    row_starts, col_starts = np.cumsum(rows) - rows, np.cumsum(cols) - cols
+    for i, (r0, nr) in enumerate(zip(row_starts, rows)):
+        for j, (c0, nc) in enumerate(zip(col_starts, cols)):
+            out[r0 : r0 + nr, c0 : c0 + nc] = M4[i, :nr, j, :nc]
+    return out
+
+
+def _schur(Q: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """I - Q P, formed in place in the product: no identity or difference matrix."""
+    schur = Q @ P
+    np.negative(schur, out=schur)
+    schur.flat[:: len(schur) + 1] += 1.0
+    return schur
+
+
 def _solve_interleaved(lam: float, t: float | None, rhs: np.ndarray) -> np.ndarray:
     """Solve the shared operator for rhs of shape (N, slots[, columns]).
 
     The operator is bipartite: with the B unknowns b and the A unknowns a
     grouped, it reads [[I, P], [Q, I]].  So a solves the Schur complement
     (I - Q P) a = r_A - Q r_B, of half the operator's size, and b = r_B - P a.
+
+    The dense solve takes only the unknowns whose row weight is at least
+    _MIN_WEIGHT, a prefix in n of every slot.  Every right-hand side carries
+    its row's weight, so the terms this drops are below _MIN_WEIGHT relative
+    to the entries they would change.  The remaining A unknowns follow by one
+    substitution, a_T = (r_A - Q (r_B - P a))_T.
     """
     N, k = rhs.shape[:2]
     h = k // 2
     b_slots, a_slots = list(_B_SLOTS[:h]), list(_A_SLOTS[:h])
-    P = np.zeros((h, N, h, N))
-    Q = np.zeros((h, N, h, N))
+    P4 = np.zeros((h, N, h, N))
+    Q4 = np.zeros((h, N, h, N))
     for row, col, block in _couplings(lam, t, N):
         if row in b_slots:
-            P[b_slots.index(row), :, a_slots.index(col)] = block
+            P4[b_slots.index(row), :, a_slots.index(col)] = block
         else:
-            Q[a_slots.index(row), :, b_slots.index(col)] = block
-    P = P.reshape(h * N, h * N)
-    Q = Q.reshape(h * N, h * N)
+            Q4[a_slots.index(row), :, b_slots.index(col)] = block
+    P = P4.reshape(h * N, h * N)
+    Q = Q4.reshape(h * N, h * N)
     r = rhs.reshape(N, k, -1).transpose(1, 0, 2)
+    r_a = r[a_slots].reshape(h * N, -1)
     r_b = r[b_slots].reshape(h * N, -1)
-    a = _solve_dense(np.eye(h * N) - Q @ P, r[a_slots].reshape(h * N, -1) - Q @ r_b)
+    weight = np.abs(_row_weights(lam, t, N))
+    if weight[:, -1].min() >= _MIN_WEIGHT:  # the weights fall with n
+        a = _solve_dense(_schur(Q, P), r_a - Q @ r_b)
+    else:
+        kept = weight >= _MIN_WEIGHT
+        n_a, n_b = kept[a_slots].sum(axis=1), kept[b_slots].sum(axis=1)
+        Q_kept = _prefix_blocks(Q4, n_a, n_b)
+        P_kept = _prefix_blocks(P4, n_b, n_a)
+        kept_a, kept_b = kept[a_slots].ravel(), kept[b_slots].ravel()
+        a = np.zeros_like(r_a)
+        rhs_kept = r_a[kept_a] - Q_kept @ r_b[kept_b]
+        a[kept_a] = _solve_dense(_schur(Q_kept, P_kept), rhs_kept)
+        tail = ~kept_a
+        a[tail] = r_a[tail] - Q[tail] @ (r_b - P @ a)
     x = np.empty_like(r)
     x[a_slots] = a.reshape(h, N, -1)
     x[b_slots] = (r_b - P @ a).reshape(h, N, -1)
@@ -465,13 +526,14 @@ def _power_sums(
 
 
 def _disc_forcing(p: DiscProblem, N: int) -> np.ndarray:
-    """Right-hand side, per n as (B-, A+), of the disc equations."""
+    """Right-hand side, per n as (B-, A+), of the disc equations.
+
+    The A+ row is -delta_star lam**(2n+1) / (pi (2n+1)), lam**(2n+1)/pi
+    times omega1_disc("minus", 2n+1).
+    """
     n = np.arange(N)
-    omega = np.array(
-        [omega1_disc("minus", 2.0 * k + 1.0, p.delta_star) for k in range(N)]
-    )
     forcing = np.zeros((N, 2))
-    forcing[:, 1] = p.lam ** (2 * n + 1) / math.pi * omega
+    forcing[:, 1] = p.lam ** (2 * n + 1) / math.pi * (-p.delta_star / (2.0 * n + 1.0))
     return forcing
 
 
@@ -525,23 +587,66 @@ def disc_system_residual(p: DiscProblem, c: CoefficientSetDisc) -> float:
 # ----------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
-def _annulus_forcings(p: AnnulusProblem, N: int) -> np.ndarray:
-    """Read-only right-hand side, per n as (B-, A+, A-, B+), of the annulus equations.
+def _gamma_ratios(N: int) -> np.ndarray:
+    """Gamma(k+3/2)/Gamma(k+1) for k < N, one running product from Gamma(3/2).
 
-    Only the latest problem is remembered, so a solve followed by its
-    residual evaluates the forcing functions once.
+    At the annulus forcing points this is both 1/L+(-(2k+1)) and L-(2k+2).
     """
+    k = np.arange(1.0, N)
+    return np.cumprod(np.concatenate([[0.5 * SQRT_PI], (k + 0.5) / k]))[:N]
+
+
+def _omega_tilde_columns(ratio: float, N: int) -> np.ndarray:
+    """omega_tilde at the annulus forcing points, shape (N, 3), from one f_m pass.
+
+    Columns: the plus side at s = 2k+1 and at s = -(2k+1), and the minus side
+    at s = 2k+2.  In the closed hypergeometric forms these are f_m(ratio**2)
+    at m = -k-1, k and k+1, so one downward recurrence in m, continued below
+    m = 0, serves all three.
+    """
+    x = ratio * ratio
+    f = _f_family(N + 1, np.array([x]))[:, 0]
+    s = 2.0 * np.arange(N) + 1.0
+    return np.stack(
+        [
+            2.0 * (_f_family_below(N, x) - 1.0) / (SQRT_PI * s),
+            2.0 * (f[:N] - 1.0) / (SQRT_PI * -s),
+            ratio * f[1:] / (SQRT_PI * (s + 2.0)),
+        ],
+        axis=1,
+    )
+
+
+def _annulus_omegas(p: AnnulusProblem, N: int) -> np.ndarray:
+    """omega_annulus_flat at the forcing points, shape (N, 3), as arrays.
+
+    Columns: omega_1^- at s = 2k+1, where 1/L+ vanishes; omega_1^+ at
+    s = -(2k+1) and omega_2^- at s = 2k+2, whose kernel factors are both
+    Gamma(k+3/2)/Gamma(k+1).
+    """
+    s = 2.0 * np.arange(N) + 1.0
+    g = _gamma_ratios(N)
+    wt = _omega_tilde_columns(p.radius_ratio, N)
+    scale = 0.5 * p.delta_star * SQRT_PI  # delta / (a theta1)
+    return scale * np.stack(
+        [
+            -2.0 / (s * SQRT_PI) - wt[:, 0],
+            (2.0 / -s) * (g - 1.0 / SQRT_PI) - wt[:, 1],
+            g / (s + 1.0) - wt[:, 2],
+        ],
+        axis=1,
+    )
+
+
+def _annulus_forcings(p: AnnulusProblem, N: int) -> np.ndarray:
+    """Right-hand side, per n as (B-, A+, A-, B+), of the annulus equations."""
     t = p.radius_ratio
     n = np.arange(N)
-    w1m = np.array([omega_annulus_flat(1, "minus", 2.0 * k + 1.0, p) for k in range(N)])
-    w1p = np.array([omega_annulus_flat(1, "plus", -2.0 * k - 1.0, p) for k in range(N)])
-    w2m = np.array([omega_annulus_flat(2, "minus", 2.0 * k + 2.0, p) for k in range(N)])
+    omega = _annulus_omegas(p, N)
     forcing = np.zeros((N, 4))
-    forcing[:, 1] = p.lam1 ** (2 * n + 1) / math.pi * w1m
-    forcing[:, 2] = t ** (2 * n + 1) / math.pi * w1p
-    forcing[:, 3] = 4.0 * t ** (2 * n + 2) / math.pi * w2m
-    forcing.flags.writeable = False
+    forcing[:, 1] = p.lam1 ** (2 * n + 1) / math.pi * omega[:, 0]
+    forcing[:, 2] = t ** (2 * n + 1) / math.pi * omega[:, 1]
+    forcing[:, 3] = 4.0 * t ** (2 * n + 2) / math.pi * omega[:, 2]
     return forcing
 
 

@@ -1,8 +1,10 @@
-"""Scalar special functions used throughout the package.
+"""Special functions used throughout the package.
 
 Real and complex gamma machinery, the Gauss hypergeometric function on
-[0, 1), and the Mellin kernel of the Weber-Sonin integral together with
-its plus/minus factorization.  Everything here is a pure function of its
+[0, 1), the half-integer family f_m evaluated over all indices at once
+(private: the field evaluators and the annulus forcing build on it), and
+the Mellin kernel of the Weber-Sonin integral together with its
+plus/minus factorization.  Everything here is a pure function of its
 arguments; there is no shared mutable state.
 """
 
@@ -10,6 +12,8 @@ from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
 
 __all__ = [
     "PoleError",
@@ -42,6 +46,11 @@ _POLE_TOL = 1e-9
 
 # Threshold for the 1-x transformed hypergeometric expansion.
 _HYP_SWITCH_X = 0.75
+
+# Positive series seeding the array f_m recurrence: relative tolerance and
+# array elements per cumulative-product block (the term cap is shared).
+_FAMILY_RTOL = 1e-17
+_FAMILY_BLOCK = 1 << 12
 
 # exp(i*pi*s) scaling kicks in for tan/cot once the naive evaluation
 # would overflow double precision.
@@ -284,6 +293,95 @@ def f_m_limit(m: int) -> float:
     # for large m, where both floats overflow: (3/2)_m / m! is the exact
     # rational (2m+1) C(2m, m) / 4**m, rounded once by the integer division
     return math.pi / 2.0 * ((2 * m + 1) * math.comb(2 * m, m) / 4**m)
+
+
+# ----------------------------------------------------------------------
+# the f_m family over all indices at once
+# ----------------------------------------------------------------------
+
+
+def _positive_series(ratio, z: np.ndarray) -> np.ndarray:
+    """Sum of t_0 = 1, t_{k+1} = t_k * ratio(k) * z at every point of z.
+
+    ratio(k) maps an array of term indices to positive coefficient ratios,
+    so no term cancels another.  Terms come in blocks of a cumulative
+    product over the term index, so a single point costs a few numpy calls,
+    not one per term.  A point is done once its last term is below the
+    tolerance times (1 - z) times its sum.  In the raw f_m series the term
+    ratio stays below z, so that bounds the tail; in the edge series the
+    term ratio has fallen below 2/3 by the time terms are that small.
+    """
+    total = np.ones_like(z)
+    last = np.ones_like(z)
+    live = np.arange(len(z))
+    start, width = 0, 32
+    while len(live):
+        if start > _SERIES_MAX_TERMS:
+            raise ConvergenceError(f"2F1 family seed did not converge in {start} terms")
+        k = np.arange(start, start + width, dtype=float)
+        terms = last[live, np.newaxis] * np.cumprod(
+            ratio(k)[np.newaxis, :] * z[live, np.newaxis], axis=1
+        )
+        total[live] += terms.sum(axis=1)
+        last[live] = terms[:, -1]
+        live = live[last[live] > _FAMILY_RTOL * total[live] * (1.0 - z[live])]
+        start += width
+        width = min(2 * width, max(32, _FAMILY_BLOCK // max(len(live), 1)))
+    return total
+
+
+def _f_family(count: int, x: np.ndarray) -> np.ndarray:
+    """F[m, i] = f_m(x[i]) = 2F1(1/2, m+1/2; m+3/2; x[i]) for m < count.
+
+    Downward recurrence f_m = sqrt(1-x) + x (m+1)/(m+3/2) f_{m+1}, from the
+    Euler integral; its multiplier is below 1, so errors in the seed at
+    m = count-1 shrink on the way down.  The seed is the raw power series
+    (positive terms) where max(count-1, 2) (1-x) > 1, and otherwise the edge
+    form f_limit x**-(m+1/2) - (2m+1) sqrt(1-x) 2F1(m+1, 1; 3/2; 1-x), whose
+    series in 1-x has positive terms as well.
+    """
+    top = count - 1
+    root = np.sqrt(1.0 - x)
+    seed = np.empty_like(x)
+    near = (1.0 - x) * max(top, 2) <= 1.0
+    far = ~near
+    if far.any():
+        seed[far] = _positive_series(
+            lambda k: (k + 0.5) * (top + 0.5 + k) / ((top + 1.5 + k) * (k + 1.0)),
+            x[far],
+        )
+    if near.any():
+        u = 1.0 - x[near]
+        tail = _positive_series(lambda k: (top + 1.0 + k) / (k + 1.5), u)
+        seed[near] = (
+            f_m_limit(top) * x[near] ** -(top + 0.5)
+            - (2 * top + 1) * root[near] * tail
+        )
+    # Recur on G_m = f_m / sqrt(1-x) = 1 + x (m+1)/(m+3/2) G_{m+1}: adding the
+    # exact 1 rounds without bias, where adding the same sqrt(1-x) at every
+    # step would repeat one rounding error down the whole family.
+    G = np.empty((count, len(x)))
+    G[top] = seed / root
+    for m in range(top - 1, -1, -1):
+        G[m] = 1.0 + x * ((m + 1.0) / (m + 1.5)) * G[m + 1]
+    G *= root
+    return G
+
+
+def _f_family_below(count: int, x: float) -> np.ndarray:
+    """f_{-1-j}(x) for j < count: the f_m family continued below m = 0.
+
+    The recurrence of _f_family, run on from f_{-1} = 2F1(1/2, -1/2; 1/2; x)
+    = sqrt(1-x): G_m = f_m / sqrt(1-x) = 1 + x (m+1)/(m+3/2) G_{m+1} from
+    G_{-1} = 1.  For m <= -2 the multiplier is positive, so every step adds
+    positive terms and a relative error cannot grow.
+    """
+    G = np.empty(count)
+    acc = 1.0
+    for j in range(count):
+        G[j] = acc
+        acc = 1.0 + x * ((j + 1.0) / (j + 0.5)) * acc
+    return G * math.sqrt(1.0 - x)
 
 
 # ----------------------------------------------------------------------
