@@ -31,7 +31,7 @@ from .models import (
     _solve_interleaved,
     system_matrix,
 )
-from .specfun import PoleError, cot_half_pi, tan_half_pi
+from .specfun import PoleError, _complex_points, cot_half_pi, tan_half_pi
 
 __all__ = [
     "FitAmbiguityError",
@@ -50,6 +50,8 @@ __all__ = [
     "boundary_residual_disc",
     "boundary_residual_annulus",
     "factor_system_residual",
+    "OrderFit",
+    "order_fit",
     "partial_index_estimate",
     "contour_samples",
 ]
@@ -117,7 +119,12 @@ class MatrixSample:
     @property
     def boundary_defect(self) -> float:
         """Max-entry norm of X+ - G0 X- at this point."""
-        return float(np.abs(self.X_plus - self.G0 @ self.X_minus).max())
+        return _boundary_defect(self.X_plus, self.G0, self.X_minus)
+
+
+def _boundary_defect(X_plus: np.ndarray, G0: np.ndarray, X_minus: np.ndarray) -> float:
+    """Max-entry norm of X+ - G0 X- over one matrix or a stack of them."""
+    return float(np.abs(X_plus - G0 @ X_minus).max())
 
 
 # ----------------------------------------------------------------------
@@ -237,98 +244,120 @@ def factor_system_residual(column) -> float:
 # ----------------------------------------------------------------------
 
 
-def _guard_integer(s: complex) -> None:
-    if abs(s - round(s.real)) < _POLE_TOL:
+def _guard_integer(s: np.ndarray) -> None:
+    """Reject the whole array if any point is near an integer."""
+    near = np.abs(s - np.rint(s.real)) < _POLE_TOL
+    if near.any():
         raise PoleError(
-            f"factor matrices are singular near integer s = {round(s.real)}"
+            f"factor matrices are singular near integer s = {int(np.rint(s.real[near][0]))}"
         )
 
 
-def _rational_sum(coeffs: np.ndarray, s: complex, offset: float, step: float) -> complex:
-    """sum_m coeffs[m] / (s + offset + step*m)."""
+def _check_side(side: str) -> None:
+    if side not in ("plus", "minus"):
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+
+
+def _rational_sums(columns, family: str, s: np.ndarray, offset: float, step: float) -> np.ndarray:
+    """sum_m c[m] / (s + offset + step*m) for the family c of every column.
+
+    One (points x terms) array of reciprocals serves all the columns; the
+    result has shape (points, columns).
+    """
+    coeffs = np.stack([getattr(col, family) for col in columns], axis=1)
     m = np.arange(len(coeffs))
-    return complex(np.sum(coeffs / (s + offset + step * m)))
+    return (1.0 / (s[:, np.newaxis] + offset + step * m)) @ coeffs
 
 
-def eval_X_disc(side: str, s: complex, columns) -> np.ndarray:
+def _unit(columns, index: int) -> np.ndarray:
+    """Kronecker delta d_index of every column: 1 where column_index == index."""
+    return np.array([float(col.column_index == index) for col in columns])
+
+
+def _matrices(rows, shape: tuple) -> np.ndarray:
+    """Matrix rows, each (points, columns), as matrices of shape shape + (rows, columns)."""
+    out = np.stack(rows, axis=1)
+    return out.reshape(shape + out.shape[1:])
+
+
+# eval_X_* and g0_* take a complex number, giving one matrix, or an array of
+# them, giving a stack of shape s.shape + (k, k).  An array is rejected whole
+# if any point is within 1e-9 of an integer.
+
+
+def eval_X_disc(side: str, s, columns) -> np.ndarray:
     """Evaluate the 2x2 factor matrix X+(s) or X-(s)."""
-    s = complex(s)
+    s, shape = _complex_points(s)
     _guard_integer(s)
-    col1, col2 = columns
-    lam = col1.lam
-    out = np.empty((2, 2), dtype=complex)
-    for j, col in enumerate((col1, col2)):
-        d1 = 1.0 if col.column_index == 1 else 0.0
-        d2 = 1.0 if col.column_index == 2 else 0.0
-        psi = _rational_sum(col.A_plus, s, -1.0, -2.0) + d1
-        omega = _rational_sum(col.B_minus, s, 0.0, 2.0) + d2
-        if side == "plus":
-            out[0, j] = 0.5 * (omega + lam ** (-s) * cot_half_pi(s) * psi)
-            out[1, j] = psi
-        elif side == "minus":
-            out[0, j] = 0.5 * (psi + lam**s * tan_half_pi(s) * omega)
-            out[1, j] = omega / lam
-        else:
-            raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    return out
+    _check_side(side)
+    lam = columns[0].lam
+    psi = _rational_sums(columns, "A_plus", s, -1.0, -2.0) + _unit(columns, 1)
+    omega = _rational_sums(columns, "B_minus", s, 0.0, 2.0) + _unit(columns, 2)
+    if side == "plus":
+        factor = (lam ** (-s) * cot_half_pi(s))[:, np.newaxis]
+        rows = (0.5 * (omega + factor * psi), psi)
+    else:
+        factor = (lam**s * tan_half_pi(s))[:, np.newaxis]
+        rows = (0.5 * (psi + factor * omega), omega / lam)
+    return _matrices(rows, shape)
 
 
-def eval_X_annulus(side: str, s: complex, columns) -> np.ndarray:
+def eval_X_annulus(side: str, s, columns) -> np.ndarray:
     """Evaluate the 3x3 factor matrix X+(s) or X-(s)."""
-    s = complex(s)
+    s, shape = _complex_points(s)
     _guard_integer(s)
+    _check_side(side)
     lam0 = columns[0].lam0
     lam1 = columns[0].lam1
     t = lam0 / lam1
-    out = np.empty((3, 3), dtype=complex)
-    for j, col in enumerate(columns):
-        d1 = 1.0 if col.column_index == 1 else 0.0
-        d2 = 1.0 if col.column_index == 2 else 0.0
-        d3 = 1.0 if col.column_index == 3 else 0.0
-        psi_p = _rational_sum(col.A_plus, s, -1.0, -2.0) + d1
-        psi_m = _rational_sum(col.A_minus, s, 1.0, 2.0) + d3
-        omega = (
-            _rational_sum(col.B_plus, s, -2.0, -2.0)
-            + _rational_sum(col.B_minus, s, 0.0, 2.0)
-            + d2
+    psi_p = _rational_sums(columns, "A_plus", s, -1.0, -2.0) + _unit(columns, 1)
+    psi_m = _rational_sums(columns, "A_minus", s, 1.0, 2.0) + _unit(columns, 3)
+    omega = (
+        _rational_sums(columns, "B_plus", s, -2.0, -2.0)
+        + _rational_sums(columns, "B_minus", s, 0.0, 2.0)
+        + _unit(columns, 2)
+    )
+    tan = tan_half_pi(s)[:, np.newaxis]
+    cot = cot_half_pi(s)[:, np.newaxis]
+    s = s[:, np.newaxis]  # one row per point, broadcast over the columns
+    if side == "plus":
+        rows = (
+            0.5 * (lam1 ** (-s) * cot * psi_p + omega),
+            (t ** (-s) * tan * omega + psi_m) / lam0,
+            psi_p,
         )
-        if side == "plus":
-            out[0, j] = 0.5 * (lam1 ** (-s) * cot_half_pi(s) * psi_p + omega)
-            out[1, j] = (t ** (-s) * tan_half_pi(s) * omega + psi_m) / lam0
-            out[2, j] = psi_p
-        elif side == "minus":
-            out[0, j] = 0.5 * (lam1**s * tan_half_pi(s) * omega + psi_p)
-            out[1, j] = (t**s * cot_half_pi(s) * psi_m + omega) / lam1
-            out[2, j] = 0.5 * psi_m
-        else:
-            raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    return out
+    else:
+        rows = (
+            0.5 * (lam1**s * tan * omega + psi_p),
+            (t**s * cot * psi_m + omega) / lam1,
+            0.5 * psi_m,
+        )
+    return _matrices(rows, shape)
 
 
-def g0_disc(s: complex, lam: float) -> np.ndarray:
+def g0_disc(s, lam: float) -> np.ndarray:
     """Boundary matrix coefficient of the disc problem."""
-    s = complex(s)
-    return np.array(
-        [
-            [lam ** (-s) * cot_half_pi(s), 0.0],
-            [2.0, -(lam ** (s + 1.0)) * tan_half_pi(s)],
-        ],
-        dtype=complex,
+    s, shape = _complex_points(s)
+    zero = np.zeros_like(s)
+    rows = (
+        np.stack([lam ** (-s) * cot_half_pi(s), zero], axis=1),
+        np.stack([np.full_like(s, 2.0), -(lam ** (s + 1.0)) * tan_half_pi(s)], axis=1),
     )
+    return _matrices(rows, shape)
 
 
-def g0_annulus(s: complex, lam0: float, lam1: float) -> np.ndarray:
+def g0_annulus(s, lam0: float, lam1: float) -> np.ndarray:
     """Boundary matrix coefficient of the annulus problem."""
-    s = complex(s)
+    s, shape = _complex_points(s)
     t = lam0 / lam1
-    return np.array(
-        [
-            [lam1 ** (-s) * cot_half_pi(s), 0.0, 0.0],
-            [0.0, t ** (-s - 1.0) * tan_half_pi(s), 0.0],
-            [2.0, -(lam1 ** (s + 1.0)) * tan_half_pi(s), 2.0 * lam0**s],
-        ],
-        dtype=complex,
+    tan = tan_half_pi(s)
+    zero = np.zeros_like(s)
+    rows = (
+        np.stack([lam1 ** (-s) * cot_half_pi(s), zero, zero], axis=1),
+        np.stack([zero, t ** (-s - 1.0) * tan, zero], axis=1),
+        np.stack([np.full_like(s, 2.0), -(lam1 ** (s + 1.0)) * tan, 2.0 * lam0**s], axis=1),
     )
+    return _matrices(rows, shape)
 
 
 def contour_samples(
@@ -365,17 +394,25 @@ def matrix_sample_annulus(s: complex, columns) -> MatrixSample:
 
 def boundary_residual_disc(columns, samples) -> float:
     """max_s || X+(s) - G0(s) X-(s) ||_max over the contour samples."""
-    return max(
-        (matrix_sample_disc(s, columns).boundary_defect for s in samples),
-        default=0.0,
+    s = np.asarray(samples, dtype=complex)
+    if s.size == 0:
+        return 0.0
+    return _boundary_defect(
+        eval_X_disc("plus", s, columns),
+        g0_disc(s, columns[0].lam),
+        eval_X_disc("minus", s, columns),
     )
 
 
 def boundary_residual_annulus(columns, samples) -> float:
     """max_s || X+(s) - G0(s) X-(s) ||_max over the contour samples."""
-    return max(
-        (matrix_sample_annulus(s, columns).boundary_defect for s in samples),
-        default=0.0,
+    s = np.asarray(samples, dtype=complex)
+    if s.size == 0:
+        return 0.0
+    return _boundary_defect(
+        eval_X_annulus("plus", s, columns),
+        g0_annulus(s, columns[0].lam0, columns[0].lam1),
+        eval_X_annulus("minus", s, columns),
     )
 
 
@@ -392,15 +429,50 @@ def _order_fit_abscissae() -> np.ndarray:
     return np.unique(snapped)
 
 
-def _entry_orders(side: str, columns) -> np.ndarray:
-    """Fitted order at infinity of every factor-matrix entry.
+@dataclass(frozen=True)
+class OrderFit:
+    """Fitted order at infinity of every factor-matrix entry on one side.
+
+    orders[i, j] is minus the log-log slope of entry (i, j); an entry that
+    vanishes at too many samples gets NaN.
+    """
+
+    orders: np.ndarray
+
+    @property
+    def distance(self) -> float:
+        """Largest distance of any entry-order fit from its nearest integer."""
+        distance = np.abs(self.orders - np.round(self.orders))
+        return float(distance[~np.isnan(distance)].max(initial=0.0))
+
+    def partial_indices(self) -> list[int]:
+        """The minimum fitted entry order per column, as integers.
+
+        A slope more than 0.2 away from an integer, or a column that vanished
+        at every sample, raises FitAmbiguityError.
+        """
+        nearest = np.round(self.orders)
+        ambiguous = np.argwhere(np.abs(self.orders - nearest).T > _ORDER_FIT_SLACK)
+        if len(ambiguous):
+            j, i = ambiguous[0]
+            raise FitAmbiguityError(
+                f"entry ({i + 1},{j + 1}) order fit {self.orders[i, j]:.3f} is not "
+                f"within {_ORDER_FIT_SLACK} of an integer"
+            )
+        vanished = np.flatnonzero(np.isnan(self.orders).all(axis=0))
+        if len(vanished):
+            raise FitAmbiguityError(f"column {vanished[0] + 1} vanished at all samples")
+        return [int(np.nanmin(column)) for column in nearest.T]
+
+
+def order_fit(side: str, columns) -> OrderFit:
+    """Fit the order at infinity of every factor-matrix entry.
 
     Samples the factor matrix along the real axis inside its half-plane
-    of analyticity and fits the log-log slope of each entry; an entry
-    that vanishes at too many samples gets NaN.
+    of analyticity, all radii in one evaluation, and fits the log-log
+    slope of each entry.
     """
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    _check_side(side)
     if isinstance(columns[0], DiscFactorColumn):
         evaluate = eval_X_disc
     elif isinstance(columns[0], AnnulusFactorColumn):
@@ -410,16 +482,19 @@ def _entry_orders(side: str, columns) -> np.ndarray:
 
     radii = _order_fit_abscissae()
     sign = -1.0 if side == "plus" else 1.0
-    values = np.array([evaluate(side, complex(sign * t, 0.0), columns) for t in radii])
+    values = evaluate(side, sign * radii + 0j, columns)
     log_t = np.log(radii)
     dim = values.shape[1]
-    orders = np.full((dim, dim), np.nan)
-    for i, j in np.ndindex(dim, dim):
-        mags = np.abs(values[:, i, j])
-        keep = mags > 0.0
-        if keep.sum() >= 4:
-            orders[i, j] = -np.polyfit(log_t[keep], np.log(mags[keep]), 1)[0]
-    return orders
+    mags = np.abs(values).reshape(len(radii), dim * dim)
+    keep = mags > 0.0
+    slopes = np.full(dim * dim, np.nan)
+    # entries nonzero at every radius share one least-squares solve
+    full = keep.all(axis=0)
+    if full.any():
+        slopes[full] = np.polyfit(log_t, np.log(mags[:, full]), 1)[0]
+    for e in np.flatnonzero(~full & (keep.sum(axis=0) >= 4)):
+        slopes[e] = np.polyfit(log_t[keep[:, e]], np.log(mags[keep[:, e], e]), 1)[0]
+    return OrderFit(-slopes.reshape(dim, dim))
 
 
 def partial_index_estimate(side: str, columns) -> list[int]:
@@ -428,23 +503,9 @@ def partial_index_estimate(side: str, columns) -> list[int]:
     Takes the minimum fitted entry order per column.  A slope more than
     0.2 away from an integer raises FitAmbiguityError.
     """
-    orders = _entry_orders(side, columns)
-    nearest = np.round(orders)
-    ambiguous = np.argwhere(np.abs(orders - nearest).T > _ORDER_FIT_SLACK)
-    if len(ambiguous):
-        j, i = ambiguous[0]
-        raise FitAmbiguityError(
-            f"entry ({i + 1},{j + 1}) order fit {orders[i, j]:.3f} is not "
-            f"within {_ORDER_FIT_SLACK} of an integer"
-        )
-    vanished = np.flatnonzero(np.isnan(orders).all(axis=0))
-    if len(vanished):
-        raise FitAmbiguityError(f"column {vanished[0] + 1} vanished at all samples")
-    return [int(np.nanmin(column)) for column in nearest.T]
+    return order_fit(side, columns).partial_indices()
 
 
 def order_fit_distance(side: str, columns) -> float:
     """Largest distance of any entry-order fit from its nearest integer."""
-    orders = _entry_orders(side, columns)
-    distance = np.abs(orders - np.round(orders))
-    return float(distance[~np.isnan(distance)].max(initial=0.0))
+    return order_fit(side, columns).distance

@@ -396,26 +396,28 @@ def _families(x: np.ndarray) -> dict:
     return {name: x[:, i] for i, name in enumerate(_SLOTS[: x.shape[1]])}
 
 
-def _prefix_blocks(M4: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The leading rows[i] rows and cols[j] columns of each slot of M4 (h, N, h, N).
+def _schur(Q4: np.ndarray, P4: np.ndarray, n_a: list[int], n_b: list[int]) -> np.ndarray:
+    """I - Q P over the leading n_a[i] A and n_b[j] B unknowns of each slot.
 
-    The result is one matrix in slot-major order, filled block by block into
-    one buffer: np.block's intermediate concatenations raised the
-    solve_sweep peak RSS by ~1.2 MiB.
+    P is block-diagonal, each B slot coupling to one A slot (B- to A+, B+
+    to A-), so block (i, j) of Q P is the single product Q_ij P_jj: h*h
+    products of N x N blocks, not a dense (hN)^2 gemm half of whose work
+    multiplies zero blocks.  The products are written into one buffer in
+    slot-major order and negated in place, with the identity added on the
+    diagonal.
     """
-    out = np.empty((rows.sum(), cols.sum()))
-    row_starts, col_starts = np.cumsum(rows) - rows, np.cumsum(cols) - cols
-    for i, (r0, nr) in enumerate(zip(row_starts, rows)):
-        for j, (c0, nc) in enumerate(zip(col_starts, cols)):
-            out[r0 : r0 + nr, c0 : c0 + nc] = M4[i, :nr, j, :nc]
-    return out
-
-
-def _schur(Q: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """I - Q P, formed in place in the product: no identity or difference matrix."""
-    schur = Q @ P
+    size = sum(n_a)
+    schur = np.empty((size, size))
+    row = 0
+    for i, rows in enumerate(n_a):
+        col = 0
+        for j, cols in enumerate(n_a):
+            block = schur[row : row + rows, col : col + cols]
+            np.matmul(Q4[i, :rows, j, : n_b[j]], P4[j, : n_b[j], j, :cols], out=block)
+            col += cols
+        row += rows
     np.negative(schur, out=schur)
-    schur.flat[:: len(schur) + 1] += 1.0
+    schur.flat[:: size + 1] += 1.0
     return schur
 
 
@@ -449,16 +451,14 @@ def _solve_interleaved(lam: float, t: float | None, rhs: np.ndarray) -> np.ndarr
     r_b = r[b_slots].reshape(h * N, -1)
     weight = np.abs(_row_weights(lam, t, N))
     if weight[:, -1].min() >= _MIN_WEIGHT:  # the weights fall with n
-        a = _solve_dense(_schur(Q, P), r_a - Q @ r_b)
+        a = _solve_dense(_schur(Q4, P4, [N] * h, [N] * h), r_a - Q @ r_b)
     else:
         kept = weight >= _MIN_WEIGHT
-        n_a, n_b = kept[a_slots].sum(axis=1), kept[b_slots].sum(axis=1)
-        Q_kept = _prefix_blocks(Q4, n_a, n_b)
-        P_kept = _prefix_blocks(P4, n_b, n_a)
+        n_a, n_b = kept[a_slots].sum(axis=1).tolist(), kept[b_slots].sum(axis=1).tolist()
         kept_a, kept_b = kept[a_slots].ravel(), kept[b_slots].ravel()
         a = np.zeros_like(r_a)
-        rhs_kept = r_a[kept_a] - Q_kept @ r_b[kept_b]
-        a[kept_a] = _solve_dense(_schur(Q_kept, P_kept), rhs_kept)
+        rhs_kept = r_a[kept_a] - Q[np.ix_(kept_a, kept_b)] @ r_b[kept_b]
+        a[kept_a] = _solve_dense(_schur(Q4, P4, n_a, n_b), rhs_kept)
         tail = ~kept_a
         a[tail] = r_a[tail] - Q[tail] @ (r_b - P @ a)
     x = np.empty_like(r)

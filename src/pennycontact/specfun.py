@@ -4,13 +4,14 @@ Real and complex gamma machinery, the Gauss hypergeometric function on
 [0, 1), the half-integer family f_m evaluated over all indices at once
 (private: the field evaluators and the annulus forcing build on it), and
 the Mellin kernel of the Weber-Sonin integral together with its
-plus/minus factorization.  Everything here is a pure function of its
-arguments; there is no shared mutable state.
+plus/minus factorization.  The complex functions (log_gamma_complex, the
+kernel and its factors, tan_half_pi, cot_half_pi) take a complex number or
+an array of them; the real ones take scalars.  Everything here is a pure
+function of its arguments; there is no shared mutable state.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -90,12 +91,28 @@ _LANCZOS_COEFFS = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+_LANCZOS_TAIL = np.array(_LANCZOS_COEFFS[1:])
+_LANCZOS_POLES = np.arange(1.0, len(_LANCZOS_COEFFS))
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# Array elements per block of the log-gamma downward shift.
+_SHIFT_BLOCK = 1 << 12
 
 
-def _check_finite(z: complex) -> None:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"argument must be finite, got {z!r}")
+def _complex_points(z) -> tuple[np.ndarray, tuple]:
+    """A complex number or array of them as a flat complex array, and its shape."""
+    points = np.asarray(z, dtype=complex)
+    return points.reshape(-1), points.shape
+
+
+def _complex_result(values: np.ndarray, shape: tuple):
+    """Values as the caller passed its points: a complex number or an array."""
+    return complex(values[0]) if shape == () else values.reshape(shape)
+
+
+def _check_finite(z: np.ndarray) -> None:
+    bad = ~np.isfinite(z)
+    if bad.any():
+        raise ValueError(f"argument must be finite, got {complex(z[bad][0])!r}")
 
 
 def _nearest_nonpositive_integer_distance(z: complex) -> tuple[float, int]:
@@ -124,36 +141,58 @@ def gamma(x: float) -> float:
         raise PoleError(f"gamma pole at {round(x)}") from exc
 
 
-def _lanczos_log_gamma(z: complex) -> complex:
+def _lanczos_log_gamma(z: np.ndarray) -> np.ndarray:
     """Principal log-gamma for Re z >= 0.5 via the Lanczos sum."""
     zm1 = z - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[k] / (zm1 + k)
+    acc = _LANCZOS_COEFFS[0] + (
+        _LANCZOS_TAIL / (zm1[:, np.newaxis] + _LANCZOS_POLES)
+    ).sum(axis=1)
     t = zm1 + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    return _LOG_SQRT_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(acc)
 
 
-def log_gamma_complex(z: complex) -> complex:
-    """Principal-branch log-gamma of a complex argument.
+def _log_gamma(z: np.ndarray) -> np.ndarray:
+    """log_gamma_complex at every point of a flat complex array."""
+    _check_finite(z)
+    dist, point = _nearest_lattice_point(z, 0, -1)
+    near = dist < _POLE_TOL
+    if near.any():
+        raise PoleError(f"log-gamma pole at {int(point[near][0])}")
+    shift = np.maximum(np.ceil(0.5 - z.real), 0.0)
+    return _lanczos_log_gamma(z + shift) - _shift_logs(z, shift)
+
+
+def _shift_logs(z: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """sum_{k < shift} log(z + k) at every point of z.
+
+    The steps come in blocks over the points still shifting, doubling in
+    width up to _SHIFT_BLOCK elements per block, so one far-left point costs
+    a few blocks of its own steps, not a pass over the whole array per step.
+    """
+    acc = np.zeros_like(z)
+    live = np.flatnonzero(shift)
+    start, width = 0, 1
+    while len(live):
+        k = np.arange(start, start + width, dtype=float)
+        logs = np.log(z[live, np.newaxis] + k)
+        acc[live] += np.where(k < shift[live, np.newaxis], logs, 0.0).sum(axis=1)
+        start += width
+        live = live[shift[live] > start]
+        width = min(2 * width, max(1, _SHIFT_BLOCK // max(len(live), 1)))
+    return acc
+
+
+def log_gamma_complex(z):
+    """Principal-branch log-gamma of a complex argument or an array of them.
 
     For Re z < 0.5 the value is continued by the downward recursion
     log_gamma(z) = log_gamma(z + n) - sum log(z + k); every branch cut
     introduced by the logs lies on the negative real axis, so the result
-    stays on the principal branch.
+    stays on the principal branch.  An array is rejected whole if any point
+    is within 1e-9 of a pole.
     """
-    z = complex(z)
-    _check_finite(z)
-    dist, n = _nearest_nonpositive_integer_distance(z)
-    if dist < _POLE_TOL:
-        raise PoleError(f"log-gamma pole at {n}")
-    if z.real >= 0.5:
-        return _lanczos_log_gamma(z)
-    shift = int(math.ceil(0.5 - z.real))
-    acc = 0.0 + 0.0j
-    for k in range(shift):
-        acc += cmath.log(z + k)
-    return _lanczos_log_gamma(z + shift) - acc
+    z, shape = _complex_points(z)
+    return _complex_result(_log_gamma(z), shape)
 
 
 def pochhammer(a: float, m: int) -> float:
@@ -389,71 +428,77 @@ def _f_family_below(count: int, x: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _nearest_lattice_distance(z: complex, offset: int, step: int) -> tuple[float, int]:
-    """Distance from z to the nearest point offset + step*n with n >= 0."""
-    n = round((z.real - offset) / step)
-    if n < 0:
-        n = 0
+def _nearest_lattice_point(z: np.ndarray, offset: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each z to the nearest lattice point offset + step*n, n >= 0, and that point."""
+    n = np.maximum(np.rint((z.real - offset) / step), 0.0)
     point = offset + step * n
-    return abs(z - point), int(n)
+    return np.abs(z - point), point
 
 
-def _guard_pole(z: complex, offset: int, step: int, label: str) -> None:
-    dist, n = _nearest_lattice_distance(z, offset, step)
-    if dist < _POLE_TOL:
-        raise PoleError(f"{label} pole at s = {offset + step * n} (index {n})")
+def _guard_pole(z: np.ndarray, offset: int, step: int, label: str) -> None:
+    dist, point = _nearest_lattice_point(z, offset, step)
+    near = dist < _POLE_TOL
+    if near.any():
+        first = int(point[near][0])
+        raise PoleError(f"{label} pole at s = {first} (index {(first - offset) // step})")
 
 
-def _gamma_ratio_complex(num: complex, den: complex) -> complex:
+def _gamma_ratio_complex(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Gamma(num)/Gamma(den); a pole of the denominator gives an exact 0."""
-    try:
-        log_den = log_gamma_complex(den)
-    except PoleError:
-        return 0.0 + 0.0j
-    return cmath.exp(log_gamma_complex(num) - log_den)
+    out = np.zeros_like(num)
+    finite = _nearest_lattice_point(den, 0, -1)[0] >= _POLE_TOL
+    logs = _log_gamma(np.concatenate([num[finite], den[finite]]))
+    half = len(logs) // 2
+    out[finite] = np.exp(logs[:half] - logs[half:])
+    return out
 
 
-def l_plus(s: complex) -> complex:
+# The kernel factors and the scaled tangents below take a complex number or
+# an array of them and return the same kind.  An array is rejected whole if
+# any point is within 1e-9 of a pole.
+
+
+def l_plus(s):
     """Plus factor of the kernel: Gamma(1/2 - s/2) / Gamma(1 - s/2).
 
     Analytic and zero-free in Re s < 1; simple poles at s = 2n + 1 and
     zeros at s = 2n + 2 for n >= 0.
     """
-    s = complex(s)
+    s, shape = _complex_points(s)
     _check_finite(s)
     _guard_pole(s, 1, 2, "L+")
-    return _gamma_ratio_complex(0.5 - s / 2.0, 1.0 - s / 2.0)
+    return _complex_result(_gamma_ratio_complex(0.5 - s / 2.0, 1.0 - s / 2.0), shape)
 
 
-def l_minus(s: complex) -> complex:
+def l_minus(s):
     """Minus factor of the kernel: Gamma(1/2 + s/2) / Gamma(s/2).
 
     Analytic and zero-free in Re s > 0; simple poles at s = -2n - 1 and
     zeros at s = -2n for n >= 0.
     """
-    s = complex(s)
+    s, shape = _complex_points(s)
     _check_finite(s)
     _guard_pole(s, -1, -2, "L-")
-    return _gamma_ratio_complex(0.5 + s / 2.0, s / 2.0)
+    return _complex_result(_gamma_ratio_complex(0.5 + s / 2.0, s / 2.0), shape)
 
 
-def l_plus_reciprocal(s: complex) -> complex:
+def l_plus_reciprocal(s):
     """1 / l_plus, returning an exact 0 at the poles s = 2n + 1 of l_plus."""
-    s = complex(s)
+    s, shape = _complex_points(s)
     _check_finite(s)
     _guard_pole(s, 2, 2, "1/L+")
-    return _gamma_ratio_complex(1.0 - s / 2.0, 0.5 - s / 2.0)
+    return _complex_result(_gamma_ratio_complex(1.0 - s / 2.0, 0.5 - s / 2.0), shape)
 
 
-def l_minus_reciprocal(s: complex) -> complex:
+def l_minus_reciprocal(s):
     """1 / l_minus, returning an exact 0 at the poles s = -2n - 1 of l_minus."""
-    s = complex(s)
+    s, shape = _complex_points(s)
     _check_finite(s)
     _guard_pole(s, 0, -2, "1/L-")
-    return _gamma_ratio_complex(s / 2.0, 0.5 + s / 2.0)
+    return _complex_result(_gamma_ratio_complex(s / 2.0, 0.5 + s / 2.0), shape)
 
 
-def kernel_L(s: complex) -> complex:
+def kernel_L(s):
     """Mellin transform of the Weber-Sonin kernel on the strip 0 < Re s < 1.
 
     Gamma(s/2) Gamma(1/2 - s/2) / (2 Gamma(1 - s/2) Gamma(1/2 + s/2)),
@@ -461,32 +506,36 @@ def kernel_L(s: complex) -> complex:
     s = 1, 3, 5, ...  The zeros at s = 2, 4, ... and s = -1, -3, ...
     come out exact.
     """
-    s = complex(s)
+    s, shape = _complex_points(s)
     _check_finite(s)
     _guard_pole(s, 0, -2, "L")
     _guard_pole(s, 1, 2, "L")
-    return 0.5 * l_plus(s) * l_minus_reciprocal(s)
+    return _complex_result(0.5 * l_plus(s) * l_minus_reciprocal(s), shape)
 
 
-def tan_half_pi(s: complex) -> complex:
+def _half_pi_ratio(s, sign: float):
+    """tan(pi s / 2) (sign +1) or cot(pi s / 2) (sign -1) at every point of s.
+
+    Past |Im s| = _TRIG_SCALE_IM both are written in q = exp(+-i pi s), with
+    the sign of Im s chosen so that |q| < 1, and cannot overflow.
+    """
+    s, shape = _complex_points(s)
+    out = np.empty_like(s)
+    near = np.abs(s.imag) <= _TRIG_SCALE_IM
+    tan = np.tan(math.pi * s[near] / 2.0)
+    out[near] = tan if sign > 0 else 1.0 / tan
+    side = np.where(s.imag[~near] > 0, 1.0, -1.0)
+    q = np.exp(side * 1j * math.pi * s[~near])
+    num, den = (1.0 - q, 1.0 + q) if sign > 0 else (1.0 + q, 1.0 - q)
+    out[~near] = sign * side * 1j * num / den
+    return _complex_result(out, shape)
+
+
+def tan_half_pi(s):
     """tan(pi s / 2), exponentially scaled so large |Im s| cannot overflow."""
-    s = complex(s)
-    if abs(s.imag) <= _TRIG_SCALE_IM:
-        return cmath.tan(math.pi * s / 2.0)
-    if s.imag > 0:
-        q = cmath.exp(1j * math.pi * s)
-        return 1j * (1.0 - q) / (1.0 + q)
-    q = cmath.exp(-1j * math.pi * s)
-    return -1j * (1.0 - q) / (1.0 + q)
+    return _half_pi_ratio(s, 1.0)
 
 
-def cot_half_pi(s: complex) -> complex:
+def cot_half_pi(s):
     """cot(pi s / 2) with the same exponential scaling as tan_half_pi."""
-    s = complex(s)
-    if abs(s.imag) <= _TRIG_SCALE_IM:
-        return 1.0 / cmath.tan(math.pi * s / 2.0)
-    if s.imag > 0:
-        q = cmath.exp(1j * math.pi * s)
-        return -1j * (1.0 + q) / (1.0 - q)
-    q = cmath.exp(-1j * math.pi * s)
-    return 1j * (1.0 + q) / (1.0 - q)
+    return _half_pi_ratio(s, -1.0)

@@ -111,6 +111,23 @@ class TestExitCodes:
         assert main(["verify"]) == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_ambiguous_index_fit_is_a_failed_check(self, capsys):
+        # at radius ratio 0.99 the annulus X+ entry (1,3) fits order 0.769:
+        # the report keeps every check and fails the two order-fit checks
+        argv = ["verify", "--lambda", "0.5", "--lambda0", "0.2", "--lambda1", "0.99"]
+        assert main(argv + ["--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert len(report["checks"]) == 32
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == [
+            "factorization.partial_indices_zero",
+            "factorization.order_fit_distance",
+        ]
+        assert failed[0]["measured"] == math.inf
+        assert "order fit 0.769 is not within 0.2 of an integer" in failed[0]["detail"]
+
 
 class TestSolveArtifact:
     def test_roundtrip_is_bitwise(self, tmp_path):
