@@ -60,6 +60,9 @@ _FIGURE_DELTA_OVER_A = 0.05
 # Field grids evaluate grid_points x truncation_N values at once.
 _MAX_GRID_POINTS = 100_000
 _MAX_TRUNCATION_N = 1_000
+# The recurrence table has at least order_K/2 + 1 rows, so its size grows as
+# order_K**2: 32 MB at the cap.
+_MAX_ORDER_K = 2_000
 
 
 class ConfigError(ValueError):
@@ -129,8 +132,10 @@ class RunConfig:
             problems.append(
                 f"truncation_N: must lie in 1..{_MAX_TRUNCATION_N}, got {self.truncation_N!r}"
             )
-        if self.order_K < 1:
-            problems.append(f"order_K: must be >= 1, got {self.order_K!r}")
+        if not 1 <= self.order_K <= _MAX_ORDER_K:
+            problems.append(
+                f"order_K: must lie in 1..{_MAX_ORDER_K}, got {self.order_K!r}"
+            )
         if self.method not in ("reduction", "recurrence"):
             problems.append(
                 f"method: must be 'reduction' or 'recurrence', got {self.method!r}"

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .models import CoefficientSetDisc, DiscProblem
-from .specfun import SQRT_PI, _f_family, f_m, f_m_limit
+from .specfun import SQRT_PI, _f_family, _gamma_ratios, f_m
 
 __all__ = [
     "SifResult",
@@ -274,9 +274,7 @@ def continuity_defects(p: DiscProblem, c: CoefficientSetDisc) -> tuple[float, fl
     lam = p.lam
     count = len(c.A_plus)
     # (2/sqrt(pi)) * f_m(1-) / (2m+1) telescopes to Gamma(m+1/2)/m!
-    gam = np.array(
-        [2.0 / SQRT_PI * f_m_limit(m) / (2 * m + 1) for m in range(count)]
-    )
+    gam = _gamma_ratios(count) / (np.arange(count) + 0.5)
     f_lam = np.array([f_m(m, lam * lam) for m in range(count)])
     two_m1 = 2.0 * np.arange(count) + 1.0
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .specfun import (
     SQRT_PI,
     _f_family,
     _f_family_below,
+    _gamma_ratios,
     gauss_2f1,
     l_minus,
     l_plus_reciprocal,
@@ -343,17 +345,27 @@ def _couplings(
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N!r}")
-    n, m = np.ogrid[:N, :N]
-    shifts = [(0, 1, n + m + 0.5), (1, 0, n + m + 0.5)]
+    # Every denominator is pi (j + 1/2) for an integer j in [-N, 2N): one
+    # vector, viewed read-only as windows[i, m] = den[i + m], gives the N x N
+    # Hankel (n + m) blocks and, with the columns reversed, the Toeplitz
+    # (n - m) ones.  The view is a direct strided ndarray because numpy's
+    # sliding_window_view and as_strided go through __array_interface__,
+    # which held ~1 MiB more resident over many calls (numpy 2.4).
+    den = math.pi * (np.arange(-N, 2 * N) + 0.5)
+    windows = np.ndarray((2 * N + 1, N), den.dtype, den, strides=den.strides * 2)
+    windows.flags.writeable = False
+    plus = windows[N : 2 * N]  # pi (n + m + 1/2)
+    shifts = [(0, 1, plus), (1, 0, plus)]
     if t is not None:
+        plus_one = windows[N + 1 : 2 * N + 1]  # pi (n + m + 3/2)
         shifts += [
-            (1, 3, n - m - 0.5),
-            (2, 3, n + m + 1.5),
-            (2, 0, n - m + 0.5),
-            (3, 2, n + m + 1.5),
+            (1, 3, windows[:N, ::-1]),  # pi (n - m - 1/2)
+            (2, 3, plus_one),
+            (2, 0, windows[1 : N + 1, ::-1]),  # pi (n - m + 1/2)
+            (3, 2, plus_one),
         ]
     weight = _row_weights(lam, t, N)[:, :, np.newaxis]
-    return [(row, col, weight[row] / (math.pi * den)) for row, col, den in shifts]
+    return [(row, col, weight[row] / block) for row, col, block in shifts]
 
 
 def system_matrix(lam: float, t: float | None, N: int) -> np.ndarray:
@@ -370,6 +382,18 @@ def system_matrix(lam: float, t: float | None, N: int) -> np.ndarray:
     for row, col, block in couplings:
         matrix[row::k, col::k] += block
     return matrix
+
+
+def _apply_operator(lam: float, t: float | None, x: np.ndarray) -> np.ndarray:
+    """The shared operator applied to interleaved unknowns x of shape (N, slots).
+
+    Block by block: the identity, plus each coupling block times its column
+    slot, so the (kN)^2 system_matrix is never assembled.
+    """
+    out = x.copy()
+    for row, col, block in _couplings(lam, t, len(x)):
+        out[:, row] += block @ x[:, col]
+    return out
 
 
 def _solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -478,9 +502,8 @@ def _model_residual(
 ) -> float:
     """Max defect of the original (unhalved) model equations."""
     scale = _MODEL_SCALE[: forcing.shape[1]]
-    matrix = system_matrix(lam, t, len(forcing))
-    defect = matrix @ (unknowns * scale).ravel() - (forcing * scale).ravel()
-    return float(np.abs(defect.reshape(forcing.shape) / scale).max())
+    defect = _apply_operator(lam, t, unknowns * scale) - forcing * scale
+    return float(np.abs(defect / scale).max())
 
 
 def _power_table(
@@ -509,6 +532,19 @@ def _power_table(
         ma = m[: k // 2 + 1]
         a[:, k] += b[ma, k - 2 * ma] @ inv[: ma.size]
     return a, b
+
+
+@lru_cache(maxsize=4)
+def _shared_table(build, *args) -> tuple[np.ndarray, ...]:
+    """The arrays build(*args), built once per argument set and returned read-only.
+
+    For the lambda-power tables, which depend on their seeds, row count and
+    order but not on lambda, so every solve at a new lambda reuses them.
+    """
+    arrays = build(*args)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _power_sums(
@@ -552,12 +588,20 @@ def recurrence_table(
     B-_n = lam**(2n) sum_k b[n, k] lam**k, where a and b/2 follow the
     shared recurrence of the halved system seeded by
     a[n, 0] = -delta_star/(2 pi (n+1/2)) and b[n, 0] = 0.
+
+    The arrays are built once per argument set and shared read-only.
     """
+    a, b = _shared_table(_disc_table, delta_star, n_rows, order_K)
+    return RecurrenceTable(a=a, b=b, order_K=order_K)
+
+
+def _disc_table(delta_star: float, n_rows: int, order_K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh arrays a, b of recurrence_table (b the unhalved B family)."""
     half = np.arange(n_rows) + 0.5
     a, b_half = _power_table(
         -delta_star / (2.0 * math.pi * half), 0.0, n_rows, order_K
     )
-    return RecurrenceTable(a=a, b=2.0 * b_half, order_K=order_K)
+    return a, 2.0 * b_half
 
 
 def solve_disc_recurrence(
@@ -585,15 +629,6 @@ def disc_system_residual(p: DiscProblem, c: CoefficientSetDisc) -> float:
 # ----------------------------------------------------------------------
 # annulus model
 # ----------------------------------------------------------------------
-
-
-def _gamma_ratios(N: int) -> np.ndarray:
-    """Gamma(k+3/2)/Gamma(k+1) for k < N, one running product from Gamma(3/2).
-
-    At the annulus forcing points this is both 1/L+(-(2k+1)) and L-(2k+2).
-    """
-    k = np.arange(1.0, N)
-    return np.cumprod(np.concatenate([[0.5 * SQRT_PI], (k + 0.5) / k]))[:N]
 
 
 def _omega_tilde_columns(ratio: float, N: int) -> np.ndarray:

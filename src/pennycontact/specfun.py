@@ -334,6 +334,16 @@ def f_m_limit(m: int) -> float:
     return math.pi / 2.0 * ((2 * m + 1) * math.comb(2 * m, m) / 4**m)
 
 
+def _gamma_ratios(N: int) -> np.ndarray:
+    """Gamma(k+3/2)/Gamma(k+1) for k < N, one running product from Gamma(3/2).
+
+    This is f_m_limit(k) / sqrt(pi) at every k, without the exact integer
+    arithmetic f_m_limit needs past k = 140.
+    """
+    k = np.arange(1.0, N)
+    return np.cumprod(np.concatenate([[0.5 * SQRT_PI], (k + 0.5) / k]))[:N]
+
+
 # ----------------------------------------------------------------------
 # the f_m family over all indices at once
 # ----------------------------------------------------------------------

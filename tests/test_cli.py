@@ -323,6 +323,23 @@ class TestCaps:
     def test_values_at_the_caps_validate(self):
         RunConfig(grid_points=100_000, truncation_N=1_000).validate()
 
+    @pytest.mark.parametrize("order_k", ["0", "2001", "100000000"])
+    def test_order_k_out_of_range_is_config_error(self, order_k, capsys, monkeypatch):
+        from pennycontact import cli as cli_module
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("an out-of-range order K reached the solver")
+
+        monkeypatch.setattr(cli_module, "run_solve", must_not_run)
+        argv = ["solve", "--method", "recurrence", "--order-k", order_k]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: order_K") and err.count("\n") == 1, err
+        assert order_k in err
+
+    def test_order_k_at_the_cap_validates(self):
+        RunConfig(method="recurrence", order_K=2_000).validate()
+
 
 class TestVerifyRadii:
     @pytest.mark.parametrize(
