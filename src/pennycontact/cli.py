@@ -61,7 +61,7 @@ _FIGURE_DELTA_OVER_A = 0.05
 _MAX_GRID_POINTS = 100_000
 _MAX_TRUNCATION_N = 1_000
 # The recurrence table has at least order_K/2 + 1 rows, so its size grows as
-# order_K**2: 32 MB at the cap.
+# order_K**2: 32 MB at the cap, and models keeps at most two tables (64 MB).
 _MAX_ORDER_K = 2_000
 
 

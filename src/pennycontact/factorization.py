@@ -29,7 +29,6 @@ from .models import (
     _interleave,
     _power_sums,
     _power_table,
-    _shared_table,
     _solve_interleaved,
 )
 from .specfun import PoleError, _complex_points, cot_half_pi, tan_half_pi
@@ -143,16 +142,9 @@ def factor_recurrence_table(
     a[n, 0] = b[0, 0]/(pi (n+1/2)) + 2 d_{l2}/pi.  For the first column
     the b-seed feeds through to a[n, 0], which is therefore nonzero; the
     reduction solver confirms this leading order.
-
-    The arrays are built once per argument set and shared read-only.
     """
     if column_index not in (1, 2):
         raise ValueError(f"column_index must be 1 or 2, got {column_index!r}")
-    return _shared_table(_column_table, column_index, n_rows, order_K)
-
-
-def _column_table(column_index: int, n_rows: int, order_K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh arrays a, b of factor_recurrence_table."""
     d1 = float(column_index == 1)
     d2 = float(column_index == 2)
     return _power_table(2.0 * d2 / math.pi, -2.0 * d1 / math.pi, n_rows, order_K)

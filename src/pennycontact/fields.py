@@ -266,9 +266,10 @@ def displacement(
 def continuity_defects(p: DiscProblem, c: CoefficientSetDisc) -> tuple[float, float]:
     """Displacement mismatches at the inclusion edge and the crack tip.
 
-    Both limits are evaluated from the closed forms built on the
-    boundary values of the hypergeometric family (f_m_limit), not by
-    sampling the displacement nearby.  Exact solutions cancel both
+    Both limits are evaluated from closed forms, not by sampling the
+    displacement nearby: the boundary values of the hypergeometric family
+    telescope to Gamma(m+1/2)/m!, taken from the running Gamma product
+    (specfun._gamma_ratios).  Exact solutions cancel both
     defects identically; truncated ones leave an O(lam**2N) remainder.
     """
     lam = p.lam

@@ -534,19 +534,6 @@ def _power_table(
     return a, b
 
 
-@lru_cache(maxsize=4)
-def _shared_table(build, *args) -> tuple[np.ndarray, ...]:
-    """The arrays build(*args), built once per argument set and returned read-only.
-
-    For the lambda-power tables, which depend on their seeds, row count and
-    order but not on lambda, so every solve at a new lambda reuses them.
-    """
-    arrays = build(*args)
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
 def _power_sums(
     lam: float, a: np.ndarray, b: np.ndarray, N: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -591,17 +578,28 @@ def recurrence_table(
 
     The arrays are built once per argument set and shared read-only.
     """
-    a, b = _shared_table(_disc_table, delta_star, n_rows, order_K)
+    a, b = _disc_table(delta_star, n_rows, order_K)
     return RecurrenceTable(a=a, b=b, order_K=order_K)
 
 
+# Two entries: verification, and a sweep over two truncation orders, each
+# solve the disc recurrence at two argument sets.  The order_K cap in the CLI
+# bounds one entry at 32 MB, so the cache holds at most 64 MB.
+@lru_cache(maxsize=2)
 def _disc_table(delta_star: float, n_rows: int, order_K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh arrays a, b of recurrence_table (b the unhalved B family)."""
+    """The arrays a, b of recurrence_table (b the unhalved B family), read-only.
+
+    They depend on delta_star, the row count and the order but not on
+    lambda, so every solve at a new lambda reuses them.
+    """
     half = np.arange(n_rows) + 0.5
     a, b_half = _power_table(
         -delta_star / (2.0 * math.pi * half), 0.0, n_rows, order_K
     )
-    return a, 2.0 * b_half
+    b = 2.0 * b_half
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return a, b
 
 
 def solve_disc_recurrence(

@@ -1,8 +1,8 @@
 """The geometry-independent parts of the shared operator, built once.
 
 The kernel blocks come from one denominator vector viewed as Hankel and
-Toeplitz blocks, the lambda-power tables are shared read-only per argument
-set, and the residuals apply the operator block by block.  Each must give
+Toeplitz blocks, the disc lambda-power table is shared read-only per
+argument set, and the residuals apply the operator block by block.  Each must give
 what the direct construction gives.
 """
 
@@ -15,9 +15,7 @@ import pytest
 from pennycontact import models
 from pennycontact.factorization import (
     _annulus_column_rhs,
-    _column_table,
     _disc_column_rhs,
-    factor_recurrence_table,
     factor_system_residual,
     solve_factor_columns_annulus,
     solve_factor_columns_disc,
@@ -31,8 +29,8 @@ from pennycontact.models import (
     _disc_forcing,
     _disc_table,
     _interleave,
+    _power_table,
     _row_weights,
-    _shared_table,
     annulus_system_residual,
     disc_system_residual,
     recurrence_table,
@@ -151,7 +149,7 @@ def test_factor_residual_sees_a_perturbed_unknown():
 
 
 # ----------------------------------------------------------------------
-# lambda-power tables shared per argument set
+# the disc lambda-power table shared per argument set
 # ----------------------------------------------------------------------
 
 
@@ -163,19 +161,9 @@ def test_model_table_is_shared_read_only_and_fresh_valued(rows, order_K):
     for array in (first.a, first.b):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
-    a, b = _disc_table(0.35, rows, order_K)
-    assert np.all(first.a == a) and np.all(first.b == b)
-
-
-@pytest.mark.parametrize("column_index", [1, 2])
-def test_factor_table_is_shared_read_only_and_fresh_valued(column_index):
-    first = factor_recurrence_table(column_index, 61, 120)
-    second = factor_recurrence_table(column_index, 61, 120)
-    for shared, again, fresh in zip(first, second, _column_table(column_index, 61, 120)):
-        assert again is shared
-        with pytest.raises(ValueError):
-            shared[0, 0] = 1.0
-        assert np.all(shared == fresh)
+    half = np.arange(rows) + 0.5
+    a, b_half = _power_table(-0.35 / (2.0 * math.pi * half), 0.0, rows, order_K)
+    assert np.all(first.a == a) and np.all(first.b == 2.0 * b_half)
 
 
 def test_verification_builds_each_model_table_once(monkeypatch):
@@ -186,13 +174,13 @@ def test_verification_builds_each_model_table_once(monkeypatch):
         builds.append((n_rows, order_K))
         return power_table(seed_a, seed_b, n_rows, order_K)
 
-    _shared_table.cache_clear()
+    _disc_table.cache_clear()
     monkeypatch.setattr(models, "_power_table", counting)
     try:
         first = run_verification()
         second = run_verification()
     finally:
-        _shared_table.cache_clear()
+        _disc_table.cache_clear()
     # the disc recurrence at four lambdas shares one table, and the
     # seed-row check builds its own small one; the second run builds none
     assert sorted(builds) == [(10, 4), (61, 120)]
