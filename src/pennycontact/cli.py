@@ -57,7 +57,8 @@ _FLOAT_FMT = "%.17g"
 _FIGURE_LAMBDAS = (0.3, 0.5, 0.7)
 _FIGURE_DELTA_OVER_A = 0.05
 
-# Field grids evaluate grid_points x truncation_N values at once.
+# Field grids evaluate grid_points x truncation_N values at once; the SIF
+# sweep's lambda grid is held to the same cap.
 _MAX_GRID_POINTS = 100_000
 _MAX_TRUNCATION_N = 1_000
 # The recurrence table has at least order_K/2 + 1 rows, so its size grows as
@@ -155,8 +156,10 @@ class RunConfig:
                 "lambda_min/lambda_max: need 0 <= min < max < 1, got "
                 f"{self.lambda_min!r}, {self.lambda_max!r}"
             )
-        if self.lambda_count < 2:
-            problems.append(f"lambda_count: must be >= 2, got {self.lambda_count!r}")
+        if not 2 <= self.lambda_count <= _MAX_GRID_POINTS:
+            problems.append(
+                f"lambda_count: must lie in 2..{_MAX_GRID_POINTS}, got {self.lambda_count!r}"
+            )
         if problems:
             raise ConfigError("; ".join(problems))
 

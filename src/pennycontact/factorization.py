@@ -372,48 +372,51 @@ def contour_samples(
     return points[:count]
 
 
+def _evaluators(columns):
+    """The factor-matrix evaluator of the columns' factorization, and its G0 as a function of s.
+
+    eval_X_disc and eval_X_annulus are looked up as module globals at call
+    time, so a wrapped module attribute is the one that runs.
+    """
+    column = columns[0]
+    if isinstance(column, DiscFactorColumn):
+        return eval_X_disc, lambda s: g0_disc(s, column.lam)
+    if isinstance(column, AnnulusFactorColumn):
+        return eval_X_annulus, lambda s: g0_annulus(s, column.lam0, column.lam1)
+    raise TypeError(f"unsupported column type {type(column)!r}")
+
+
+def _matrix_sample(s: complex, columns) -> MatrixSample:
+    evaluate, g0 = _evaluators(columns)
+    return MatrixSample(complex(s), evaluate("plus", s, columns), evaluate("minus", s, columns), g0(s))
+
+
+def _boundary_residual(columns, samples) -> float:
+    s = np.asarray(samples, dtype=complex)
+    if s.size == 0:
+        return 0.0
+    evaluate, g0 = _evaluators(columns)
+    return _boundary_defect(evaluate("plus", s, columns), g0(s), evaluate("minus", s, columns))
+
+
 def matrix_sample_disc(s: complex, columns) -> MatrixSample:
     """Evaluate X+, X- and G0 of the disc factorization at one point."""
-    return MatrixSample(
-        s=complex(s),
-        X_plus=eval_X_disc("plus", s, columns),
-        X_minus=eval_X_disc("minus", s, columns),
-        G0=g0_disc(s, columns[0].lam),
-    )
+    return _matrix_sample(s, columns)
 
 
 def matrix_sample_annulus(s: complex, columns) -> MatrixSample:
     """Evaluate X+, X- and G0 of the annulus factorization at one point."""
-    return MatrixSample(
-        s=complex(s),
-        X_plus=eval_X_annulus("plus", s, columns),
-        X_minus=eval_X_annulus("minus", s, columns),
-        G0=g0_annulus(s, columns[0].lam0, columns[0].lam1),
-    )
+    return _matrix_sample(s, columns)
 
 
 def boundary_residual_disc(columns, samples) -> float:
     """max_s || X+(s) - G0(s) X-(s) ||_max over the contour samples."""
-    s = np.asarray(samples, dtype=complex)
-    if s.size == 0:
-        return 0.0
-    return _boundary_defect(
-        eval_X_disc("plus", s, columns),
-        g0_disc(s, columns[0].lam),
-        eval_X_disc("minus", s, columns),
-    )
+    return _boundary_residual(columns, samples)
 
 
 def boundary_residual_annulus(columns, samples) -> float:
     """max_s || X+(s) - G0(s) X-(s) ||_max over the contour samples."""
-    s = np.asarray(samples, dtype=complex)
-    if s.size == 0:
-        return 0.0
-    return _boundary_defect(
-        eval_X_annulus("plus", s, columns),
-        g0_annulus(s, columns[0].lam0, columns[0].lam1),
-        eval_X_annulus("minus", s, columns),
-    )
+    return _boundary_residual(columns, samples)
 
 
 # ----------------------------------------------------------------------
@@ -473,13 +476,7 @@ def order_fit(side: str, columns) -> OrderFit:
     slope of each entry.
     """
     _check_side(side)
-    if isinstance(columns[0], DiscFactorColumn):
-        evaluate = eval_X_disc
-    elif isinstance(columns[0], AnnulusFactorColumn):
-        evaluate = eval_X_annulus
-    else:
-        raise TypeError(f"unsupported column type {type(columns[0])!r}")
-
+    evaluate, _ = _evaluators(columns)
     radii = _order_fit_abscissae()
     sign = -1.0 if side == "plus" else 1.0
     values = evaluate(side, sign * radii + 0j, columns)

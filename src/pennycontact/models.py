@@ -312,9 +312,10 @@ def omega_annulus_flat(
 # which has the B families halved.
 _SLOTS = ("B_minus", "A_plus", "A_minus", "B_plus")
 _MODEL_SCALE = np.array([0.5, 1.0, 1.0, 0.5])
-# The operator is bipartite: B slots couple only to A slots and back.
+# The operator is bipartite: B slots couple only to A slots and back.  With h
+# slots of each kind (1 for the disc, 2 for the annulus) the B slots are
+# _B_SLOTS[:h] and the A slots 1..h, B slot j coupling to A slot j + 1 in P.
 _B_SLOTS = (0, 3)
-_A_SLOTS = (1, 2)
 # Unknowns whose row weight is below this stay out of the dense Schur solve:
 # their rows, and with the forcings' matching weights the unknowns themselves,
 # would otherwise carry subnormal numbers into the gemm and the LU.
@@ -327,21 +328,21 @@ def _row_weights(lam: float, t: float | None, N: int) -> np.ndarray:
     -lam**(2n) (B-), -lam**(2n+1) (A+), t**(2n+1) (A-) and t**(2n+2) (B+):
     in magnitude each falls monotonically with n.
     """
-    n = np.arange(N)
-    weights = [-(lam ** (2 * n)), -(lam ** (2 * n + 1))]
+    power = np.arange(2 * N).reshape(N, 2).T  # rows 2n and 2n + 1
+    weights = -(lam**power)
     if t is not None:
-        weights += [t ** (2 * n + 1), t ** (2 * n + 2)]
-    return np.array(weights)
+        weights = np.concatenate([weights, t ** (power + 1)])
+    return weights
 
 
-def _couplings(
-    lam: float, t: float | None, N: int
-) -> list[tuple[int, int, np.ndarray]]:
-    """(row slot, column slot, N x N block) of every off-diagonal coupling.
+def _couplings(lam: float, t: float | None, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The couplings P (B rows on A unknowns) and Q (A rows on B unknowns).
 
-    Each block is the row weight over pi (n +- m + shift), n being the row
-    index, and each joins a B slot to an A slot: the diagonal blocks are the
-    identity.
+    With the B unknowns (B-, B+) and the A unknowns (A+, A-) grouped, the
+    operator reads [[I, P], [Q, I]].  P is block-diagonal, B- to A+ and B+ to
+    A-, and holds its h diagonal blocks, shape (h, N, N); Q, shape
+    (h, N, h, N), reshapes to its (hN, hN) matrix without a copy.  Each entry
+    is the row weight over pi (n +- m + shift), n being the row.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N!r}")
@@ -354,18 +355,20 @@ def _couplings(
     den = math.pi * (np.arange(-N, 2 * N) + 0.5)
     windows = np.ndarray((2 * N + 1, N), den.dtype, den, strides=den.strides * 2)
     windows.flags.writeable = False
+    weight = _row_weights(lam, t, N)[:, :, np.newaxis]  # B-, A+[, A-, B+]
+    h = len(weight) // 2
+    P = np.empty((h, N, N))
+    Q = np.empty((h, N, h, N))
     plus = windows[N : 2 * N]  # pi (n + m + 1/2)
-    shifts = [(0, 1, plus), (1, 0, plus)]
+    np.divide(weight[0], plus, out=P[0])
+    np.divide(weight[1], plus, out=Q[0, :, 0])
     if t is not None:
         plus_one = windows[N + 1 : 2 * N + 1]  # pi (n + m + 3/2)
-        shifts += [
-            (1, 3, windows[:N, ::-1]),  # pi (n - m - 1/2)
-            (2, 3, plus_one),
-            (2, 0, windows[1 : N + 1, ::-1]),  # pi (n - m + 1/2)
-            (3, 2, plus_one),
-        ]
-    weight = _row_weights(lam, t, N)[:, :, np.newaxis]
-    return [(row, col, weight[row] / block) for row, col, block in shifts]
+        np.divide(weight[3], plus_one, out=P[1])
+        np.divide(weight[1], windows[:N, ::-1], out=Q[0, :, 1])  # pi (n - m - 1/2)
+        np.divide(weight[2], windows[1 : N + 1, ::-1], out=Q[1, :, 0])  # pi (n - m + 1/2)
+        np.divide(weight[2], plus_one, out=Q[1, :, 1])
+    return P, Q
 
 
 def system_matrix(lam: float, t: float | None, N: int) -> np.ndarray:
@@ -376,23 +379,31 @@ def system_matrix(lam: float, t: float | None, N: int) -> np.ndarray:
     ratio.  The B unknowns enter halved, so every coupling is
     lam**p / (pi (n +- m + shift)) and the factor columns share the operator.
     """
-    couplings = _couplings(lam, t, N)
-    k = 2 if t is None else 4
+    P, Q = _couplings(lam, t, N)
+    h = len(P)
+    k = 2 * h
     matrix = np.eye(k * N)
-    for row, col, block in couplings:
-        matrix[row::k, col::k] += block
+    for j, b in enumerate(_B_SLOTS[:h]):
+        matrix[b::k, j + 1 :: k] += P[j]
+        for i in range(h):
+            matrix[i + 1 :: k, b::k] += Q[i, :, j]
     return matrix
 
 
 def _apply_operator(lam: float, t: float | None, x: np.ndarray) -> np.ndarray:
     """The shared operator applied to interleaved unknowns x of shape (N, slots).
 
-    Block by block: the identity, plus each coupling block times its column
-    slot, so the (kN)^2 system_matrix is never assembled.
+    x_B + P x_A and x_A + Q x_B, so the (kN)^2 system_matrix is never
+    assembled.
     """
+    N, k = x.shape
+    h = k // 2
+    P, Q = _couplings(lam, t, N)
+    b_slots = list(_B_SLOTS[:h])
     out = x.copy()
-    for row, col, block in _couplings(lam, t, len(x)):
-        out[:, row] += block @ x[:, col]
+    for j, b in enumerate(b_slots):
+        out[:, b] += P[j] @ x[:, j + 1]
+    out[:, 1 : h + 1] += (Q.reshape(h * N, h * N) @ x[:, b_slots].T.ravel()).reshape(h, N).T
     return out
 
 
@@ -420,13 +431,11 @@ def _families(x: np.ndarray) -> dict:
     return {name: x[:, i] for i, name in enumerate(_SLOTS[: x.shape[1]])}
 
 
-def _schur(Q4: np.ndarray, P4: np.ndarray, n_a: list[int], n_b: list[int]) -> np.ndarray:
+def _schur(P: np.ndarray, Q: np.ndarray, n_a: list[int], n_b: list[int]) -> np.ndarray:
     """I - Q P over the leading n_a[i] A and n_b[j] B unknowns of each slot.
 
-    P is block-diagonal, each B slot coupling to one A slot (B- to A+, B+
-    to A-), so block (i, j) of Q P is the single product Q_ij P_jj: h*h
-    products of N x N blocks, not a dense (hN)^2 gemm half of whose work
-    multiplies zero blocks.  The products are written into one buffer in
+    P is block-diagonal, so block (i, j) of Q P is the single product
+    Q_ij P_j: h*h products of prefix views, written into one buffer in
     slot-major order and negated in place, with the identity added on the
     diagonal.
     """
@@ -437,7 +446,7 @@ def _schur(Q4: np.ndarray, P4: np.ndarray, n_a: list[int], n_b: list[int]) -> np
         col = 0
         for j, cols in enumerate(n_a):
             block = schur[row : row + rows, col : col + cols]
-            np.matmul(Q4[i, :rows, j, : n_b[j]], P4[j, : n_b[j], j, :cols], out=block)
+            np.matmul(Q[i, :rows, j, : n_b[j]], P[j, : n_b[j], :cols], out=block)
             col += cols
         row += rows
     np.negative(schur, out=schur)
@@ -448,47 +457,37 @@ def _schur(Q4: np.ndarray, P4: np.ndarray, n_a: list[int], n_b: list[int]) -> np
 def _solve_interleaved(lam: float, t: float | None, rhs: np.ndarray) -> np.ndarray:
     """Solve the shared operator for rhs of shape (N, slots[, columns]).
 
-    The operator is bipartite: with the B unknowns b and the A unknowns a
-    grouped, it reads [[I, P], [Q, I]].  So a solves the Schur complement
-    (I - Q P) a = r_A - Q r_B, of half the operator's size, and b = r_B - P a.
+    The operator reads [[I, P], [Q, I]], so the A unknowns solve the Schur
+    complement (I - Q P) a = r_A - Q r_B, of half its size, and b = r_B - P a.
 
-    The dense solve takes only the unknowns whose row weight is at least
-    _MIN_WEIGHT, a prefix in n of every slot.  Every right-hand side carries
-    its row's weight, so the terms this drops are below _MIN_WEIGHT relative
-    to the entries they would change.  The remaining A unknowns follow by one
-    substitution, a_T = (r_A - Q (r_B - P a))_T.
+    The Schur complement keeps only unknowns whose row weight is at least
+    _MIN_WEIGHT: the first n_a[i] of A slot i and n_b[j] of B slot j, as the
+    weights fall with n (N where nothing is cut).  Every right-hand side
+    carries its row's weight, so the terms this drops are below _MIN_WEIGHT
+    relative to the entries they would change.  The A tail T follows by one
+    substitution, a_T = (r_A - Q (r_B - P a))_T, empty where nothing is cut.
     """
     N, k = rhs.shape[:2]
     h = k // 2
-    b_slots, a_slots = list(_B_SLOTS[:h]), list(_A_SLOTS[:h])
-    P4 = np.zeros((h, N, h, N))
-    Q4 = np.zeros((h, N, h, N))
-    for row, col, block in _couplings(lam, t, N):
-        if row in b_slots:
-            P4[b_slots.index(row), :, a_slots.index(col)] = block
-        else:
-            Q4[a_slots.index(row), :, b_slots.index(col)] = block
-    P = P4.reshape(h * N, h * N)
-    Q = Q4.reshape(h * N, h * N)
-    r = rhs.reshape(N, k, -1).transpose(1, 0, 2)
-    r_a = r[a_slots].reshape(h * N, -1)
-    r_b = r[b_slots].reshape(h * N, -1)
-    weight = np.abs(_row_weights(lam, t, N))
-    if weight[:, -1].min() >= _MIN_WEIGHT:  # the weights fall with n
-        a = _solve_dense(_schur(Q4, P4, [N] * h, [N] * h), r_a - Q @ r_b)
-    else:
-        kept = weight >= _MIN_WEIGHT
-        n_a, n_b = kept[a_slots].sum(axis=1).tolist(), kept[b_slots].sum(axis=1).tolist()
-        kept_a, kept_b = kept[a_slots].ravel(), kept[b_slots].ravel()
-        a = np.zeros_like(r_a)
-        rhs_kept = r_a[kept_a] - Q[np.ix_(kept_a, kept_b)] @ r_b[kept_b]
-        a[kept_a] = _solve_dense(_schur(Q4, P4, n_a, n_b), rhs_kept)
-        tail = ~kept_a
-        a[tail] = r_a[tail] - Q[tail] @ (r_b - P @ a)
-    x = np.empty_like(r)
-    x[a_slots] = a.reshape(h, N, -1)
-    x[b_slots] = (r_b - P @ a).reshape(h, N, -1)
-    return x.transpose(1, 0, 2).reshape(rhs.shape)
+    P, Q = _couplings(lam, t, N)
+    Q_rows = Q.reshape(h, N, h * N)  # row n of A slot i, over every B unknown
+    x = np.zeros(rhs.shape)  # the A tail stays 0 until its substitution
+    r, x_slots = (v.reshape(N, k, -1).transpose(1, 0, 2) for v in (rhs, x))
+    b_slots = list(_B_SLOTS[:h])
+    r_a, a, r_b = r[1 : h + 1], x_slots[1 : h + 1], r[b_slots]  # A slots as views
+    kept = (np.abs(_row_weights(lam, t, N)) >= _MIN_WEIGHT).sum(axis=1).tolist()
+    n_a, n_b = kept[1 : h + 1], [kept[j] for j in b_slots]
+    rhs_kept = np.concatenate(
+        [r_a[i, :rows] - Q_rows[i, :rows] @ r_b.reshape(h * N, -1) for i, rows in enumerate(n_a)]
+    )
+    solution = _solve_dense(_schur(P, Q, n_a, n_b), rhs_kept)
+    for i, rows in enumerate(n_a):
+        a[i, :rows] = solution[sum(n_a[:i]) :][:rows]
+    b = r_b - P @ a
+    for i, rows in enumerate(n_a):
+        a[i, rows:] = r_a[i, rows:] - Q_rows[i, rows:] @ b.reshape(h * N, -1)
+    x_slots[b_slots] = r_b - P @ a
+    return x
 
 
 def _solve_model(lam: float, t: float | None, forcing: np.ndarray) -> np.ndarray:

@@ -340,6 +340,22 @@ class TestCaps:
     def test_order_k_at_the_cap_validates(self):
         RunConfig(method="recurrence", order_K=2_000).validate()
 
+    @pytest.mark.parametrize("count", ["1", "100001", "1000000000000"])
+    def test_lambda_count_out_of_range_is_config_error(self, count, capsys, monkeypatch):
+        from pennycontact import cli as cli_module
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("an out-of-range lambda count reached the sweep")
+
+        monkeypatch.setattr(cli_module, "run_sif_sweep", must_not_run)
+        assert main(["sif", "--lambda-count", count]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lambda_count") and err.count("\n") == 1, err
+        assert count in err
+
+    def test_lambda_count_at_the_cap_validates(self):
+        RunConfig(lambda_count=100_000).validate()
+
 
 class TestVerifyRadii:
     @pytest.mark.parametrize(

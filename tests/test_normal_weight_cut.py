@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pennycontact import models
+from pennycontact.cli import main
 from pennycontact.factorization import _annulus_column_rhs, _disc_column_rhs
 from pennycontact.models import (
     _MODEL_SCALE,
@@ -124,3 +125,34 @@ def test_normal_weights_keep_the_full_lu(monkeypatch, system):
     t = None if system.startswith("disc") else t
     h = 1 if t is None else 2
     assert _lu_dimensions(monkeypatch, lam, t, _rhs(lam, t, N, system)) == [h * N]
+
+
+# (lam, t, system) with one A slot below the cut at every n: the disc A+ weights
+# lam**(2n+1) and, at t = 2e-306, the annulus A- weights t**(2n+1), so the
+# Schur solve has a block of zero rows.
+EMPTY_SLOT_CASES = [
+    (1e-305, None, "disc"),
+    (1e-305, None, "disc columns"),
+    (0.5, 2e-306, "annulus"),
+    (0.5, 2e-306, "annulus columns"),
+]
+
+
+@pytest.mark.parametrize("lam,t,system", EMPTY_SLOT_CASES)
+def test_a_slot_cut_entirely_matches_dense_solve(monkeypatch, lam, t, system):
+    N = 60
+    rhs = _rhs(lam, t, N, system)
+    _assert_matches_dense(lam, t, rhs)
+    assert _lu_dimensions(monkeypatch, lam, t, rhs) == [0 if t is None else N]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--lambda", "1e-305"],
+        ["solve", "--model", "annulus", "--lambda0", "1e-306", "--lambda1", "0.5"],
+    ],
+)
+def test_solve_with_a_slot_cut_entirely_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""

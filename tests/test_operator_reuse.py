@@ -41,8 +41,8 @@ from pennycontact.models import (
 from pennycontact.verify import run_verification
 
 
-def _fresh_couplings(lam, t, N):
-    """Every coupling block as weight / (pi (n +- m + shift)), elementwise."""
+def _fresh_operator(lam, t, N):
+    """The operator assembled entry by entry as weight / (pi (n +- m + shift))."""
     n, m = np.ogrid[:N, :N]
     shifts = [(0, 1, n + m + 0.5), (1, 0, n + m + 0.5)]
     if t is not None:
@@ -53,24 +53,26 @@ def _fresh_couplings(lam, t, N):
             (3, 2, n + m + 1.5),
         ]
     weight = _row_weights(lam, t, N)[:, :, np.newaxis]
-    return [(row, col, weight[row] / (math.pi * den)) for row, col, den in shifts]
+    k = 2 if t is None else 4
+    matrix = np.eye(k * N)
+    for row, col, den in shifts:
+        matrix[row::k, col::k] += weight[row] / (math.pi * den)
+    return matrix
 
 
 @pytest.mark.parametrize("N", [1, 2, 60, 240])
 @pytest.mark.parametrize("lam,t", [(0.5, None), (0.9, 0.4), (0.2, 0.1)])
 def test_couplings_are_bit_identical_to_fresh_denominators(lam, t, N):
-    got = _couplings(lam, t, N)
-    want = _fresh_couplings(lam, t, N)
-    assert [(r, c) for r, c, _ in got] == [(r, c) for r, c, _ in want]
-    for (_, _, block), (_, _, ref) in zip(got, want):
-        assert block.shape == (N, N)
-        assert np.all(block == ref)
+    h = 1 if t is None else 2
+    P, Q = _couplings(lam, t, N)
+    assert P.shape == (h, N, N) and Q.shape == (h, N, h, N)
+    assert np.all(system_matrix(lam, t, N) == _fresh_operator(lam, t, N))
 
 
 def test_coupling_blocks_are_fresh_arrays():
-    for _, _, block in _couplings(0.5, 0.5, 4):
+    for block in _couplings(0.5, 0.5, 4):
         block[:] = math.nan
-    assert all(np.all(np.isfinite(block)) for _, _, block in _couplings(0.5, 0.5, 4))
+    assert all(np.all(np.isfinite(block)) for block in _couplings(0.5, 0.5, 4))
 
 
 # ----------------------------------------------------------------------
