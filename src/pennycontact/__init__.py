@@ -12,10 +12,10 @@ from .factorization import (
     AnnulusFactorColumn,
     DiscFactorColumn,
     FitAmbiguityError,
-    boundary_residual_annulus,
-    boundary_residual_disc,
+    boundary_residual,
     eval_X_annulus,
     eval_X_disc,
+    matrix_sample,
     partial_index_estimate,
     solve_factor_columns_annulus,
     solve_factor_columns_disc,
@@ -76,8 +76,7 @@ __all__ = [
     "SifResult",
     "SingularSystemError",
     "VerificationReport",
-    "boundary_residual_annulus",
-    "boundary_residual_disc",
+    "boundary_residual",
     "continuity_defects",
     "displacement",
     "eval_X_annulus",
@@ -90,6 +89,7 @@ __all__ = [
     "l_minus",
     "l_plus",
     "log_gamma_complex",
+    "matrix_sample",
     "omega1_disc",
     "omega_annulus_flat",
     "omega_tilde",

@@ -162,6 +162,18 @@ class RunConfig:
             )
         if problems:
             raise ConfigError("; ".join(problems))
+        # Derived loading parameters: a valid shear modulus or delta/a can
+        # still overflow theta1 or delta_star, or underflow delta_star to 0.
+        if not math.isfinite(self.theta1):
+            raise ConfigError(
+                f"nu/shear_modulus: theta1 = (1 - nu)/shear_modulus must be finite, got {self.theta1!r}"
+            )
+        if not 0.0 < self.delta_star < math.inf:
+            keys = "delta_over_a" if self.shear_modulus is None else "delta_over_a/nu/shear_modulus"
+            raise ConfigError(
+                f"{keys}: delta_star = 2 delta_over_a/(theta1 sqrt(pi)) must be finite and "
+                f"positive, got {self.delta_star!r}"
+            )
 
     @property
     def theta1(self) -> float:
@@ -306,7 +318,7 @@ def _contact_grid(lam: float, n: int) -> np.ndarray:
     return lam * np.concatenate([lin, geo])
 
 
-def _outer_grid(lam: float, n: int, r_max: float) -> np.ndarray:
+def _outer_grid(n: int, r_max: float) -> np.ndarray:
     """r/a values in (1, r_max], refined toward the crack tip r = a+."""
     return 1.0 + np.logspace(-4, math.log10(r_max - 1.0), n)
 
@@ -409,7 +421,7 @@ def run_stress(cfg: RunConfig) -> tuple[Table, Table]:
         raise ConfigError("model: stress curves are defined for the disc model")
     p, coeffs = run_solve(cfg)
     contact_r = _contact_grid(cfg.lam, cfg.grid_points)
-    outer_r = _outer_grid(cfg.lam, cfg.grid_points, cfg.r_max)
+    outer_r = _outer_grid(cfg.grid_points, cfg.r_max)
     header = _base_header(cfg)
     return (
         _curve(

@@ -9,6 +9,11 @@ for the disc), evaluates the factor matrices, checks the boundary
 relation and the constant-determinant identities, and estimates the
 partial indices from the column orders at infinity.
 
+Each check reads the geometry from the columns it is given, so one
+function serves both factorizations.  The Kronecker forcings are
+weight-free columns times the row weights, applied by models._weighted,
+the helper that builds every right-hand side from models._row_weights.
+
 Note: with the column coefficients eliminated through their own
 equations, X+ - G0 X- cancels algebraically for any truncation order,
 so the boundary residual measures rounding only.  The truncation order
@@ -24,12 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import (
-    _apply_operator,
     _families,
     _interleave,
     _power_sums,
     _power_table,
+    _residual,
     _solve_interleaved,
+    _weighted,
 )
 from .specfun import PoleError, _complex_points, cot_half_pi, tan_half_pi
 
@@ -45,10 +51,8 @@ __all__ = [
     "eval_X_annulus",
     "g0_disc",
     "g0_annulus",
-    "matrix_sample_disc",
-    "matrix_sample_annulus",
-    "boundary_residual_disc",
-    "boundary_residual_annulus",
+    "matrix_sample",
+    "boundary_residual",
     "factor_system_residual",
     "OrderFit",
     "order_fit",
@@ -150,25 +154,15 @@ def factor_recurrence_table(
     return _power_table(2.0 * d2 / math.pi, -2.0 * d1 / math.pi, n_rows, order_K)
 
 
-def _disc_column_rhs(lam: float, N: int) -> np.ndarray:
-    """Kronecker forcings of the two disc columns, shape (N, slot, column)."""
-    n = np.arange(N)
-    rhs = np.zeros((N, 2, 2))
-    rhs[:, 0, 0] = -(2.0 / math.pi) * lam ** (2 * n)
-    rhs[:, 1, 1] = (2.0 / math.pi) * lam ** (2 * n + 1)
-    return rhs
+# Weight-free Kronecker forcings of the annulus columns, slot (B-, A+, A-, B+)
+# by column; the top-left 2 x 2 corner is the disc's.
+_KRONECKER = (2.0 / math.pi) * np.array([[-1.0, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, -1]])
 
 
-def _annulus_column_rhs(lam0: float, lam1: float, N: int) -> np.ndarray:
-    """Kronecker forcings of the three annulus columns, shape (N, slot, column)."""
-    t = lam0 / lam1
-    n = np.arange(N)
-    rhs = np.zeros((N, 4, 3))
-    rhs[:, 0, 0] = -(2.0 / math.pi) * lam1 ** (2 * n)
-    rhs[:, 1, 1] = (2.0 / math.pi) * lam1 ** (2 * n + 1)
-    rhs[:, 2, 1] = (2.0 / math.pi) * t ** (2 * n + 1)
-    rhs[:, 3, 2] = -(2.0 / math.pi) * t ** (2 * n + 2)
-    return rhs
+def _column_rhs(lam: float, t: float | None, N: int) -> np.ndarray:
+    """Kronecker forcings of the disc (t is None) or annulus columns, shape (N, slot, column)."""
+    unit = _KRONECKER[:2, :2] if t is None else _KRONECKER
+    return _weighted(lam, t, np.broadcast_to(unit, (N,) + unit.shape))
 
 
 def solve_factor_columns_disc(
@@ -187,7 +181,7 @@ def solve_factor_columns_disc(
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N!r}")
     if method == "reduction":
-        x = _solve_interleaved(lam, None, _disc_column_rhs(lam, N))
+        x = _solve_interleaved(lam, None, _column_rhs(lam, None, N))
         families = [_families(x[:, :, j]) for j in range(2)]
     elif method == "recurrence":
         rows = max(N, order_K // 2 + 1)
@@ -214,7 +208,8 @@ def solve_factor_columns_annulus(
         raise ValueError(
             f"need 0 < lam0 < lam1 < 1, got lam0={lam0!r}, lam1={lam1!r}"
         )
-    x = _solve_interleaved(lam1, lam0 / lam1, _annulus_column_rhs(lam0, lam1, N))
+    t = lam0 / lam1
+    x = _solve_interleaved(lam1, t, _column_rhs(lam1, t, N))
     return tuple(
         AnnulusFactorColumn(
             lam0=lam0, lam1=lam1, column_index=j + 1, **_families(x[:, :, j])
@@ -225,18 +220,9 @@ def solve_factor_columns_annulus(
 
 def factor_system_residual(column) -> float:
     """Back-substitution residual max |M x - b| of a solved factor column."""
-    if isinstance(column, DiscFactorColumn):
-        x = _interleave(column, 2)
-        lam, t = column.lam, None
-        rhs = _disc_column_rhs(column.lam, len(x))
-    elif isinstance(column, AnnulusFactorColumn):
-        x = _interleave(column, 4)
-        lam, t = column.lam1, column.lam0 / column.lam1
-        rhs = _annulus_column_rhs(column.lam0, column.lam1, len(x))
-    else:
-        raise TypeError(f"unsupported column type {type(column)!r}")
-    b = rhs[:, :, column.column_index - 1]
-    return float(np.abs(_apply_operator(lam, t, x) - b).max())
+    lam, t, _, _ = _geometry(column)
+    x = _interleave(column, 2 if t is None else 4)
+    return _residual(lam, t, x, _column_rhs(lam, t, len(x))[:, :, column.column_index - 1])
 
 
 # ----------------------------------------------------------------------
@@ -372,51 +358,33 @@ def contour_samples(
     return points[:count]
 
 
-def _evaluators(columns):
-    """The factor-matrix evaluator of the columns' factorization, and its G0 as a function of s.
+def _geometry(column):
+    """(lam, t, eval_X, G0 of s) of a column's factorization, t None for the disc.
 
-    eval_X_disc and eval_X_annulus are looked up as module globals at call
-    time, so a wrapped module attribute is the one that runs.
+    eval_X_* are looked up as module globals at call time, so a wrapped
+    module attribute is the one that runs.
     """
-    column = columns[0]
     if isinstance(column, DiscFactorColumn):
-        return eval_X_disc, lambda s: g0_disc(s, column.lam)
+        return column.lam, None, eval_X_disc, lambda s: g0_disc(s, column.lam)
     if isinstance(column, AnnulusFactorColumn):
-        return eval_X_annulus, lambda s: g0_annulus(s, column.lam0, column.lam1)
+        lam0, lam1 = column.lam0, column.lam1
+        return lam1, lam0 / lam1, eval_X_annulus, lambda s: g0_annulus(s, lam0, lam1)
     raise TypeError(f"unsupported column type {type(column)!r}")
 
 
-def _matrix_sample(s: complex, columns) -> MatrixSample:
-    evaluate, g0 = _evaluators(columns)
+def matrix_sample(s: complex, columns) -> MatrixSample:
+    """Evaluate X+, X- and G0 of the columns' factorization at one point."""
+    _, _, evaluate, g0 = _geometry(columns[0])
     return MatrixSample(complex(s), evaluate("plus", s, columns), evaluate("minus", s, columns), g0(s))
 
 
-def _boundary_residual(columns, samples) -> float:
+def boundary_residual(columns, samples) -> float:
+    """max_s || X+(s) - G0(s) X-(s) ||_max over the contour samples."""
     s = np.asarray(samples, dtype=complex)
     if s.size == 0:
         return 0.0
-    evaluate, g0 = _evaluators(columns)
+    _, _, evaluate, g0 = _geometry(columns[0])
     return _boundary_defect(evaluate("plus", s, columns), g0(s), evaluate("minus", s, columns))
-
-
-def matrix_sample_disc(s: complex, columns) -> MatrixSample:
-    """Evaluate X+, X- and G0 of the disc factorization at one point."""
-    return _matrix_sample(s, columns)
-
-
-def matrix_sample_annulus(s: complex, columns) -> MatrixSample:
-    """Evaluate X+, X- and G0 of the annulus factorization at one point."""
-    return _matrix_sample(s, columns)
-
-
-def boundary_residual_disc(columns, samples) -> float:
-    """max_s || X+(s) - G0(s) X-(s) ||_max over the contour samples."""
-    return _boundary_residual(columns, samples)
-
-
-def boundary_residual_annulus(columns, samples) -> float:
-    """max_s || X+(s) - G0(s) X-(s) ||_max over the contour samples."""
-    return _boundary_residual(columns, samples)
 
 
 # ----------------------------------------------------------------------
@@ -476,7 +444,7 @@ def order_fit(side: str, columns) -> OrderFit:
     slope of each entry.
     """
     _check_side(side)
-    evaluate, _ = _evaluators(columns)
+    _, _, evaluate, _ = _geometry(columns[0])
     radii = _order_fit_abscissae()
     sign = -1.0 if side == "plus" else 1.0
     values = evaluate(side, sign * radii + 0j, columns)
@@ -501,8 +469,3 @@ def partial_index_estimate(side: str, columns) -> list[int]:
     0.2 away from an integer raises FitAmbiguityError.
     """
     return order_fit(side, columns).partial_indices()
-
-
-def order_fit_distance(side: str, columns) -> float:
-    """Largest distance of any entry-order fit from its nearest integer."""
-    return order_fit(side, columns).distance

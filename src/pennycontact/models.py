@@ -49,8 +49,6 @@ __all__ = [
     "solve_disc_recurrence",
     "solve_annulus_reduction",
     "system_residual",
-    "disc_system_residual",
-    "annulus_system_residual",
 ]
 
 DEFAULT_TRUNCATION = 60
@@ -326,13 +324,23 @@ def _row_weights(lam: float, t: float | None, N: int) -> np.ndarray:
     """Signed weight, shape (slots, N), that every coupling of row (slot, n) carries.
 
     -lam**(2n) (B-), -lam**(2n+1) (A+), t**(2n+1) (A-) and t**(2n+2) (B+):
-    in magnitude each falls monotonically with n.
+    in magnitude each falls monotonically with n.  Written only here; see _weighted.
     """
     power = np.arange(2 * N).reshape(N, 2).T  # rows 2n and 2n + 1
     weights = -(lam**power)
     if t is not None:
         weights = np.concatenate([weights, t ** (power + 1)])
     return weights
+
+
+def _weighted(lam: float, t: float | None, column: np.ndarray) -> np.ndarray:
+    """A weight-free column, shape (N, slots[, columns]), times its rows' weight magnitudes.
+
+    Every right-hand side of the shared operator is built this way, which is
+    what lets _solve_interleaved cut the rows whose weight is below _MIN_WEIGHT.
+    """
+    weight = np.abs(_row_weights(lam, t, len(column))).T
+    return weight.reshape(weight.shape + (1,) * (column.ndim - 2)) * column
 
 
 def _couplings(lam: float, t: float | None, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -496,12 +504,11 @@ def _solve_model(lam: float, t: float | None, forcing: np.ndarray) -> np.ndarray
     return _solve_interleaved(lam, t, forcing * scale) / scale
 
 
-def _model_residual(
-    lam: float, t: float | None, unknowns: np.ndarray, forcing: np.ndarray
+def _residual(
+    lam: float, t: float | None, x: np.ndarray, rhs: np.ndarray, scale=1.0
 ) -> float:
-    """Max defect of the original (unhalved) model equations."""
-    scale = _MODEL_SCALE[: forcing.shape[1]]
-    defect = _apply_operator(lam, t, unknowns * scale) - forcing * scale
+    """Max defect |M x - rhs| of equations whose unknowns enter the operator times scale."""
+    defect = _apply_operator(lam, t, x * scale) - rhs * scale
     return float(np.abs(defect / scale).max())
 
 
@@ -538,8 +545,8 @@ def _power_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """lam**(2n+1) sum_k a[n, k] lam**k and lam**(2n) sum_k b[n, k] lam**k, n < N."""
     powers = lam ** np.arange(a.shape[1])
-    n = np.arange(N)
-    return lam ** (2 * n + 1) * (a[:N] @ powers), lam ** (2 * n) * (b[:N] @ powers)
+    sums = _weighted(lam, None, np.stack([b[:N] @ powers, a[:N] @ powers], axis=1))
+    return sums[:, 1], sums[:, 0]
 
 
 # ----------------------------------------------------------------------
@@ -553,10 +560,9 @@ def _disc_forcing(p: DiscProblem, N: int) -> np.ndarray:
     The A+ row is -delta_star lam**(2n+1) / (pi (2n+1)), lam**(2n+1)/pi
     times omega1_disc("minus", 2n+1).
     """
-    n = np.arange(N)
-    forcing = np.zeros((N, 2))
-    forcing[:, 1] = p.lam ** (2 * n + 1) / math.pi * (-p.delta_star / (2.0 * n + 1.0))
-    return forcing
+    column = np.zeros((N, 2))
+    column[:, 1] = -p.delta_star / (math.pi * (2.0 * np.arange(N) + 1.0))
+    return _weighted(p.lam, None, column)
 
 
 def solve_disc_reduction(p: DiscProblem, N: int = DEFAULT_TRUNCATION) -> CoefficientSetDisc:
@@ -617,12 +623,6 @@ def solve_disc_recurrence(
     return table, CoefficientSetDisc(A_plus=A_plus, B_minus=B_minus, truncation_N=N)
 
 
-def disc_system_residual(p: DiscProblem, c: CoefficientSetDisc) -> float:
-    """Max defect of the truncated disc equations at the given coefficients."""
-    forcing = _disc_forcing(p, c.truncation_N)
-    return _model_residual(p.lam, None, _interleave(c, 2), forcing)
-
-
 # ----------------------------------------------------------------------
 # annulus model
 # ----------------------------------------------------------------------
@@ -671,15 +671,13 @@ def _annulus_omegas(p: AnnulusProblem, N: int) -> np.ndarray:
 
 
 def _annulus_forcings(p: AnnulusProblem, N: int) -> np.ndarray:
-    """Right-hand side, per n as (B-, A+, A-, B+), of the annulus equations."""
-    t = p.radius_ratio
-    n = np.arange(N)
-    omega = _annulus_omegas(p, N)
-    forcing = np.zeros((N, 4))
-    forcing[:, 1] = p.lam1 ** (2 * n + 1) / math.pi * omega[:, 0]
-    forcing[:, 2] = t ** (2 * n + 1) / math.pi * omega[:, 1]
-    forcing[:, 3] = 4.0 * t ** (2 * n + 2) / math.pi * omega[:, 2]
-    return forcing
+    """Right-hand side, per n as (B-, A+, A-, B+), of the annulus equations.
+
+    Rows A+, A- and B+ are omega_1^-, omega_1^+ and 4 omega_2^- over pi.
+    """
+    column = np.zeros((N, 4))
+    column[:, 1:] = _annulus_omegas(p, N) * [1.0, 1.0, 4.0] / math.pi
+    return _weighted(p.lam1, p.radius_ratio, column)
 
 
 def solve_annulus_reduction(
@@ -694,16 +692,14 @@ def solve_annulus_reduction(
     return CoefficientSetAnnulus(**_families(x), truncation_N=N)
 
 
-def annulus_system_residual(p: AnnulusProblem, c: CoefficientSetAnnulus) -> float:
-    """Max defect of the truncated annulus equations at the coefficients."""
-    forcing = _annulus_forcings(p, c.truncation_N)
-    return _model_residual(p.lam1, p.radius_ratio, _interleave(c, 4), forcing)
-
-
 def system_residual(problem, coefficients) -> float:
-    """Back-substitution residual for either model's coefficient set."""
+    """Max defect of the truncated (unhalved) model equations at either model's coefficients."""
     if isinstance(coefficients, CoefficientSetDisc):
-        return disc_system_residual(problem, coefficients)
-    if isinstance(coefficients, CoefficientSetAnnulus):
-        return annulus_system_residual(problem, coefficients)
-    raise TypeError(f"unsupported coefficient set {type(coefficients)!r}")
+        lam, t, forcings = problem.lam, None, _disc_forcing
+    elif isinstance(coefficients, CoefficientSetAnnulus):
+        lam, t, forcings = problem.lam1, problem.radius_ratio, _annulus_forcings
+    else:
+        raise TypeError(f"unsupported coefficient set {type(coefficients)!r}")
+    forcing = forcings(problem, coefficients.truncation_N)
+    scale = _MODEL_SCALE[: forcing.shape[1]]
+    return _residual(lam, t, _interleave(coefficients, len(scale)), forcing, scale)

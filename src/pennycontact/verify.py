@@ -21,7 +21,7 @@ __all__ = ["CheckResult", "VerificationReport", "run_verification"]
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a single invariant check (pass iff measured <= threshold)."""
+    """Outcome of a single invariant check (pass iff measured is finite and <= threshold)."""
 
     name: str
     measured: float
@@ -30,13 +30,14 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.measured <= self.threshold
+        return math.isfinite(self.measured) and self.measured <= self.threshold
 
     def to_dict(self) -> dict:
+        """The check as strict JSON values: a non-finite measurement becomes None."""
         return {
             "name": self.name,
             "passed": self.passed,
-            "measured": self.measured,
+            "measured": self.measured if math.isfinite(self.measured) else None,
             "threshold": self.threshold,
             "detail": self.detail,
         }
@@ -155,14 +156,14 @@ def _check_models(report: VerificationReport, delta_star: float, n_trunc: int, o
 
     report.add(
         "models.disc_system_residual",
-        models.disc_system_residual(pd, cd),
+        models.system_residual(pd, cd),
         1e-12,
     )
     pa2 = models.AnnulusProblem(lam0=0.2, lam1=0.5, delta_star=delta_star)
     ca2 = models.solve_annulus_reduction(pa2, n_trunc)
     report.add(
         "models.annulus_system_residual",
-        models.annulus_system_residual(pa2, ca2),
+        models.system_residual(pa2, ca2),
         1e-12,
     )
 
@@ -268,7 +269,7 @@ def _check_factorization(
     for n, cols_n in ((30, fz.solve_factor_columns_disc(lam, 30)), (n_trunc, disc_cols)):
         report.add(
             f"factorization.disc_boundary_residual_N{n}",
-            fz.boundary_residual_disc(cols_n, samples),
+            fz.boundary_residual(cols_n, samples),
             1e-8,
             "identically satisfied; measures rounding only",
         )
@@ -284,7 +285,7 @@ def _check_factorization(
     )
     report.add(
         "factorization.annulus_boundary_residual",
-        fz.boundary_residual_annulus(ann_cols, samples),
+        fz.boundary_residual(ann_cols, samples),
         1e-7,
     )
 

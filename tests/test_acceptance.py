@@ -128,9 +128,9 @@ def test_criterion_6_boundary_residual_bounds():
     with _Criterion(6, "boundary residual bounds on 20 contour samples"):
         samples = fz.contour_samples(20)
         disc_cols = fz.solve_factor_columns_disc(0.5, 60)
-        assert fz.boundary_residual_disc(disc_cols, samples) <= 1e-8
+        assert fz.boundary_residual(disc_cols, samples) <= 1e-8
         ann_cols = fz.solve_factor_columns_annulus(0.2, 0.5, 60)
-        assert fz.boundary_residual_annulus(ann_cols, samples) <= 1e-7
+        assert fz.boundary_residual(ann_cols, samples) <= 1e-7
 
 
 @pytest.mark.xfail(
@@ -143,10 +143,10 @@ def test_criterion_6_boundary_residual_geometric_decay():
     lam = 0.5
     with _Criterion(6, "boundary residual ratio N=30 to N=60 (decay clause)"):
         samples = fz.contour_samples(20)
-        res_30 = fz.boundary_residual_disc(
+        res_30 = fz.boundary_residual(
             fz.solve_factor_columns_disc(lam, 30), samples
         )
-        res_60 = fz.boundary_residual_disc(
+        res_60 = fz.boundary_residual(
             fz.solve_factor_columns_disc(lam, 60), samples
         )
         assert res_60 / res_30 <= lam**2 + 0.05, (res_30, res_60)
@@ -159,8 +159,8 @@ def test_criterion_7_partial_indices():
         for side in ("plus", "minus"):
             assert fz.partial_index_estimate(side, disc_cols) == [0, 0]
             assert fz.partial_index_estimate(side, ann_cols) == [0, 0, 0]
-            assert fz.order_fit_distance(side, disc_cols) <= 0.1
-            assert fz.order_fit_distance(side, ann_cols) <= 0.1
+            assert fz.order_fit(side, disc_cols).distance <= 0.1
+            assert fz.order_fit(side, ann_cols).distance <= 0.1
 
 
 def test_criterion_8_dual_method_equivalence():

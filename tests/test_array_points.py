@@ -6,8 +6,7 @@ import pytest
 
 from pennycontact import specfun
 from pennycontact.factorization import (
-    boundary_residual_annulus,
-    boundary_residual_disc,
+    boundary_residual,
     contour_samples,
     eval_X_annulus,
     eval_X_disc,
@@ -99,8 +98,8 @@ class TestFactorMatrices:
             eval_X_annulus("minus", s, annulus_columns)
 
     def test_boundary_residual_of_no_samples_is_zero(self, disc_columns, annulus_columns):
-        assert boundary_residual_disc(disc_columns, []) == 0.0
-        assert boundary_residual_annulus(annulus_columns, []) == 0.0
+        assert boundary_residual(disc_columns, []) == 0.0
+        assert boundary_residual(annulus_columns, []) == 0.0
 
 
 class TestComplexSpecfun:

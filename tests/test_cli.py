@@ -17,7 +17,7 @@ from pennycontact.cli import (
     run_solve,
     run_stress,
 )
-from pennycontact.models import SingularSystemError
+from pennycontact.models import SingularSystemError, system_residual
 from pennycontact.specfun import ConvergenceError, PoleError
 
 
@@ -125,8 +125,20 @@ class TestExitCodes:
             "factorization.partial_indices_zero",
             "factorization.order_fit_distance",
         ]
-        assert failed[0]["measured"] == math.inf
+        assert failed[0]["measured"] is None  # math.inf, written as strict JSON
         assert "order fit 0.769 is not within 0.2 of an integer" in failed[0]["detail"]
+
+    def test_nan_measurement_is_null_in_strict_json(self, capsys):
+        # at lambda0 = 1e-300 two annulus checks measure NaN
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        argv = ["verify", "--lambda0", "1e-300", "--lambda1", "0.5", "--format", "json"]
+        assert main(argv) == 2
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
+        for name in ("factorization.annulus_det_plus", "factorization.annulus_boundary_residual"):
+            assert failed[name]["measured"] is None
 
 
 class TestSolveArtifact:
@@ -151,6 +163,17 @@ class TestSolveArtifact:
         assert problem2 == problem
         assert np.array_equal(coeffs2.A_minus, coeffs.A_minus)
         assert np.array_equal(coeffs2.B_plus, coeffs.B_plus)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"lam": 0.55}, {"model": "annulus", "lam0": 0.2, "lam1": 0.5}],
+        ids=["disc", "annulus"],
+    )
+    def test_reloaded_artifact_satisfies_its_equations(self, overrides, tmp_path):
+        problem, coeffs = run_solve(load_config(None, overrides))
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps(coefficients_to_json(problem, coeffs)))
+        assert system_residual(*load_coefficients(path)) <= 1e-12
 
     def test_unknown_model_is_rejected(self, tmp_path):
         path = tmp_path / "coeffs.json"
@@ -355,6 +378,30 @@ class TestCaps:
 
     def test_lambda_count_at_the_cap_validates(self):
         RunConfig(lambda_count=100_000).validate()
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--shear-modulus", "1e-320"], "nu/shear_modulus: theta1"),
+            (["--delta-over-a", "1e308"], "delta_over_a: delta_star"),
+            (
+                ["--delta-over-a", "1e-300", "--shear-modulus", "1e-30"],
+                "delta_over_a/nu/shear_modulus: delta_star",
+            ),
+        ],
+        ids=["theta1-overflows", "delta-star-overflows", "delta-star-underflows"],
+    )
+    def test_nonfinite_or_zero_loading_is_config_error(self, flags, message, capsys, monkeypatch):
+        from pennycontact import cli as cli_module
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a non-finite or zero loading reached the solver")
+
+        monkeypatch.setattr(cli_module, "run_solve", must_not_run)
+        for command in ("solve", "stress", "sif", "displacement"):
+            assert main([command] + flags) == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 class TestVerifyRadii:

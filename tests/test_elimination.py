@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pennycontact.factorization import _annulus_column_rhs, factor_recurrence_table
+from pennycontact.factorization import _column_rhs, factor_recurrence_table
 from pennycontact.models import (
     _MODEL_SCALE,
     _SLOTS,
@@ -51,7 +51,7 @@ def test_annulus_elimination_matches_dense_solve(lam, t, N):
 
 @pytest.mark.parametrize("lam,t,N", CASES)
 def test_annulus_factor_columns_elimination_matches_dense_solve(lam, t, N):
-    _assert_matches_dense(lam, t, _annulus_column_rhs(t * lam, lam, N))
+    _assert_matches_dense(lam, t, _column_rhs(lam, t, N))
 
 
 @pytest.mark.parametrize("t", [None, 0.5])

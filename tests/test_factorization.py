@@ -8,8 +8,7 @@ import pytest
 from pennycontact.factorization import (
     AnnulusFactorColumn,
     DiscFactorColumn,
-    boundary_residual_annulus,
-    boundary_residual_disc,
+    boundary_residual,
     contour_samples,
     eval_X_annulus,
     eval_X_disc,
@@ -17,8 +16,8 @@ from pennycontact.factorization import (
     factor_system_residual,
     g0_annulus,
     g0_disc,
-    matrix_sample_disc,
-    order_fit_distance,
+    matrix_sample,
+    order_fit,
     partial_index_estimate,
     solve_factor_columns_annulus,
     solve_factor_columns_disc,
@@ -106,21 +105,21 @@ class TestDiscMatrices:
         assert np.var(np.abs(dets)) <= 1e-16 * np.mean(np.abs(dets)) ** 2
 
     def test_boundary_residual(self, disc_columns):
-        res = boundary_residual_disc(disc_columns, contour_samples(20))
+        res = boundary_residual(disc_columns, contour_samples(20))
         assert res <= 1e-8
 
     def test_boundary_residual_empty_samples(self, disc_columns):
-        assert boundary_residual_disc(disc_columns, []) == 0.0
+        assert boundary_residual(disc_columns, []) == 0.0
 
     def test_matrix_sample_bundle(self, disc_columns):
-        sample = matrix_sample_disc(0.5 + 2j, disc_columns)
+        sample = matrix_sample(0.5 + 2j, disc_columns)
         assert sample.X_plus.shape == (2, 2)
         assert sample.G0.shape == (2, 2)
         assert sample.boundary_defect <= 1e-12
         assert np.all(np.isfinite(sample.X_minus))
 
     def test_boundary_relation_large_imag_uses_scaled_trig(self, disc_columns):
-        res = boundary_residual_disc(
+        res = boundary_residual(
             disc_columns, [0.5 + 80j, 0.5 - 120j]
         )
         assert res <= 1e-8
@@ -130,8 +129,8 @@ class TestDiscMatrices:
         assert partial_index_estimate("minus", disc_columns) == [0, 0]
 
     def test_fit_distance_small(self, disc_columns):
-        assert order_fit_distance("plus", disc_columns) <= 0.1
-        assert order_fit_distance("minus", disc_columns) <= 0.1
+        assert order_fit("plus", disc_columns).distance <= 0.1
+        assert order_fit("minus", disc_columns).distance <= 0.1
 
     def test_pole_guard(self, disc_columns):
         with pytest.raises(PoleError):
@@ -170,7 +169,7 @@ class TestAnnulusMatrices:
             assert det_p == pytest.approx(det_m, rel=1e-10)
 
     def test_boundary_residual(self, annulus_columns):
-        res = boundary_residual_annulus(annulus_columns, contour_samples(20))
+        res = boundary_residual(annulus_columns, contour_samples(20))
         assert res <= 1e-7
 
     def test_partial_indices_zero(self, annulus_columns):
@@ -178,8 +177,8 @@ class TestAnnulusMatrices:
         assert partial_index_estimate("minus", annulus_columns) == [0, 0, 0]
 
     def test_fit_distance_small(self, annulus_columns):
-        assert order_fit_distance("plus", annulus_columns) <= 0.1
-        assert order_fit_distance("minus", annulus_columns) <= 0.1
+        assert order_fit("plus", annulus_columns).distance <= 0.1
+        assert order_fit("minus", annulus_columns).distance <= 0.1
 
     def test_back_substitution_residual(self, annulus_columns):
         for col in annulus_columns:

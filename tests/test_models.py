@@ -9,8 +9,6 @@ from pennycontact.models import (
     AnnulusProblem,
     CoefficientSetDisc,
     DiscProblem,
-    annulus_system_residual,
-    disc_system_residual,
     omega1_disc,
     omega_annulus_flat,
     omega_tilde,
@@ -110,12 +108,12 @@ class TestDiscSolvers:
     def test_residual_contract(self):
         p = DiscProblem(lam=0.5, delta_star=1.0)
         c = solve_disc_reduction(p, 40)
-        assert disc_system_residual(p, c) <= 1e-12
+        assert system_residual(p, c) <= 1e-12
 
     def test_recurrence_residual(self):
         p = DiscProblem(lam=0.5, delta_star=1.0)
         _, c = solve_disc_recurrence(p, 40, 60)
-        assert disc_system_residual(p, c) <= 1e-10
+        assert system_residual(p, c) <= 1e-10
 
     def test_sign_pattern(self):
         for lam in (0.3, 0.5, 0.7):
@@ -210,7 +208,7 @@ class TestAnnulusSolver:
     def test_residual_contract(self):
         p = AnnulusProblem(lam0=0.2, lam1=0.5, delta_star=1.0)
         c = solve_annulus_reduction(p, 40)
-        assert annulus_system_residual(p, c) <= 1e-12
+        assert system_residual(p, c) <= 1e-12
 
     def test_coefficient_scalings(self):
         p = AnnulusProblem(lam0=0.2, lam1=0.5, delta_star=1.0)
@@ -231,7 +229,7 @@ def test_residual_zero_for_zero_coefficients_and_load():
     c = CoefficientSetDisc(
         A_plus=np.zeros(10), B_minus=np.zeros(10), truncation_N=10
     )
-    assert disc_system_residual(p, c) == 0.0
+    assert system_residual(p, c) == 0.0
 
 
 def test_singular_system_error():

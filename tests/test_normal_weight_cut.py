@@ -11,7 +11,7 @@ import pytest
 
 from pennycontact import models
 from pennycontact.cli import main
-from pennycontact.factorization import _annulus_column_rhs, _disc_column_rhs
+from pennycontact.factorization import _column_rhs
 from pennycontact.models import (
     _MODEL_SCALE,
     AnnulusProblem,
@@ -48,11 +48,11 @@ def _rhs(lam, t, N, system):
     if system == "disc":
         return _disc_forcing(DiscProblem(lam=lam, delta_star=1.0), N) * _MODEL_SCALE[:2]
     if system == "disc columns":
-        return _disc_column_rhs(lam, N)
+        return _column_rhs(lam, None, N)
     if system == "annulus":
         problem = AnnulusProblem(lam0=t * lam, lam1=lam, delta_star=1.0)
         return _annulus_forcings(problem, N) * _MODEL_SCALE
-    return _annulus_column_rhs(t * lam, lam, N)
+    return _column_rhs(lam, t, N)
 
 
 SYSTEMS = ["disc", "disc columns", "annulus", "annulus columns"]

@@ -14,8 +14,7 @@ import pytest
 
 from pennycontact import models
 from pennycontact.factorization import (
-    _annulus_column_rhs,
-    _disc_column_rhs,
+    _column_rhs,
     factor_system_residual,
     solve_factor_columns_annulus,
     solve_factor_columns_disc,
@@ -31,12 +30,11 @@ from pennycontact.models import (
     _interleave,
     _power_table,
     _row_weights,
-    annulus_system_residual,
-    disc_system_residual,
     recurrence_table,
     solve_annulus_reduction,
     solve_disc_reduction,
     system_matrix,
+    system_residual,
 )
 from pennycontact.verify import run_verification
 
@@ -95,39 +93,33 @@ def _model_cases(lam, N):
     ]
 
 
-def _residual(problem, coeffs):
-    if isinstance(problem, DiscProblem):
-        return disc_system_residual(problem, coeffs)
-    return annulus_system_residual(problem, coeffs)
-
-
 @pytest.mark.parametrize("lam,N", [(0.3, 20), (0.8, 60), (0.95, 240)])
 def test_model_residuals_match_the_assembled_operator(lam, N):
     for problem, coeffs, t, forcing in _model_cases(lam, N):
         scale = _MODEL_SCALE[: forcing.shape[1]]
         x = _interleave(coeffs, len(scale))
         defect = _dense_defect(lam, t, x * scale, forcing * scale) / scale
-        assert abs(_residual(problem, coeffs) - np.abs(defect).max()) <= 1e-15
+        assert abs(system_residual(problem, coeffs) - np.abs(defect).max()) <= 1e-15
 
 
 @pytest.mark.parametrize("lam,N", [(0.3, 20), (0.8, 60)])
 def test_model_residual_sees_a_perturbed_unknown(lam, N):
     for problem, coeffs, _, _ in _model_cases(lam, N):
-        assert _residual(problem, coeffs) <= 1e-15
+        assert system_residual(problem, coeffs) <= 1e-15
         A_plus = coeffs.A_plus.copy()
         A_plus[N // 2] += 1e-6
         bumped = dataclasses.replace(coeffs, A_plus=A_plus)
-        assert _residual(problem, bumped) == pytest.approx(1e-6, rel=1e-3)
+        assert system_residual(problem, bumped) == pytest.approx(1e-6, rel=1e-3)
 
 
 def _factor_cases(N):
     lam, lam0, lam1 = 0.6, 0.2, 0.5
     cases = [
-        (col, lam, None, _disc_column_rhs(lam, N)[:, :, col.column_index - 1])
+        (col, lam, None, _column_rhs(lam, None, N)[:, :, col.column_index - 1])
         for col in solve_factor_columns_disc(lam, N)
     ]
     cases += [
-        (col, lam1, lam0 / lam1, _annulus_column_rhs(lam0, lam1, N)[:, :, col.column_index - 1])
+        (col, lam1, lam0 / lam1, _column_rhs(lam1, lam0 / lam1, N)[:, :, col.column_index - 1])
         for col in solve_factor_columns_annulus(lam0, lam1, N)
     ]
     return cases
