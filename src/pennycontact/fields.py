@@ -3,13 +3,15 @@
 All positions are nondimensional (r scaled by the crack radius a or the
 inclusion radius b); stress values are reported as theta1 * sigma_z and
 displacements as u_z / a, so with the default theta1 = 1, a_radius = 1
-of DiscProblem everything is a pure number.  Each quantity has two
-series representations, one converging fast away from the relevant
-edge and one that makes the square-root edge behavior explicit; the
-public evaluators switch between them and both forms are exposed for
-cross-checking.  The stress and displacement evaluators take a float or
-an array of positions and return the same kind; an array is evaluated
-with one recurrence over the series index for all its points.
+of DiscProblem everything is a pure number.  Each stress has two
+series representations, one in the stable K column of _hyp_column and
+one that makes the square-root edge behavior explicit; the public
+evaluators use the first at every point and both forms are exposed for
+cross-checking.  Every sum over a coefficient family stops at the
+rounding-level weight cut (_kept).  The stress and displacement
+evaluators take a float or an array of positions and return the same
+kind; an array is evaluated with one recurrence over the series index
+for all its points.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .models import CoefficientSetDisc, DiscProblem
+from .models import CoefficientSetDisc, DiscProblem, _kept_counts
 from .specfun import SQRT_PI, _f_family, _gamma_ratios, f_m
 
 __all__ = [
@@ -37,12 +39,6 @@ __all__ = [
     "displacement",
     "continuity_defects",
 ]
-
-# Representation switch points; the overlap windows [0.6, 0.95] (contact,
-# in r/b) and [1.05, 1.4] (outer, in r/a) keep both series well inside
-# their fast regions.
-_CONTACT_SWITCH = 0.8
-_OUTER_SWITCH = 1.25
 
 # Normalized small-lambda expansion of the intensity factor: coefficient
 # of lambda**(j+1) is SIF_SERIES_COEFFS[j], the whole series carrying a
@@ -95,6 +91,25 @@ def _edge_poly(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return coeffs @ np.einsum("mj,jp->mp", _edge_weights(count), powers)
 
 
+def _kept(p: DiscProblem, c: CoefficientSetDisc) -> tuple[np.ndarray, np.ndarray]:
+    """B- and A+ up to the first row n whose lam**(2n) is below models._MIN_WEIGHT.
+
+    That is the B- prefix the solve keeps (models._kept_counts).  A+, whose
+    weights carry one more factor lam, is cut at the same n, so each family
+    is cut below 2**-64 relative to its own leading row, and a family the
+    solve cut entirely (A+ at lam < 2**-64) is still summed.  A later
+    coefficient is its family's leading weight (1 or lam) times lam**(2m)
+    times a number no larger than the coefficients' scale Y (about
+    delta_star), and the columns it meets here, f_m/(2m+1),
+    Gamma(m+1/2)/m!/(m+1/2) and K_m/(m-1/2), are at most 2 in magnitude for
+    m >= 1.  So the terms left out move a sum by less than
+    2**-63/(1 - lam**2) times the family's scale: under 3e-18 of it wherever
+    anything is cut at N <= 1000 (lam < 0.978).
+    """
+    n = _kept_counts(p.lam, None, len(c.A_plus))[0]
+    return c.B_minus[:n], c.A_plus[:n]
+
+
 def _hyp_column(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_m coeffs[m] * 2F1(3/2, 1/2-m; 3/2-m; x) / (m - 1/2) at every x.
 
@@ -118,7 +133,7 @@ def stress_contact_series(
     _check_unit_interval(r)
     x2 = r * r
     lead = -p.delta_star / (p.lam * np.sqrt(math.pi * (1.0 - x2)))
-    tail = -_hyp_column(c.B_minus, x2) / (2.0 * p.lam * SQRT_PI)
+    tail = -_hyp_column(_kept(p, c)[0], x2) / (2.0 * p.lam * SQRT_PI)
     return _result(p.theta1 * (lead + tail), scalar)
 
 
@@ -139,18 +154,12 @@ def stress_contact(
 ) -> float | np.ndarray:
     """Nondimensional normal stress theta1*sigma_z under the inclusion.
 
-    Valid for 0 <= r/b < 1; the representation switches at r/b = 0.8.
+    Valid for 0 <= r/b < 1, by the series form at every point: its K column
+    is stable up to the edge, where the edge form's alternating power sums
+    cancel like (lam**2 (2 - r**2))**m and fail at high lam and large N.
     Accepts a float or an array of r/b and returns the same kind.
     """
-    r, scalar = _points(r_over_b)
-    _check_unit_interval(r)
-    series = r <= _CONTACT_SWITCH
-    out = np.empty_like(r)
-    if series.any():
-        out[series] = stress_contact_series(p, c, r[series])
-    if not series.all():
-        out[~series] = stress_contact_edge(p, c, r[~series])
-    return _result(out, scalar)
+    return stress_contact_series(p, c, r_over_b)
 
 
 def stress_outer_series(
@@ -160,7 +169,7 @@ def stress_outer_series(
     r, scalar = _points(r_over_a)
     _check_outside_crack(r)
     x2 = 1.0 / (r * r)
-    return _result(p.theta1 * _hyp_column(c.A_plus, x2) * x2**1.5 / SQRT_PI, scalar)
+    return _result(p.theta1 * _hyp_column(_kept(p, c)[1], x2) * x2**1.5 / SQRT_PI, scalar)
 
 
 def stress_outer_edge(
@@ -180,18 +189,11 @@ def stress_outer(
 ) -> float | np.ndarray:
     """Nondimensional normal stress theta1*sigma_z on r > a.
 
-    The edge form is used up to r/a = 1.25 and the plain series beyond.
-    Accepts a float or an array of r/a and returns the same kind.
+    By the series form at every point, for the reason given in
+    stress_contact.  Accepts a float or an array of r/a and returns the
+    same kind.
     """
-    r, scalar = _points(r_over_a)
-    _check_outside_crack(r)
-    edge = r < _OUTER_SWITCH
-    out = np.empty_like(r)
-    if edge.any():
-        out[edge] = stress_outer_edge(p, c, r[edge])
-    if not edge.all():
-        out[~edge] = stress_outer_series(p, c, r[~edge])
-    return _result(out, scalar)
+    return stress_outer_series(p, c, r_over_a)
 
 
 def sif_asymptotic(lam: float, n_terms: int = 5) -> float:
@@ -252,9 +254,10 @@ def displacement(
             f"r_over_a must lie in ({p.lam}, 1), got {float(r[outside][0])!r}"
         )
     lam = p.lam
-    two_m1 = 2.0 * np.arange(len(c.A_plus)) + 1.0
-    g_b = (c.B_minus / two_m1) @ _f_family(len(c.B_minus), (lam / r) ** 2)
-    g_a = (c.A_plus / two_m1) @ _f_family(len(c.A_plus), r * r)
+    B_minus, A_plus = _kept(p, c)
+    two_m1 = 2.0 * np.arange(len(A_plus)) + 1.0
+    g_b = (B_minus / two_m1) @ _f_family(len(B_minus), (lam / r) ** 2)
+    g_a = (A_plus / two_m1) @ _f_family(len(A_plus), r * r)
     value = (
         (p.delta_star / SQRT_PI) * np.arcsin(lam / r)
         - (lam / (SQRT_PI * r)) * g_b
@@ -273,7 +276,8 @@ def continuity_defects(p: DiscProblem, c: CoefficientSetDisc) -> tuple[float, fl
     defects identically; truncated ones leave an O(lam**2N) remainder.
     """
     lam = p.lam
-    count = len(c.A_plus)
+    B_minus, A_plus = _kept(p, c)
+    count = len(A_plus)
     # (2/sqrt(pi)) * f_m(1-) / (2m+1) telescopes to Gamma(m+1/2)/m!
     gam = _gamma_ratios(count) / (np.arange(count) + 0.5)
     f_lam = np.array([f_m(m, lam * lam) for m in range(count)])
@@ -282,15 +286,15 @@ def continuity_defects(p: DiscProblem, c: CoefficientSetDisc) -> tuple[float, fl
     delta0 = p.delta_over_a
     chi_b = (
         -delta0 / p.theta1
-        + 0.5 * float(c.B_minus @ gam)
-        - (2.0 / SQRT_PI) * float(c.A_plus @ (f_lam / two_m1))
+        + 0.5 * float(B_minus @ gam)
+        - (2.0 / SQRT_PI) * float(A_plus @ (f_lam / two_m1))
     )
     defect_b = abs(p.theta1 * chi_b + delta0)
 
     chi_a = (
         -(p.delta_star / SQRT_PI) * math.asin(lam)
-        + (lam / SQRT_PI) * float(c.B_minus @ (f_lam / two_m1))
-        - float(c.A_plus @ gam)
+        + (lam / SQRT_PI) * float(B_minus @ (f_lam / two_m1))
+        - float(A_plus @ gam)
     )
     defect_a = abs(p.theta1 * chi_a)
     return defect_b, defect_a

@@ -314,10 +314,12 @@ _MODEL_SCALE = np.array([0.5, 1.0, 1.0, 0.5])
 # slots of each kind (1 for the disc, 2 for the annulus) the B slots are
 # _B_SLOTS[:h] and the A slots 1..h, B slot j coupling to A slot j + 1 in P.
 _B_SLOTS = (0, 3)
-# Unknowns whose row weight is below this stay out of the dense Schur solve:
-# their rows, and with the forcings' matching weights the unknowns themselves,
-# would otherwise carry subnormal numbers into the gemm and the LU.
-_MIN_WEIGHT = 2.0**-1000
+# The rounding-level weight cut, eps/2**12.  Every coupling of row (slot, n),
+# and with the forcings' matching weights the unknown itself, carries that
+# row's weight, so an unknown below the cut changes each entry it enters by
+# less than the cut relative to that entry: the dense Schur solve leaves such
+# unknowns out (_kept_counts), and the field sums stop at the same rows.
+_MIN_WEIGHT = 2.0**-64
 
 
 def _row_weights(lam: float, t: float | None, N: int) -> np.ndarray:
@@ -331,6 +333,17 @@ def _row_weights(lam: float, t: float | None, N: int) -> np.ndarray:
     if t is not None:
         weights = np.concatenate([weights, t ** (power + 1)])
     return weights
+
+
+def _kept_counts(lam: float, t: float | None, N: int) -> list[int]:
+    """Per slot, the number of leading rows whose weight is at least _MIN_WEIGHT.
+
+    The weights fall monotonically with n, so these rows are a prefix of each
+    slot: the Schur solve factors only that prefix, and fields._kept cuts
+    both disc families at the B- count, while every coefficient set keeps its
+    full length N.
+    """
+    return (np.abs(_row_weights(lam, t, N)) >= _MIN_WEIGHT).sum(axis=1).tolist()
 
 
 def _weighted(lam: float, t: float | None, column: np.ndarray) -> np.ndarray:
@@ -469,11 +482,15 @@ def _solve_interleaved(lam: float, t: float | None, rhs: np.ndarray) -> np.ndarr
     complement (I - Q P) a = r_A - Q r_B, of half its size, and b = r_B - P a.
 
     The Schur complement keeps only unknowns whose row weight is at least
-    _MIN_WEIGHT: the first n_a[i] of A slot i and n_b[j] of B slot j, as the
-    weights fall with n (N where nothing is cut).  Every right-hand side
-    carries its row's weight, so the terms this drops are below _MIN_WEIGHT
-    relative to the entries they would change.  The A tail T follows by one
-    substitution, a_T = (r_A - Q (r_B - P a))_T, empty where nothing is cut.
+    _MIN_WEIGHT = 2**-64: the first n_a[i] of A slot i and n_b[j] of B slot j
+    (_kept_counts; N where nothing is cut).  Every right-hand side carries its
+    row's weight, so a dropped unknown is its weight times an O(1) number,
+    and each term it would add is below 2**-64 relative to the entry it would
+    change: the kept unknowns are those of the full truncated solve to
+    roundoff.  The A tail T follows by one substitution,
+    a_T = (r_A - Q (r_B - P a))_T, empty where nothing is cut, and
+    b = r_B - P a over every row, so each dropped row still satisfies its own
+    equation to roundoff relative to its weight.
     """
     N, k = rhs.shape[:2]
     h = k // 2
@@ -483,7 +500,7 @@ def _solve_interleaved(lam: float, t: float | None, rhs: np.ndarray) -> np.ndarr
     r, x_slots = (v.reshape(N, k, -1).transpose(1, 0, 2) for v in (rhs, x))
     b_slots = list(_B_SLOTS[:h])
     r_a, a, r_b = r[1 : h + 1], x_slots[1 : h + 1], r[b_slots]  # A slots as views
-    kept = (np.abs(_row_weights(lam, t, N)) >= _MIN_WEIGHT).sum(axis=1).tolist()
+    kept = _kept_counts(lam, t, N)
     n_a, n_b = kept[1 : h + 1], [kept[j] for j in b_slots]
     rhs_kept = np.concatenate(
         [r_a[i, :rows] - Q_rows[i, :rows] @ r_b.reshape(h * N, -1) for i, rows in enumerate(n_a)]

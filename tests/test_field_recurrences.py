@@ -166,3 +166,38 @@ def test_edge_weights_are_cached_read_only():
     first = fields._edge_weights(12)
     assert fields._edge_weights(12) is first
     assert not first.flags.writeable
+
+
+def _mp_hyp_sum(coeffs, x):
+    """sum_m coeffs[m] 2F1(3/2, 1/2-m; 3/2-m; x) / (m - 1/2), every term in mpmath."""
+    x = mpmath.mpf(float(x))
+    return sum(
+        mpmath.mpf(float(a)) * mpmath.hyp2f1(1.5, 0.5 - m, 1.5 - m, x) / (m - mpmath.mpf(0.5))
+        for m, a in enumerate(coeffs)
+    )
+
+
+@pytest.mark.parametrize("lam", [0.9, 0.95, 0.99])
+def test_stress_in_the_former_edge_windows_matches_mpmath(lam):
+    # The edge form's alternating power sums cancel like (lam**2 (1 + u))**m,
+    # which at lam = 0.95, N = 240 gave +719 for a contact stress of -0.109.
+    # The oracle is the truncated series of the library's own coefficients.
+    p = DiscProblem(lam=lam, delta_star=DSTAR)
+    c = solve_disc_reduction(p, 240)
+    contact = np.array([0.8001, 0.85, 0.9, 0.95, 0.99, 1.0 - 1e-6])
+    outer = np.array([1.0 + 1e-6, 1.01, 1.05, 1.1, 1.2, 1.2499])
+    got_contact = fields.stress_contact(p, c, contact)
+    got_outer = fields.stress_outer(p, c, outer)
+    with mpmath.workdps(50):
+        root_pi = mpmath.sqrt(mpmath.pi)
+        for r, got in zip(contact, got_contact):
+            x = mpmath.mpf(float(r * r))
+            want = -mpmath.mpf(p.delta_star) / (lam * mpmath.sqrt(mpmath.pi * (1 - x)))
+            want -= _mp_hyp_sum(c.B_minus, x) / (2 * lam * root_pi)
+            assert abs(got - want) <= 1e-12 * abs(want), r
+            assert got < 0.0
+        for r, got in zip(outer, got_outer):
+            x = mpmath.mpf(float(1.0 / (r * r)))
+            want = _mp_hyp_sum(c.A_plus, x) * x**1.5 / root_pi
+            assert abs(got - want) <= 1e-12 * abs(want), r
+            assert got > 0.0

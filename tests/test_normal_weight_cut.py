@@ -1,7 +1,8 @@
-"""The dense Schur solve keeps only unknowns whose row weight is at least 2**-1000.
+"""The dense Schur solve keeps only unknowns whose row weight is at least 2**-64.
 
-Rows whose weight lam**p or t**p is below the cut would carry subnormal
-numbers into the gemm and the LU; their A unknowns are filled by one
+An unknown whose row weight lam**p or t**p is below this rounding-level cut
+changes no entry it enters by more than the cut relative to that entry, so
+the solve leaves it out of the LU and fills its A unknowns by one
 substitution instead.  The solutions must still match a dense solve of the
 whole operator, for the model forcings and for the factor columns.
 """
@@ -13,11 +14,13 @@ from pennycontact import models
 from pennycontact.cli import main
 from pennycontact.factorization import _column_rhs
 from pennycontact.models import (
+    _MIN_WEIGHT,
     _MODEL_SCALE,
     AnnulusProblem,
     DiscProblem,
     _annulus_forcings,
     _disc_forcing,
+    _kept_counts,
     _row_weights,
     _solve_interleaved,
     system_matrix,
@@ -56,13 +59,7 @@ def _rhs(lam, t, N, system):
 
 
 SYSTEMS = ["disc", "disc columns", "annulus", "annulus columns"]
-# The disc systems see lam alone, and lam = 0.814 keeps every weight at N = 240.
-SHRINKING = [
-    (lam, t, N, system)
-    for lam, t, N in CUT_CASES
-    for system in SYSTEMS
-    if not (system.startswith("disc") and lam == 0.814)
-]
+SHRINKING = [(lam, t, N, system) for lam, t, N in CUT_CASES for system in SYSTEMS]
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -74,27 +71,36 @@ def test_cut_solve_matches_dense_solve(lam, t, N, system):
 
 @pytest.mark.parametrize("lam,t,N,system", SHRINKING)
 def test_rows_below_the_cut_satisfy_their_equations(lam, t, N, system):
-    # Rows with weights in [2**-1010, 2**-1000) are left to the substitution
-    # and still normal numbers, so their own defect can be judged relative to
-    # their weight (a zero fill would leave a defect of the unknown's size).
+    # Rows with weights in [cut 2**-10, cut) are left to the substitution, so
+    # their own defect is judged relative to their weight (a zero fill would
+    # leave a defect of the unknown's size).
     t = None if system.startswith("disc") else t
     rhs = _rhs(lam, t, N, system)
     x = _solve_interleaved(lam, t, rhs)
     k = rhs.shape[1]
     defect = system_matrix(lam, t, N) @ x.reshape(N * k, -1) - rhs.reshape(N * k, -1)
     weight = np.abs(_row_weights(lam, t, N)).T.reshape(-1)
-    rows = (2.0**-1010 <= weight) & (weight < 2.0**-1000)
+    rows = (_MIN_WEIGHT * 2.0**-10 <= weight) & (weight < _MIN_WEIGHT)
     assert rows.any()
     scaled = np.abs(defect[rows]).max(axis=1) / weight[rows]
     assert scaled.max() <= 1e-13 * np.abs(x).max()
 
 
+def _kept_rows(lam, t, N):
+    """Rows per slot at or above 2**-64: B- lam**(2n), A+ lam**(2n+1), A- t**(2n+1), B+ t**(2n+2)."""
+    powers = [(lam, 0), (lam, 1)] + ([] if t is None else [(t, 1), (t, 2)])
+    return [sum(w ** (2 * n + p) >= 2.0**-64 for n in range(N)) for w, p in powers]
+
+
 def _kept_a_rows(lam, t, N):
-    """A rows (A+ weight lam**(2n+1), A- weight t**(2n+1)) at or above 2**-1000."""
-    weights = [lam ** (2 * n + 1) for n in range(N)]
-    if t is not None:
-        weights += [t ** (2 * n + 1) for n in range(N)]
-    return sum(w >= 2.0**-1000 for w in weights)
+    """The Schur size: the kept A rows, A+ and (for the annulus) A-."""
+    return sum(_kept_rows(lam, t, N)[1:3])
+
+
+@pytest.mark.parametrize("lam,t", [(0.5, None), (0.9, None), (0.5, 0.3), (0.99, 0.95), (0.05, 0.0), (1e-305, None)])
+@pytest.mark.parametrize("N", [1, 60, 240, 1000])
+def test_kept_counts_follow_the_rule(lam, t, N):
+    assert _kept_counts(lam, t, N) == _kept_rows(lam, t, N)
 
 
 def _lu_dimensions(monkeypatch, lam, t, rhs):
@@ -129,7 +135,7 @@ def test_normal_weights_keep_the_full_lu(monkeypatch, system):
 
 # (lam, t, system) with one A slot below the cut at every n: the disc A+ weights
 # lam**(2n+1) and, at t = 2e-306, the annulus A- weights t**(2n+1), so the
-# Schur solve has a block of zero rows.
+# Schur solve keeps no row of that slot (and, for the disc, none at all).
 EMPTY_SLOT_CASES = [
     (1e-305, None, "disc"),
     (1e-305, None, "disc columns"),
@@ -143,7 +149,8 @@ def test_a_slot_cut_entirely_matches_dense_solve(monkeypatch, lam, t, system):
     N = 60
     rhs = _rhs(lam, t, N, system)
     _assert_matches_dense(lam, t, rhs)
-    assert _lu_dimensions(monkeypatch, lam, t, rhs) == [0 if t is None else N]
+    assert _kept_rows(lam, t, N)[1 if t is None else 2] == 0
+    assert _lu_dimensions(monkeypatch, lam, t, rhs) == [_kept_a_rows(lam, t, N)]
 
 
 @pytest.mark.parametrize(
