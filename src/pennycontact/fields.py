@@ -11,7 +11,9 @@ cross-checking.  Every sum over a coefficient family stops at the
 rounding-level weight cut (_kept).  The stress and displacement
 evaluators take a float or an array of positions and return the same
 kind; an array is evaluated with one recurrence over the series index
-for all its points.
+for all its points, and a float with the same recurrence on Python
+floats (specfun._recurrence), to the same bits.  The only scalar f_m call
+is the one that seeds the continuity column.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .models import CoefficientSetDisc, DiscProblem, _kept_counts
-from .specfun import SQRT_PI, _f_family, _gamma_ratios, f_m
+from .specfun import SQRT_PI, _f_family, _f_from_seed, _gamma_ratios, _recurrence, f_m
 
 __all__ = [
     "SifResult",
@@ -116,12 +118,10 @@ def _hyp_column(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     The column H_m = 2F1(3/2, 1/2-m; 3/2-m; x) follows the forward
     recurrence H_m = (1-x)**-1/2 + x m/(m - 3/2) H_{m-1} from the exact
     H_0 = (1-x)**-1/2; it runs on K_m = sqrt(1-x) H_m, for the same reason
-    as the G_m of _f_family.
+    as the G_m of specfun._f_from_seed, and on floats for one point.
     """
-    K = np.empty((len(coeffs), len(x)))
-    K[0] = 1.0
-    for m in range(1, len(coeffs)):
-        K[m] = 1.0 + x * (m / (m - 1.5)) * K[m - 1]
+    m = np.arange(1.0, len(coeffs))
+    K = _recurrence(1.0, m / (m - 1.5), x)
     return (coeffs / (np.arange(len(coeffs)) - 0.5)) @ K / np.sqrt(1.0 - x)
 
 
@@ -272,15 +272,18 @@ def continuity_defects(p: DiscProblem, c: CoefficientSetDisc) -> tuple[float, fl
     Both limits are evaluated from closed forms, not by sampling the
     displacement nearby: the boundary values of the hypergeometric family
     telescope to Gamma(m+1/2)/m!, taken from the running Gamma product
-    (specfun._gamma_ratios).  Exact solutions cancel both
-    defects identically; truncated ones leave an O(lam**2N) remainder.
+    (specfun._gamma_ratios), and the column f_m(lam**2) over the kept rows
+    comes from one f_m call at the last row, recurred down
+    (specfun._f_from_seed).  Exact solutions cancel both defects
+    identically; truncated ones leave an O(lam**2N) remainder.
     """
     lam = p.lam
     B_minus, A_plus = _kept(p, c)
     count = len(A_plus)
     # (2/sqrt(pi)) * f_m(1-) / (2m+1) telescopes to Gamma(m+1/2)/m!
     gam = _gamma_ratios(count) / (np.arange(count) + 0.5)
-    f_lam = np.array([f_m(m, lam * lam) for m in range(count)])
+    x = np.array([lam * lam])
+    f_lam = _f_from_seed(f_m(count - 1, lam * lam), count, x)[:, 0]
     two_m1 = 2.0 * np.arange(count) + 1.0
 
     delta0 = p.delta_over_a

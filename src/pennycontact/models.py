@@ -658,7 +658,7 @@ def _omega_tilde_columns(ratio: float, N: int) -> np.ndarray:
     s = 2.0 * np.arange(N) + 1.0
     return np.stack(
         [
-            2.0 * (_f_family_below(N, x) - 1.0) / (SQRT_PI * s),
+            2.0 * (_f_family_below(N, np.array([x]))[:, 0] - 1.0) / (SQRT_PI * s),
             2.0 * (f[:N] - 1.0) / (SQRT_PI * -s),
             ratio * f[1:] / (SQRT_PI * (s + 2.0)),
         ],

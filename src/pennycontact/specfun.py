@@ -1,10 +1,10 @@
 """Special functions used throughout the package.
 
 Real and complex gamma machinery, the Gauss hypergeometric function on
-[0, 1), the half-integer family f_m evaluated over all indices at once
-(private: the field evaluators and the annulus forcing build on it), and
-the Mellin kernel of the Weber-Sonin integral together with its
-plus/minus factorization.  The complex functions (log_gamma_complex, the
+[0, 1), the half-integer family f_m (one value by its seed series, or all
+indices at once by one recurrence: private, the field evaluators and the
+annulus forcing build on it), and the Mellin kernel of the Weber-Sonin
+integral together with its plus/minus factorization.  The complex functions (log_gamma_complex, the
 kernel and its factors, tan_half_pi, cot_half_pi) take a complex number or
 an array of them; the real ones take scalars.  Everything here is a pure
 function of its arguments; there is no shared mutable state.
@@ -316,10 +316,20 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
 
 
 def f_m(m: int, x: float) -> float:
-    """The half-integer hypergeometric family 2F1(1/2, m+1/2; m+3/2; x)."""
+    """The half-integer hypergeometric family 2F1(1/2, m+1/2; m+3/2; x).
+
+    Evaluated by the seed rule of _f_family (_f_seed), whose series have
+    positive terms on both sides of its switch, so the value is good to a few
+    ulps for every m and x in [0, 1); gauss_2f1's 1-x branch, which cancels
+    for large m, is not used.  One call sums a series of up to a few
+    thousand terms, so a column of f_m over m comes from one call and the
+    recurrence (_f_family, _f_from_seed), not from a call per m.
+    """
     if m < 0 or m != int(m):
         raise ValueError(f"index must be a nonnegative integer, got {m!r}")
-    return gauss_2f1(0.5, m + 0.5, m + 1.5, x)
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"argument must lie in [0, 1), got {x!r}")
+    return float(_f_seed(int(m), np.array([float(x)]))[0])
 
 
 def f_m_limit(m: int) -> float:
@@ -345,7 +355,7 @@ def _gamma_ratios(N: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# the f_m family over all indices at once
+# the f_m family over all indices at once, and the column recurrences
 # ----------------------------------------------------------------------
 
 
@@ -379,18 +389,41 @@ def _positive_series(ratio, z: np.ndarray) -> np.ndarray:
     return total
 
 
-def _f_family(count: int, x: np.ndarray) -> np.ndarray:
-    """F[m, i] = f_m(x[i]) = 2F1(1/2, m+1/2; m+3/2; x[i]) for m < count.
+def _recurrence(first, steps: np.ndarray, x: np.ndarray, downward: bool = False) -> np.ndarray:
+    """y_0 = first, y_{k+1} = 1 + (x steps[k]) y_k at every point of x.
 
-    Downward recurrence f_m = sqrt(1-x) + x (m+1)/(m+3/2) f_{m+1}, from the
-    Euler integral; its multiplier is below 1, so errors in the seed at
-    m = count-1 shrink on the way down.  The seed is the raw power series
-    (positive terms) where max(count-1, 2) (1-x) > 1, and otherwise the edge
-    form f_limit x**-(m+1/2) - (2m+1) sqrt(1-x) 2F1(m+1, 1; 3/2; 1-x), whose
-    series in 1-x has positive terms as well.
+    Shape (len(steps) + 1, len(x)): row k holds y_k, or, downward, row -1-k
+    does, so a family recurred down from its last index comes out in index
+    order.  Each step is a Python-level loop iteration, so one point runs on
+    floats, where a step costs a tenth of one on a numpy row of size 1; more
+    points run on numpy rows.  Both paths take the same IEEE operations in
+    the same order, (x * steps[k]) * y_k and then 1 + that, so a point gives
+    the same bits either way.
     """
-    top = count - 1
-    root = np.sqrt(1.0 - x)
+    if len(x) == 1:
+        point, y = float(x[0]), float(np.ravel(first)[0])
+        column = [y]
+        for c in steps.tolist():
+            y = 1.0 + point * c * y
+            column.append(y)
+        if downward:
+            column.reverse()
+        return np.array(column).reshape(-1, 1)
+    Y = np.empty((len(steps) + 1, len(x)))
+    rows = range(len(steps), -1, -1) if downward else range(len(steps) + 1)
+    Y[rows[0]] = first
+    for prev, row, c in zip(rows, rows[1:], steps.tolist()):
+        Y[row] = 1.0 + x * c * Y[prev]
+    return Y
+
+
+def _f_seed(top: int, x: np.ndarray) -> np.ndarray:
+    """f_top(x) at every point of x, from a series with positive terms.
+
+    The raw power series where max(top, 2) (1-x) > 1, and otherwise the edge
+    form f_limit x**-(top+1/2) - (2 top+1) sqrt(1-x) 2F1(top+1, 1; 3/2; 1-x),
+    whose series in 1-x has positive terms as well.
+    """
     seed = np.empty_like(x)
     near = (1.0 - x) * max(top, 2) <= 1.0
     far = ~near
@@ -404,33 +437,47 @@ def _f_family(count: int, x: np.ndarray) -> np.ndarray:
         tail = _positive_series(lambda k: (top + 1.0 + k) / (k + 1.5), u)
         seed[near] = (
             f_m_limit(top) * x[near] ** -(top + 0.5)
-            - (2 * top + 1) * root[near] * tail
+            - (2 * top + 1) * np.sqrt(u) * tail
         )
-    # Recur on G_m = f_m / sqrt(1-x) = 1 + x (m+1)/(m+3/2) G_{m+1}: adding the
-    # exact 1 rounds without bias, where adding the same sqrt(1-x) at every
-    # step would repeat one rounding error down the whole family.
-    G = np.empty((count, len(x)))
-    G[top] = seed / root
-    for m in range(top - 1, -1, -1):
-        G[m] = 1.0 + x * ((m + 1.0) / (m + 1.5)) * G[m + 1]
-    G *= root
-    return G
+    return seed
 
 
-def _f_family_below(count: int, x: float) -> np.ndarray:
-    """f_{-1-j}(x) for j < count: the f_m family continued below m = 0.
+def _f_from_seed(seed, count: int, x: np.ndarray) -> np.ndarray:
+    """F[m, i] = f_m(x[i]) for m < count, down from the seed F[count-1] = seed.
 
-    The recurrence of _f_family, run on from f_{-1} = 2F1(1/2, -1/2; 1/2; x)
-    = sqrt(1-x): G_m = f_m / sqrt(1-x) = 1 + x (m+1)/(m+3/2) G_{m+1} from
+    Downward recurrence f_m = sqrt(1-x) + x (m+1)/(m+3/2) f_{m+1}, from the
+    Euler integral; its multiplier is below 1, so errors in the seed shrink
+    on the way down.  It runs on G_m = f_m / sqrt(1-x) = 1 + x (m+1)/(m+3/2)
+    G_{m+1}: adding the exact 1 rounds without bias, where adding the same
+    sqrt(1-x) at every step would repeat one rounding error down the whole
+    family.
+    """
+    root = np.sqrt(1.0 - x)
+    m = np.arange(count - 2, -1, -1.0)
+    F = _recurrence(seed / root, (m + 1.0) / (m + 1.5), x, downward=True)
+    F *= root
+    return F
+
+
+def _f_family(count: int, x: np.ndarray) -> np.ndarray:
+    """F[m, i] = f_m(x[i]) = 2F1(1/2, m+1/2; m+3/2; x[i]) for m < count.
+
+    The downward recurrence of _f_from_seed, seeded at m = count-1 by
+    _f_seed.  One point costs one seed series and count float steps.
+    """
+    return _f_from_seed(_f_seed(count - 1, x), count, x)
+
+
+def _f_family_below(count: int, x: np.ndarray) -> np.ndarray:
+    """F[j, i] = f_{-1-j}(x[i]) for j < count: the f_m family continued below m = 0.
+
+    The recurrence of _f_from_seed, run on from f_{-1} = 2F1(1/2, -1/2; 1/2;
+    x) = sqrt(1-x): G_m = f_m / sqrt(1-x) = 1 + x (m+1)/(m+3/2) G_{m+1} from
     G_{-1} = 1.  For m <= -2 the multiplier is positive, so every step adds
     positive terms and a relative error cannot grow.
     """
-    G = np.empty(count)
-    acc = 1.0
-    for j in range(count):
-        G[j] = acc
-        acc = 1.0 + x * ((j + 1.0) / (j + 0.5)) * acc
-    return G * math.sqrt(1.0 - x)
+    j = np.arange(count - 1.0)
+    return _recurrence(1.0, (j + 1.0) / (j + 0.5), x) * np.sqrt(1.0 - x)
 
 
 # ----------------------------------------------------------------------

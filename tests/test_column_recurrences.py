@@ -1,0 +1,134 @@
+"""The f_m family and the K column from one recurrence, and the scalar f_m.
+
+specfun._recurrence runs every column recurrence of the package: on Python
+floats for one point and on numpy rows for more, with the same operations
+in the same order, so a point gives the same bits on either path.  The
+public f_m evaluates the family's seed series, and the continuity column
+is that one f_m call at the last kept row, recurred down.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from pennycontact import fields, specfun
+from pennycontact.fields import _hyp_column
+from pennycontact.models import DiscProblem, solve_disc_reduction
+from pennycontact.specfun import _f_family, _f_family_below, f_m
+
+DSTAR = 2.0 * 0.05 / math.sqrt(math.pi)
+
+FM_ORDERS = [0, 1, 2, 30, 100, 141, 240, 500, 999]
+FM_LAMBDAS = [0.01, 0.3, 0.5, 0.75, 0.87, 0.9, 0.95, 0.99, 0.995]
+
+
+def test_f_m_matches_mpmath():
+    # gauss_2f1's 1-x branch, which f_m used to take above x = 3/4, cancels
+    # for large m: it was off by up to 1e16 relative on this grid.
+    worst = 0.0
+    with mpmath.workdps(30):
+        for lam in FM_LAMBDAS:
+            x = lam * lam
+            for m in FM_ORDERS:
+                want = mpmath.hyp2f1(0.5, m + 0.5, m + 1.5, mpmath.mpf(x))
+                worst = max(worst, float(abs(f_m(m, x) - want) / want))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("m", [-1, 1.5, -0.5])
+def test_f_m_rejects_a_bad_index(m):
+    with pytest.raises(ValueError, match="index must be a nonnegative integer"):
+        f_m(m, 0.25)
+
+
+@pytest.mark.parametrize("x", [1.0, -1e-300, -0.2, 1.5, math.nan])
+def test_f_m_rejects_an_argument_outside_the_unit_interval(x):
+    with pytest.raises(ValueError, match=r"argument must lie in \[0, 1\)"):
+        f_m(3, x)
+
+
+def test_f_m_returns_a_float():
+    assert type(f_m(np.int64(4), np.float64(0.5))) is float
+    assert f_m(7, 0.0) == 1.0
+
+
+COUNTS = [1, 2, 61, 241, 1000]
+POINTS = [0.0, 1e-40, 0.25, 0.81, 0.9801]
+F_POINTS = POINTS + [1.0 - 1e-12]
+
+
+def _h_family(count, x):
+    # Row m of the identity picks H_m / (m - 1/2) out of the column sum: one
+    # nonzero product per entry, so the matrix product adds only exact zeros.
+    return _hyp_column(np.eye(count), x)
+
+
+@pytest.mark.parametrize(
+    "family, points",
+    [(_f_family, F_POINTS), (_f_family_below, F_POINTS), (_h_family, POINTS)],
+    ids=["f_down", "f_below", "h_up"],
+)
+@pytest.mark.parametrize("count", COUNTS)
+def test_one_point_equals_its_column_of_two(family, points, count):
+    for i, x in enumerate(points):
+        other = points[(i + 1) % len(points)]
+        one = family(count, np.array([x]))
+        two = family(count, np.array([x, other]))
+        assert one.shape == (count, 1) and two.shape == (count, 2)
+        assert np.all(np.isfinite(one))
+        assert np.array_equal(one[:, 0], two[:, 0]), (count, x)
+
+
+def _continuity_mp(p, B_minus, A_plus):
+    """Both continuity defects from their closed forms, every term in mpmath."""
+    lam = mpmath.mpf(p.lam)
+    x = mpmath.mpf(p.lam * p.lam)
+    root_pi = mpmath.sqrt(mpmath.pi)
+    theta1, delta0 = mpmath.mpf(p.theta1), mpmath.mpf(p.delta_over_a)
+    gam_b = gam_a = f_b = f_a = mpmath.mpf(0)
+    for m in range(len(A_plus)):
+        gam = mpmath.gamma(m + mpmath.mpf(0.5)) / mpmath.factorial(m)
+        f = mpmath.hyp2f1(0.5, m + 0.5, m + 1.5, x) / (2 * m + 1)
+        b, a = mpmath.mpf(float(B_minus[m])), mpmath.mpf(float(A_plus[m]))
+        gam_b += b * gam
+        gam_a += a * gam
+        f_b += b * f
+        f_a += a * f
+    chi_b = -delta0 / theta1 + gam_b / 2 - 2 / root_pi * f_a
+    chi_a = -mpmath.mpf(p.delta_star) / root_pi * mpmath.asin(lam) + lam / root_pi * f_b - gam_a
+    return abs(theta1 * chi_b + delta0), abs(theta1 * chi_a)
+
+
+@pytest.mark.parametrize("N", [60, 240])
+@pytest.mark.parametrize("lam", [0.87, 0.9, 0.95])
+def test_continuity_column_from_one_f_m_call(monkeypatch, lam, N):
+    p = DiscProblem(lam=lam, delta_star=DSTAR)
+    c = solve_disc_reduction(p, N)
+    calls, columns = [], []
+
+    def counted_f_m(m, x):
+        calls.append((m, x))
+        return f_m(m, x)
+
+    def recorded(seed, count, x):
+        columns.append(specfun._f_from_seed(seed, count, x)[:, 0])
+        return columns[-1][:, np.newaxis]
+
+    monkeypatch.setattr(fields, "f_m", counted_f_m)
+    monkeypatch.setattr(fields, "_f_from_seed", recorded)
+    got = fields.continuity_defects(p, c)
+    B_minus, A_plus = fields._kept(p, c)
+    assert calls == [(len(A_plus) - 1, lam * lam)]
+    assert len(columns) == 1 and len(columns[0]) == len(A_plus)
+    with mpmath.workdps(50):
+        x = mpmath.mpf(lam * lam)
+        worst = max(
+            float(abs(v - mpmath.hyp2f1(0.5, m + 0.5, m + 1.5, x)) / mpmath.hyp2f1(0.5, m + 0.5, m + 1.5, x))
+            for m, v in enumerate(columns[0])
+        )
+        want = _continuity_mp(p, B_minus, A_plus)
+    assert worst <= 1e-15
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-16, (g, float(w))
