@@ -36,9 +36,6 @@ from .models import (
     DiscProblem,
     RecurrenceTable,
     SingularSystemError,
-    omega1_disc,
-    omega_annulus_flat,
-    omega_tilde,
     recurrence_table,
     solve_annulus_reduction,
     solve_disc_recurrence,
@@ -51,7 +48,6 @@ from .specfun import (
     f_m,
     f_m_limit,
     gamma,
-    gauss_2f1,
     kernel_L,
     l_minus,
     l_plus,
@@ -84,15 +80,11 @@ __all__ = [
     "f_m",
     "f_m_limit",
     "gamma",
-    "gauss_2f1",
     "kernel_L",
     "l_minus",
     "l_plus",
     "log_gamma_complex",
     "matrix_sample",
-    "omega1_disc",
-    "omega_annulus_flat",
-    "omega_tilde",
     "partial_index_estimate",
     "pochhammer",
     "recurrence_table",

@@ -229,7 +229,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config: cannot read {path!r}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config: top-level JSON value must be an object")
@@ -379,9 +379,13 @@ def load_coefficients(path):
     """Reload a serialized coefficient artifact into problem + coefficients.
 
     Keys, types and array lengths are checked against the dataclass fields;
-    a malformed artifact raises a one-line ValueError naming the file.
+    a missing, unreadable or malformed artifact raises a one-line ValueError
+    naming the file.
     """
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: cannot read: {exc}") from exc
     model = raw.get("model") if isinstance(raw, dict) else None
     if model not in _ARTIFACT_TYPES:
         raise ValueError(f"{path}: model must be 'disc' or 'annulus', got {model!r}")

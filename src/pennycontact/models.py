@@ -11,6 +11,9 @@ lambda = b/a.
 The loading enters only through the indentation parameter
 delta_star = 2*delta / (a * theta1 * sqrt(pi)), so every coefficient is
 linear in delta_star.
+
+The forcing functions are built only as arrays, at the points s where the
+equations sample them.
 """
 
 from __future__ import annotations
@@ -28,9 +31,6 @@ from .specfun import (
     _f_family,
     _f_family_below,
     _gamma_ratios,
-    gauss_2f1,
-    l_minus,
-    l_plus_reciprocal,
 )
 
 __all__ = [
@@ -40,9 +40,6 @@ __all__ = [
     "CoefficientSetDisc",
     "CoefficientSetAnnulus",
     "RecurrenceTable",
-    "omega1_disc",
-    "omega_tilde",
-    "omega_annulus_flat",
     "recurrence_table",
     "system_matrix",
     "solve_disc_reduction",
@@ -57,9 +54,6 @@ DEFAULT_ORDER = 120
 _SERIES_RTOL = 1e-16
 _SERIES_MAX_TERMS = 100_000
 _POLE_TOL = 1e-9
-
-# omega-tilde branch crossover: series below, hypergeometric above (at small |s|).
-_OMEGA_SWITCH_T2 = 0.75
 
 
 class SingularSystemError(RuntimeError):
@@ -164,25 +158,8 @@ class RecurrenceTable:
 
 
 # ----------------------------------------------------------------------
-# right-hand-side functions
+# the annulus correction term as a partial-fraction series
 # ----------------------------------------------------------------------
-
-
-def omega1_disc(side: str, s: float, delta_star: float = 1.0) -> float:
-    """Forcing function of the disc system for the flat inclusion.
-
-    The minus branch is -delta_star/s; the plus branch carries the
-    kernel-factor correction, whose growth softens the tail to
-    O(|s|**-1/2) along the negative axis.
-    """
-    if s == 0.0:
-        raise PoleError("omega1 is singular at s = 0")
-    if side == "minus":
-        return -delta_star / s
-    if side == "plus":
-        inv = l_plus_reciprocal(complex(s)).real
-        return delta_star * (SQRT_PI * inv - 1.0) / s
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
 
 def _pole_series(s: float, pole: float, step: float, coef: float, h: float, t2: float) -> float:
@@ -202,10 +179,12 @@ def _pole_series(s: float, pole: float, step: float, coef: float, h: float, t2: 
 
 
 def _omega_tilde_series(side: str, s: float, ratio: float) -> float:
-    """Partial-fraction series for the annulus correction term.
+    """Partial-fraction series for the annulus correction term omega-tilde.
 
     Plus side: poles at s = 2n + 2, c_0 = Gamma(3/2) ratio**2.
     Minus side: poles at s = -(2n + 1), c_0 = Gamma(1/2) ratio.
+    It shares no code with the closed forms of _omega_tilde_columns, so
+    `verify` checks those against it.
     """
     t2 = ratio * ratio
     if side == "plus":
@@ -213,91 +192,6 @@ def _omega_tilde_series(side: str, s: float, ratio: float) -> float:
         return (2.0 / math.pi) * _pole_series(s, 2.0, 2.0, coef, 1.5, t2)
     if side == "minus":
         return _pole_series(s, -1.0, -2.0, SQRT_PI * ratio, 0.5, t2) / math.pi
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-
-
-def _omega_tilde_hypergeometric(side: str, s: float, ratio: float) -> float:
-    """Closed hypergeometric form of the annulus correction term."""
-    t2 = ratio * ratio
-    if side == "plus":
-        if s == 0.0:
-            raise PoleError("omega-tilde+ closed form is singular at s = 0")
-        value = gauss_2f1(-s / 2.0, 0.5, 1.0 - s / 2.0, t2)
-        return 2.0 * (value - 1.0) / (SQRT_PI * s)
-    if side == "minus":
-        if s == -1.0:
-            raise PoleError("omega-tilde- closed form is singular at s = -1")
-        value = gauss_2f1((s + 1.0) / 2.0, 0.5, (s + 3.0) / 2.0, t2)
-        return ratio * value / (SQRT_PI * (s + 1.0))
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-
-
-def omega_tilde(side: str, s: float, ratio: float, method: str = "auto") -> float:
-    """Annulus correction term, by series or equivalent hypergeometric form.
-
-    ratio = lam0/lam1.  The automatic branch takes the hypergeometric form
-    only where ratio**2 > 3/4 and |s| (1 - ratio**2) <= 1, the rule by which
-    specfun._f_family picks its seed: there the series converges slowly,
-    while at larger |s| the 1-x transformation inside gauss_2f1 loses all
-    accuracy and the series stays at roundoff.
-    """
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError(f"ratio must lie in [0, 1), got {ratio!r}")
-    if ratio == 0.0:
-        return 0.0
-    if method == "series":
-        return _omega_tilde_series(side, s, ratio)
-    if method == "hypergeometric":
-        return _omega_tilde_hypergeometric(side, s, ratio)
-    if method == "auto":
-        t2 = ratio * ratio
-        if t2 > _OMEGA_SWITCH_T2 and abs(s) * (1.0 - t2) <= 1.0:
-            return _omega_tilde_hypergeometric(side, s, ratio)
-        return _omega_tilde_series(side, s, ratio)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def omega_annulus_flat(
-    which: int,
-    side: str,
-    s: float,
-    problem: AnnulusProblem,
-    method: str = "auto",
-) -> float:
-    """Forcing functions of the annulus system for a flat inclusion.
-
-    which selects the pair (1 for the outer-edge functions, 2 for the
-    inner ones); side picks the half-plane limit.  At lam0 = 0 the
-    residual terms vanish and omega_1^- reduces to the disc forcing.
-    The solvers evaluate the forcing points as arrays (_annulus_omegas);
-    this scalar form is the reference those are tested against.
-    """
-    if s == 0.0:
-        raise PoleError("omega is singular at s = 0")
-    t = problem.radius_ratio
-    scale = 0.5 * problem.delta_star * SQRT_PI  # delta / (a theta1)
-    if which == 1:
-        wt = omega_tilde("plus", s, t, method)
-        if side == "plus":
-            inv = l_plus_reciprocal(complex(s)).real
-            return scale * ((2.0 / s) * (inv - 1.0 / SQRT_PI) - wt)
-        if side == "minus":
-            inv = l_plus_reciprocal(complex(s)).real
-            pow_ts = 0.0 if t == 0.0 else t**s
-            return scale * (
-                -2.0 / (s * SQRT_PI) + (2.0 / s) * inv * pow_ts - wt
-            )
-    elif which == 2:
-        wt = omega_tilde("minus", s, t, method)
-        lm = l_minus(complex(s)).real
-        if side == "minus":
-            return scale * (lm / s - wt)
-        if side == "plus":
-            if t == 0.0:
-                raise ValueError("omega_2^+ is unbounded in the disc limit")
-            return scale * (t ** (-s) * lm / s - wt)
-    else:
-        raise ValueError(f"which must be 1 or 2, got {which!r}")
     raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
 
@@ -575,7 +469,7 @@ def _disc_forcing(p: DiscProblem, N: int) -> np.ndarray:
     """Right-hand side, per n as (B-, A+), of the disc equations.
 
     The A+ row is -delta_star lam**(2n+1) / (pi (2n+1)), lam**(2n+1)/pi
-    times omega1_disc("minus", 2n+1).
+    times the disc forcing omega_1^-(s) = -delta_star/s at s = 2n+1.
     """
     column = np.zeros((N, 2))
     column[:, 1] = -p.delta_star / (math.pi * (2.0 * np.arange(N) + 1.0))
@@ -646,12 +540,14 @@ def solve_disc_recurrence(
 
 
 def _omega_tilde_columns(ratio: float, N: int) -> np.ndarray:
-    """omega_tilde at the annulus forcing points, shape (N, 3), from one f_m pass.
+    """omega-tilde at the annulus forcing points, shape (N, 3), from one f_m pass.
 
     Columns: the plus side at s = 2k+1 and at s = -(2k+1), and the minus side
-    at s = 2k+2.  In the closed hypergeometric forms these are f_m(ratio**2)
-    at m = -k-1, k and k+1, so one downward recurrence in m, continued below
-    m = 0, serves all three.
+    at s = 2k+2.  The closed forms are, with x = ratio**2,
+    plus: 2 (2F1(-s/2, 1/2; 1 - s/2; x) - 1) / (sqrt(pi) s) and
+    minus: ratio 2F1((s+1)/2, 1/2; (s+3)/2; x) / (sqrt(pi) (s+1)),
+    and at these points their 2F1 values are f_m(x) at m = -k-1, k and k+1,
+    so one downward recurrence in m, continued below m = 0, serves all three.
     """
     x = ratio * ratio
     f = _f_family(N + 1, np.array([x]))[:, 0]
@@ -667,11 +563,16 @@ def _omega_tilde_columns(ratio: float, N: int) -> np.ndarray:
 
 
 def _annulus_omegas(p: AnnulusProblem, N: int) -> np.ndarray:
-    """omega_annulus_flat at the forcing points, shape (N, 3), as arrays.
+    """The annulus forcing functions at their sample points, shape (N, 3).
 
     Columns: omega_1^- at s = 2k+1, where 1/L+ vanishes; omega_1^+ at
     s = -(2k+1) and omega_2^- at s = 2k+2, whose kernel factors are both
-    Gamma(k+3/2)/Gamma(k+1).
+    Gamma(k+3/2)/Gamma(k+1).  In units of delta/(a theta1), with t = lam0/lam1:
+        omega_1^+(s) = (2/s) (1/L+(s) - 1/sqrt(pi)) - wt+(s)
+        omega_1^-(s) = (2/s) (t**s / L+(s) - 1/sqrt(pi)) - wt+(s)
+        omega_2^-(s) = L-(s)/s - wt-(s)
+    where wt is omega-tilde (_omega_tilde_columns).  At lam0 = 0 wt vanishes
+    and omega_1^- is the disc forcing.
     """
     s = 2.0 * np.arange(N) + 1.0
     g = _gamma_ratios(N)

@@ -1,13 +1,15 @@
 """Special functions used throughout the package.
 
-Real and complex gamma machinery, the Gauss hypergeometric function on
-[0, 1), the half-integer family f_m (one value by its seed series, or all
-indices at once by one recurrence: private, the field evaluators and the
-annulus forcing build on it), and the Mellin kernel of the Weber-Sonin
-integral together with its plus/minus factorization.  The complex functions (log_gamma_complex, the
-kernel and its factors, tan_half_pi, cot_half_pi) take a complex number or
-an array of them; the real ones take scalars.  Everything here is a pure
-function of its arguments; there is no shared mutable state.
+Real and complex gamma machinery, the half-integer hypergeometric family
+f_m = 2F1(1/2, m+1/2; m+3/2; x) on [0, 1), and the Mellin kernel of the
+Weber-Sonin integral together with its plus/minus factorization.  f_m gives
+one value by its seed series; _f_family gives all indices at once by one
+recurrence, and _recurrence, which runs it, also runs the field evaluators'
+H_m column: every hypergeometric value in the package comes from these.
+The complex functions (log_gamma_complex, the kernel and its factors,
+tan_half_pi, cot_half_pi) take a complex number or an array of them; the
+real ones take scalars.  Everything here is a pure function of its
+arguments; there is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "gamma",
     "log_gamma_complex",
     "pochhammer",
-    "gauss_2f1",
     "f_m",
     "f_m_limit",
     "kernel_L",
@@ -36,21 +37,14 @@ __all__ = [
 
 SQRT_PI = math.sqrt(math.pi)
 
-# Series termination contract: stop when the last term is below
-# _SERIES_RTOL times the partial sum, give up past _SERIES_MAX_TERMS.
-_SERIES_RTOL = 1e-16
-_SERIES_MAX_TERMS = 100_000
-
 # Arguments closer than this to a pole raise PoleError instead of
 # returning a huge value.
 _POLE_TOL = 1e-9
 
-# Threshold for the 1-x transformed hypergeometric expansion.
-_HYP_SWITCH_X = 0.75
-
-# Positive series seeding the array f_m recurrence: relative tolerance and
-# array elements per cumulative-product block (the term cap is shared).
+# Positive series seeding the f_m family: relative tolerance, term cap and
+# array elements per cumulative-product block.
 _FAMILY_RTOL = 1e-17
+_SERIES_MAX_TERMS = 100_000
 _FAMILY_BLOCK = 1 << 12
 
 # exp(i*pi*s) scaling kicks in for tan/cot once the naive evaluation
@@ -205,114 +199,9 @@ def pochhammer(a: float, m: int) -> float:
     return out
 
 
-def _gamma_sign(x: float) -> float:
-    """Sign of Gamma at a real non-pole argument."""
-    if x > 0.0:
-        return 1.0
-    return 1.0 if math.floor(x) % 2 == 0 else -1.0
-
-
-def _gamma_quotient(numerators, denominators) -> float:
-    """prod Gamma(numerators) / prod Gamma(denominators) via lgamma.
-
-    A pole in a denominator zeroes the quotient; a pole in a numerator
-    raises, since no caller has a finite limit there.
-    """
-    for x in denominators:
-        if _nearest_nonpositive_integer_distance(complex(x))[0] < _POLE_TOL:
-            return 0.0
-    log_acc = 0.0
-    sign = 1.0
-    for x in numerators:
-        dist, n = _nearest_nonpositive_integer_distance(complex(x))
-        if x <= 0.5 and dist < _POLE_TOL:
-            raise PoleError(f"gamma pole at {n}")
-        log_acc += math.lgamma(x)
-        sign *= _gamma_sign(x)
-    for x in denominators:
-        log_acc -= math.lgamma(x)
-        sign *= _gamma_sign(x)
-    return sign * math.exp(log_acc)
-
-
 # ----------------------------------------------------------------------
-# Gauss hypergeometric function
+# the half-integer hypergeometric family f_m
 # ----------------------------------------------------------------------
-
-
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.5 and abs(x - round(x)) < _POLE_TOL
-
-
-def _hyp_series(a: float, b: float, c: float, x: float) -> float:
-    """Raw hypergeometric power series at 0 <= x < 1.
-
-    Terminates exactly when a or b is a nonpositive integer; otherwise
-    stops on the relative-tolerance contract.
-    """
-    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        n_terms = int(-min(round(a), round(b)))
-        term = 1.0
-        total = 1.0
-        for k in range(n_terms):
-            term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
-            total += term
-        return total
-    total = 1.0
-    term = 1.0
-    for k in range(_SERIES_MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
-        total += term
-        if abs(term) < _SERIES_RTOL * abs(total):
-            return total
-    raise ConvergenceError(
-        f"2F1 series did not converge for a={a}, b={b}, c={c}, x={x}"
-    )
-
-
-def _hyp_transformed(a: float, b: float, c: float, x: float) -> float:
-    """Hypergeometric value via the two-term expansion around x = 1.
-
-    Requires c - a - b non-integer (all parameter families used here
-    have c - a - b = +-1/2).  Coefficients where 1/Gamma hits a pole
-    drop out, which covers the terminating edge representations.
-    """
-    s = c - a - b
-    if abs(s - round(s)) < _POLE_TOL:
-        raise ValueError(
-            f"1-x expansion needs non-integer c-a-b, got {s!r}"
-        )
-    u = 1.0 - x
-    coef1 = _gamma_quotient((c, s), (c - a, c - b))
-    coef2 = _gamma_quotient((c, -s), (a, b))
-    total = 0.0
-    if coef1 != 0.0:
-        total += coef1 * _hyp_series(a, b, 1.0 - s, u)
-    if coef2 != 0.0:
-        total += coef2 * u**s * _hyp_series(c - a, c - b, 1.0 + s, u)
-    return total
-
-
-def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; x) for real x in [0, 1).
-
-    Uses the raw power series up to x = 0.75 and the transformed
-    expansion in powers of 1 - x above that, where the raw series
-    degrades.
-    """
-    if _is_nonpositive_integer(c):
-        raise PoleError(f"2F1 parameter c at pole {round(c)}")
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"argument must lie in [0, 1), got {x!r}")
-    if x == 0.0:
-        return 1.0
-    if a == c:
-        return (1.0 - x) ** (-b)
-    if b == c:
-        return (1.0 - x) ** (-a)
-    if x <= _HYP_SWITCH_X or _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        return _hyp_series(a, b, c, x)
-    return _hyp_transformed(a, b, c, x)
 
 
 def f_m(m: int, x: float) -> float:
@@ -320,8 +209,7 @@ def f_m(m: int, x: float) -> float:
 
     Evaluated by the seed rule of _f_family (_f_seed), whose series have
     positive terms on both sides of its switch, so the value is good to a few
-    ulps for every m and x in [0, 1); gauss_2f1's 1-x branch, which cancels
-    for large m, is not used.  One call sums a series of up to a few
+    ulps for every m and x in [0, 1).  One call sums a series of up to a few
     thousand terms, so a column of f_m over m comes from one call and the
     recurrence (_f_family, _f_from_seed), not from a call per m.
     """

@@ -3,7 +3,8 @@
 These are deliberately independent of the library under test: gamma via
 an upward product into the Stirling region, log-gamma via recursion, and
 the hypergeometric function as a brute-force raw series, all in mpmath
-working precision.  The truncated coefficient systems are re-derived term
+working precision; the annulus forcing columns come from their definitions,
+with mpmath's own hyp2f1 and gamma.  The truncated coefficient systems are re-derived term
 by term in their original scaling, so a wrong block in the library's
 shared operator cannot cancel out of the check, and the lambda-power
 tables are filled by the plain double loop over orders and terms.
@@ -177,3 +178,34 @@ def power_table_oracle(seed_a, seed_b, n_rows, order_K):
         for m in range(k // 2 + 1):
             a[:, k] += b[m, k - 2 * m] / den[m]
     return a, b
+
+
+def exact_omegas(ratio: float, delta_star: float, count: int) -> np.ndarray:
+    """The annulus forcing from its definitions, in 40-digit arithmetic.
+
+    Columns omega_1^-(2k+1), omega_1^+(-(2k+1)) and omega_2^-(2k+2), k < count,
+    for inner-to-outer radius ratio `ratio`.
+    """
+    out = np.empty((count, 3))
+    with mp.workdps(40):
+        t = mp.mpf(ratio)
+        x = t * t
+        rpi = mp.sqrt(mp.pi)
+        scale = delta_star * rpi / 2
+
+        def wt_plus(s):
+            return 2 * (mp.hyp2f1(-s / 2, 0.5, 1 - s / 2, x) - 1) / (rpi * s)
+
+        def inv_l_plus(s):
+            return mp.gamma(1 - s / 2) * mp.rgamma(mp.mpf(1) / 2 - s / 2)
+
+        for k in range(count):
+            s = mp.mpf(2 * k + 1)
+            kernel_term = (2 / s) * inv_l_plus(s) * t**s
+            out[k, 0] = scale * (-2 / (s * rpi) + kernel_term - wt_plus(s))
+            out[k, 1] = scale * ((2 / -s) * (inv_l_plus(-s) - 1 / rpi) - wt_plus(-s))
+            s = mp.mpf(2 * k + 2)
+            l_minus = mp.gamma(mp.mpf(1) / 2 + s / 2) * mp.rgamma(s / 2)
+            wt_minus = t * mp.hyp2f1((s + 1) / 2, 0.5, (s + 3) / 2, x) / (rpi * (s + 1))
+            out[k, 2] = scale * (l_minus / s - wt_minus)
+    return out

@@ -181,17 +181,20 @@ def test_criterion_8_dual_method_equivalence():
 
 def test_criterion_9_special_function_oracles():
     with _Criterion(9, "hypergeometric layer against brute-force oracles"):
+        xs = (0.1, 0.4, 0.75, 0.9, 0.95)
+        # H_m = 2F1(3/2, 1/2-m; 3/2-m; x) from the stress evaluators' column:
+        # row m of the identity picks H_m / (m - 1/2) out of its sum
+        h = fields._hyp_column(np.eye(21), np.array(xs)) * (np.arange(21) - 0.5)[:, None]
         for m in (0, 1, 3, 8, 20):
-            for x in (0.1, 0.4, 0.75, 0.9, 0.95):
-                for a, b, c in [
-                    (0.5, m + 0.5, m + 1.5),
-                    (1.5, 0.5 - m, 1.5 - m),
+            for i, x in enumerate(xs):
+                for (a, b, c), got in [
+                    ((0.5, m + 0.5, m + 1.5), specfun.f_m(m, x)),
+                    ((1.5, 0.5 - m, 1.5 - m), h[m, i]),
                 ]:
                     want = float(hyp2f1_raw_series_oracle(a, b, c, x))
-                    got = specfun.gauss_2f1(a, b, c, x)
                     assert abs(got - want) <= 1e-10 * abs(want), (a, b, c, x)
         for x in np.linspace(0.01, 0.99, 50):
-            got = specfun.gauss_2f1(0.5, 0.5, 1.5, float(x) ** 2)
+            got = specfun.f_m(0, float(x) ** 2)
             want = math.asin(x) / x
             assert abs(got - want) <= 1e-11 * abs(want)
         for m in range(30):

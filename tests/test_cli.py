@@ -55,6 +55,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown keys"):
             load_config(str(path), {})
 
+    def test_config_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(str(path), {})
+
     def test_theta1_from_elastic_constants(self):
         cfg = RunConfig(nu=0.3, shear_modulus=2.0)
         assert cfg.theta1 == pytest.approx(0.35)
@@ -457,3 +463,12 @@ class TestArtifactSchema:
     def test_out_of_range_problem(self, tmp_path):
         path = self.artifact(tmp_path, **{"lambda": 1.5})
         self.assert_rejected(path, "lam must lie in")
+
+    def test_missing_file(self, tmp_path):
+        self.assert_rejected(tmp_path / "absent.json", "cannot read")
+
+    @pytest.mark.parametrize("content", [b"A_plus = [0.0]\n", b"\xff\xfe{}"], ids=["text", "binary"])
+    def test_not_json(self, tmp_path, content):
+        path = tmp_path / "coeffs.json"
+        path.write_bytes(content)
+        self.assert_rejected(path, "cannot read")

@@ -25,8 +25,9 @@ FM_LAMBDAS = [0.01, 0.3, 0.5, 0.75, 0.87, 0.9, 0.95, 0.99, 0.995]
 
 
 def test_f_m_matches_mpmath():
-    # gauss_2f1's 1-x branch, which f_m used to take above x = 3/4, cancels
-    # for large m: it was off by up to 1e16 relative on this grid.
+    # The textbook 1-x transformation of 2F1 cancels for large m above
+    # x = 3/4: it was off by up to 1e16 relative on this grid.  f_m's edge
+    # series has positive terms instead.
     worst = 0.0
     with mpmath.workdps(30):
         for lam in FM_LAMBDAS:

@@ -9,9 +9,9 @@ from pennycontact.models import (
     AnnulusProblem,
     CoefficientSetDisc,
     DiscProblem,
-    omega1_disc,
-    omega_annulus_flat,
-    omega_tilde,
+    _annulus_forcings,
+    _disc_forcing,
+    _omega_tilde_series,
     recurrence_table,
     solve_annulus_reduction,
     solve_disc_recurrence,
@@ -20,7 +20,7 @@ from pennycontact.models import (
 )
 from pennycontact.specfun import PoleError
 
-from oracles import annulus_equation_defect, disc_equation_defect
+from oracles import annulus_equation_defect, disc_equation_defect, exact_omegas
 
 PI = math.pi
 
@@ -48,20 +48,14 @@ class TestProblemValidation:
 
 class TestOmega1Disc:
     def test_minus_at_odd_integers(self):
+        # the A+ row of the disc forcing is lam**(2n+1)/pi times
+        # omega_1^-(2n+1) = -delta_star/(2n+1)
         dstar = 0.7
-        assert omega1_disc("minus", 1.0, dstar) == pytest.approx(-dstar)
-        assert omega1_disc("minus", 3.0, dstar) == pytest.approx(-dstar / 3.0)
-        assert omega1_disc("minus", 11.0, dstar) == pytest.approx(-dstar / 11.0)
-
-    def test_plus_decays(self):
-        # the kernel-factor term makes the tail O(|s|**-1/2), not O(1/s)
-        vals = [abs(omega1_disc("plus", s, 1.0)) for s in (-10.0, -1000.0, -100000.0)]
-        assert vals[0] > vals[1] > vals[2]
-        assert vals[2] == pytest.approx(math.sqrt(PI / (2 * 100000.0)), rel=1e-2)
-
-    def test_zero_argument(self):
-        with pytest.raises(PoleError):
-            omega1_disc("minus", 0.0, 1.0)
+        p = DiscProblem(lam=0.5, delta_star=dstar)
+        omega = _disc_forcing(p, 6)[:, 1] * PI / p.lam ** (2 * np.arange(6) + 1)
+        assert omega[0] == pytest.approx(-dstar)
+        assert omega[1] == pytest.approx(-dstar / 3.0)
+        assert omega[5] == pytest.approx(-dstar / 11.0)
 
 
 class TestRecurrenceTable:
@@ -145,53 +139,25 @@ class TestDiscSolvers:
 
 
 class TestOmegaTilde:
-    def test_series_equals_hypergeometric(self):
-        for side in ("plus", "minus"):
-            for s in (3.0, 4.4, -7.3, 12.1):
-                a = omega_tilde(side, s, 0.5, "series")
-                b = omega_tilde(side, s, 0.5, "hypergeometric")
-                assert abs(a - b) <= 1e-11 * max(1.0, abs(a))
-
-    def test_large_ratio_branch(self):
-        for side in ("plus", "minus"):
-            a = omega_tilde(side, 5.3, 0.95, "series")
-            b = omega_tilde(side, 5.3, 0.95, "hypergeometric")
-            auto = omega_tilde(side, 5.3, 0.95, "auto")
-            assert a == pytest.approx(b, rel=1e-10)
-            assert auto == b  # auto picks the transformed route here
-
     def test_vanishes_at_zero_ratio(self):
-        assert omega_tilde("plus", 3.0, 0.0) == 0.0
-        assert omega_tilde("minus", 3.0, 0.0) == 0.0
+        assert _omega_tilde_series("plus", 3.0, 0.0) == 0.0
+        assert _omega_tilde_series("minus", 3.0, 0.0) == 0.0
 
     def test_pole_guard(self):
         with pytest.raises(PoleError):
-            omega_tilde("plus", 4.0, 0.5, "series")
+            _omega_tilde_series("plus", 4.0, 0.5)
         with pytest.raises(PoleError):
-            omega_tilde("minus", -3.0, 0.5, "series")
+            _omega_tilde_series("minus", -3.0, 0.5)
 
 
 class TestOmegaAnnulus:
-    def setup_method(self):
-        self.p = AnnulusProblem(lam0=0.25, lam1=0.5, delta_star=1.0)
-
     def test_disc_limit_of_omega1_minus(self):
+        # at lam0 = 0 the annulus A+ forcing row is the disc's
         p0 = AnnulusProblem(lam0=0.0, lam1=0.5, delta_star=1.0)
+        annulus = _annulus_forcings(p0, 4)[:, 1]
+        disc = _disc_forcing(DiscProblem(lam=0.5, delta_star=1.0), 4)[:, 1]
         for n in range(4):
-            s = 2.0 * n + 1.0
-            assert omega_annulus_flat(1, "minus", s, p0) == pytest.approx(
-                omega1_disc("minus", s, 1.0), rel=1e-14
-            )
-
-    def test_method_choice_is_consistent(self):
-        for which, side, s in [(1, "minus", 3.0), (1, "plus", -3.0), (2, "minus", 4.0)]:
-            a = omega_annulus_flat(which, side, s, self.p, "series")
-            b = omega_annulus_flat(which, side, s, self.p, "hypergeometric")
-            assert a == pytest.approx(b, rel=1e-11)
-
-    def test_zero_argument(self):
-        with pytest.raises(PoleError):
-            omega_annulus_flat(1, "minus", 0.0, self.p)
+            assert annulus[n] == pytest.approx(disc[n], rel=1e-14)
 
 
 class TestAnnulusSolver:
@@ -248,13 +214,9 @@ def test_disc_solution_satisfies_elementwise_equations():
 
 @pytest.mark.parametrize("lam0", [0.2, 0.45])
 def test_annulus_solution_satisfies_elementwise_equations(lam0):
-    # lam0 = 0.45 has ratio**2 = 0.81 > 0.75, the hypergeometric
-    # omega-tilde branch
     p = AnnulusProblem(lam0=lam0, lam1=0.5, delta_star=1.0)
     c = solve_annulus_reduction(p, 12)
-    w1m = [omega_annulus_flat(1, "minus", 2 * n + 1.0, p) for n in range(12)]
-    w1p = [omega_annulus_flat(1, "plus", -(2 * n + 1.0), p) for n in range(12)]
-    w2m = [omega_annulus_flat(2, "minus", 2 * n + 2.0, p) for n in range(12)]
+    w1m, w1p, w2m = exact_omegas(p.radius_ratio, p.delta_star, 12).T
     defect = annulus_equation_defect(
         p.lam1, p.radius_ratio, w1m, w1p, w2m, c.A_plus, c.A_minus, c.B_plus, c.B_minus
     )

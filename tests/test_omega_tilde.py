@@ -1,14 +1,15 @@
 """Annulus correction term omega-tilde against an mpmath oracle.
 
 The annulus forcing evaluates the plus side at s = +-(2k+1) and the minus
-side at s = 2k+2, k < N; these are checked for N = 240 at radius ratios
-where ratio**2 > 3/4, the region served by two routes.
+side at s = 2k+2, k < N; the three columns of _omega_tilde_columns are
+checked for N = 240 at radius ratios where ratio**2 > 3/4, where f_m takes
+its seed from the edge series.
 """
 
 import mpmath
 import pytest
 
-from pennycontact.models import omega_tilde
+from pennycontact.models import _omega_tilde_columns
 
 
 def exact(side: str, s: int, ratio: float) -> mpmath.mpf:
@@ -24,15 +25,11 @@ def exact(side: str, s: int, ratio: float) -> mpmath.mpf:
 
 @pytest.mark.parametrize("ratio", [0.87, 0.9, 0.95])
 def test_forcing_arguments_match_mpmath(ratio):
+    columns = _omega_tilde_columns(ratio, 240)
     worst = 0.0
     for k in range(240):
-        for side, s in (("plus", 2 * k + 1), ("plus", -(2 * k + 1)), ("minus", 2 * k + 2)):
+        points = (("plus", 2 * k + 1), ("plus", -(2 * k + 1)), ("minus", 2 * k + 2))
+        for col, (side, s) in enumerate(points):
             want = exact(side, s, ratio)
-            got = omega_tilde(side, float(s), ratio)
-            worst = max(worst, float(abs((got - want) / want)))
+            worst = max(worst, float(abs((columns[k, col] - want) / want)))
     assert worst <= 5e-14
-
-
-def test_auto_takes_the_series_at_large_s():
-    for side, s in (("plus", 241.0), ("plus", -479.0), ("minus", 480.0)):
-        assert omega_tilde(side, s, 0.87) == omega_tilde(side, s, 0.87, "series")

@@ -1,5 +1,8 @@
 """The invariant suite must pass wholesale at its default parameters."""
 
+import pytest
+
+from pennycontact import models, specfun
 from pennycontact.verify import run_verification
 
 
@@ -58,3 +61,19 @@ CHECK_NAMES = [
 def test_check_names_and_order_are_stable():
     # verify --format json is a machine-read health check: its names are API
     assert [c.name for c in run_verification().checks] == CHECK_NAMES
+
+
+@pytest.mark.parametrize(
+    "module, function, check",
+    [
+        (specfun, "_f_family", "specfun.arcsine_identity"),
+        (models, "_omega_tilde_columns", "models.omega_tilde_dual_form"),
+    ],
+    ids=["arcsine_identity", "omega_tilde_dual_form"],
+)
+def test_check_reads_the_library_path(monkeypatch, module, function, check):
+    # a 1e-9 relative error in the code the library runs must fail the check
+    original = getattr(module, function)
+    monkeypatch.setattr(module, function, lambda *args: original(*args) * (1.0 + 1e-9))
+    report = run_verification(n_trunc=20, order_k=40)
+    assert check in [c.name for c in report.checks if not c.passed]
