@@ -15,7 +15,6 @@ from .factorization import (
     boundary_residual,
     eval_X_annulus,
     eval_X_disc,
-    matrix_sample,
     partial_index_estimate,
     solve_factor_columns_annulus,
     solve_factor_columns_disc,
@@ -84,7 +83,6 @@ __all__ = [
     "l_minus",
     "l_plus",
     "log_gamma_complex",
-    "matrix_sample",
     "partial_index_estimate",
     "pochhammer",
     "recurrence_table",

@@ -419,10 +419,15 @@ def _curve(header: dict, r_over_a: np.ndarray, values: np.ndarray) -> Table:
     return Table(header, ("r_over_a", "value"), list(zip(r_over_a.tolist(), values.tolist())))
 
 
+def _require_disc(cfg: RunConfig, what: str) -> None:
+    """Reject a field command on the annulus: the evaluators are disc-only."""
+    if cfg.model != "disc":
+        raise ConfigError(f"model: {what} are defined for the disc model")
+
+
 def run_stress(cfg: RunConfig) -> tuple[Table, Table]:
     """Contact and outer stress branches on the refined grids."""
-    if cfg.model != "disc":
-        raise ConfigError("model: stress curves are defined for the disc model")
+    _require_disc(cfg, "stress curves")
     p, coeffs = run_solve(cfg)
     contact_r = _contact_grid(cfg.lam, cfg.grid_points)
     outer_r = _outer_grid(cfg.grid_points, cfg.r_max)
@@ -443,6 +448,7 @@ def run_stress(cfg: RunConfig) -> tuple[Table, Table]:
 
 def run_sif_sweep(cfg: RunConfig, lambda_grid=None) -> Table:
     """Normalized intensity factor, exact and asymptotic, over a lambda grid."""
+    _require_disc(cfg, "intensity-factor sweeps")
     if lambda_grid is None:
         lambda_grid = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.lambda_count)
     rows = []
@@ -451,8 +457,7 @@ def run_sif_sweep(cfg: RunConfig, lambda_grid=None) -> Table:
         if lam == 0.0:
             rows.append((0.0, 0.0, 0.0))
             continue
-        sub = replace(cfg, lam=lam)
-        p, coeffs = run_solve(replace(sub, model="disc"))
+        p, coeffs = run_solve(replace(cfg, lam=lam))
         res = sif_exact(p, coeffs)
         rows.append((lam, res.normalized, res.normalized_asymptotic))
     return Table(
@@ -464,11 +469,16 @@ def run_sif_sweep(cfg: RunConfig, lambda_grid=None) -> Table:
 
 def run_displacement(cfg: RunConfig, lam: float | None = None) -> Table:
     """Crack-face displacement profile u_z/a on (lam, 1)."""
-    if cfg.model != "disc":
-        raise ConfigError("model: displacement curves are defined for the disc model")
+    _require_disc(cfg, "displacement curves")
     sub = cfg if lam is None else replace(cfg, lam=lam)
-    p, coeffs = run_solve(sub)
     grid = _displacement_grid(sub.lam, sub.grid_points)
+    # near lam = 1 the end offsets, times the span 1 - lam, round onto lam or 1
+    if not (sub.lam < grid[0] and grid[-1] < 1.0):
+        raise ConfigError(
+            f"lambda: too close to 1 for the displacement grid, whose end rows "
+            f"round onto lambda or 1, got {sub.lam!r}"
+        )
+    p, coeffs = run_solve(sub)
     header = {**_base_header(sub), "quantity": "u_z_over_a"}
     return _curve(header, grid, displacement(p, coeffs, grid))
 

@@ -3,11 +3,10 @@
 The 2x2 (disc) and 3x3 (annulus) triangular boundary matrices G0(s)
 admit piecewise-analytic factorizations X+(s) = G0(s) X-(s) whose
 columns are built from rational pole-removal series.  The column
-coefficients solve infinite linear systems with Kronecker forcings;
-this module solves them (by reduction, plus lambda-power recurrences
-for the disc), evaluates the factor matrices, checks the boundary
-relation and the constant-determinant identities, and estimates the
-partial indices from the column orders at infinity.
+coefficients solve the models' own operator with Kronecker forcings;
+this module solves them by reduction, evaluates the factor matrices,
+checks the boundary relation and the constant-determinant identities,
+and estimates the partial indices from the column orders at infinity.
 
 Each check reads the geometry from the columns it is given, so one
 function serves both factorizations.  The Kronecker forcings are
@@ -31,8 +30,6 @@ import numpy as np
 from .models import (
     _families,
     _interleave,
-    _power_sums,
-    _power_table,
     _residual,
     _solve_interleaved,
     _weighted,
@@ -43,15 +40,12 @@ __all__ = [
     "FitAmbiguityError",
     "DiscFactorColumn",
     "AnnulusFactorColumn",
-    "MatrixSample",
-    "factor_recurrence_table",
     "solve_factor_columns_disc",
     "solve_factor_columns_annulus",
     "eval_X_disc",
     "eval_X_annulus",
     "g0_disc",
     "g0_annulus",
-    "matrix_sample",
     "boundary_residual",
     "factor_system_residual",
     "OrderFit",
@@ -74,20 +68,12 @@ class FitAmbiguityError(RuntimeError):
 
 @dataclass(frozen=True)
 class DiscFactorColumn:
-    """One column of the 2x2 factorization for radius ratio lam.
-
-    kronecker_sources names the equations carrying the unit forcing for
-    this column.
-    """
+    """One column of the 2x2 factorization for radius ratio lam."""
 
     lam: float
     column_index: int
     A_plus: np.ndarray
     B_minus: np.ndarray
-
-    @property
-    def kronecker_sources(self) -> tuple[str, ...]:
-        return ("B_minus",) if self.column_index == 1 else ("A_plus",)
 
 
 @dataclass(frozen=True)
@@ -102,56 +88,10 @@ class AnnulusFactorColumn:
     B_plus: np.ndarray
     B_minus: np.ndarray
 
-    @property
-    def kronecker_sources(self) -> tuple[str, ...]:
-        return {
-            1: ("B_minus",),
-            2: ("A_plus", "A_minus"),
-            3: ("B_plus",),
-        }[self.column_index]
-
-
-@dataclass(frozen=True)
-class MatrixSample:
-    """Both factor matrices and the boundary coefficient at one point."""
-
-    s: complex
-    X_plus: np.ndarray
-    X_minus: np.ndarray
-    G0: np.ndarray
-
-    @property
-    def boundary_defect(self) -> float:
-        """Max-entry norm of X+ - G0 X- at this point."""
-        return _boundary_defect(self.X_plus, self.G0, self.X_minus)
-
-
-def _boundary_defect(X_plus: np.ndarray, G0: np.ndarray, X_minus: np.ndarray) -> float:
-    """Max-entry norm of X+ - G0 X- over one matrix or a stack of them."""
-    return float(np.abs(X_plus - G0 @ X_minus).max())
-
 
 # ----------------------------------------------------------------------
 # column solvers
 # ----------------------------------------------------------------------
-
-
-def factor_recurrence_table(
-    column_index: int, n_rows: int, order_K: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda-power tables a[n, k], b[n, k] for one disc factor column.
-
-    The column system is the shared operator itself, so the tables follow
-    the model recurrence with order-zero seeds b[n, 0] = -2 d_{l1}/pi and
-    a[n, 0] = b[0, 0]/(pi (n+1/2)) + 2 d_{l2}/pi.  For the first column
-    the b-seed feeds through to a[n, 0], which is therefore nonzero; the
-    reduction solver confirms this leading order.
-    """
-    if column_index not in (1, 2):
-        raise ValueError(f"column_index must be 1 or 2, got {column_index!r}")
-    d1 = float(column_index == 1)
-    d2 = float(column_index == 2)
-    return _power_table(2.0 * d2 / math.pi, -2.0 * d1 / math.pi, n_rows, order_K)
 
 
 # Weight-free Kronecker forcings of the annulus columns, slot (B-, A+, A-, B+)
@@ -166,33 +106,21 @@ def _column_rhs(lam: float, t: float | None, N: int) -> np.ndarray:
 
 
 def solve_factor_columns_disc(
-    lam: float, N: int = 60, method: str = "reduction", order_K: int = 120
+    lam: float, N: int = 60
 ) -> tuple[DiscFactorColumn, DiscFactorColumn]:
-    """Solve the two disc factor-column systems.
+    """Solve the two disc factor-column systems by reduction.
 
-    method='reduction' truncates to the 2N x 2N disc operator and solves
-    both columns with one LU of its N x N Schur complement (the B unknowns
-    eliminated); method='recurrence' sums the
-    lambda-power tables to order_K.  The two routes agree to the smaller
-    of the two tail errors.
+    Truncates to the 2N x 2N disc operator and solves both columns with
+    one LU of its N x N Schur complement (the B unknowns eliminated).
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must lie in (0, 1), got {lam!r}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N!r}")
-    if method == "reduction":
-        x = _solve_interleaved(lam, None, _column_rhs(lam, None, N))
-        families = [_families(x[:, :, j]) for j in range(2)]
-    elif method == "recurrence":
-        rows = max(N, order_K // 2 + 1)
-        families = []
-        for l in (1, 2):
-            a, b = _power_sums(lam, *factor_recurrence_table(l, rows, order_K), N)
-            families.append({"A_plus": a, "B_minus": b})
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    x = _solve_interleaved(lam, None, _column_rhs(lam, None, N))
     return tuple(
-        DiscFactorColumn(lam=lam, column_index=j + 1, **families[j]) for j in range(2)
+        DiscFactorColumn(lam=lam, column_index=j + 1, **_families(x[:, :, j]))
+        for j in range(2)
     )
 
 
@@ -372,19 +300,14 @@ def _geometry(column):
     raise TypeError(f"unsupported column type {type(column)!r}")
 
 
-def matrix_sample(s: complex, columns) -> MatrixSample:
-    """Evaluate X+, X- and G0 of the columns' factorization at one point."""
-    _, _, evaluate, g0 = _geometry(columns[0])
-    return MatrixSample(complex(s), evaluate("plus", s, columns), evaluate("minus", s, columns), g0(s))
-
-
 def boundary_residual(columns, samples) -> float:
     """max_s || X+(s) - G0(s) X-(s) ||_max over the contour samples."""
     s = np.asarray(samples, dtype=complex)
     if s.size == 0:
         return 0.0
     _, _, evaluate, g0 = _geometry(columns[0])
-    return _boundary_defect(evaluate("plus", s, columns), g0(s), evaluate("minus", s, columns))
+    X_plus, X_minus = evaluate("plus", s, columns), evaluate("minus", s, columns)
+    return float(np.abs(X_plus - g0(s) @ X_minus).max())
 
 
 # ----------------------------------------------------------------------

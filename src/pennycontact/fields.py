@@ -4,16 +4,16 @@ All positions are nondimensional (r scaled by the crack radius a or the
 inclusion radius b); stress values are reported as theta1 * sigma_z and
 displacements as u_z / a, so with the default theta1 = 1, a_radius = 1
 of DiscProblem everything is a pure number.  Each stress has two
-series representations, one in the stable K column of _hyp_column and
-one that makes the square-root edge behavior explicit; the public
-evaluators use the first at every point and both forms are exposed for
-cross-checking.  Every sum over a coefficient family stops at the
-rounding-level weight cut (_kept).  The stress and displacement
-evaluators take a float or an array of positions and return the same
-kind; an array is evaluated with one recurrence over the series index
-for all its points, and a float with the same recurrence on Python
-floats (specfun._recurrence), to the same bits.  The only scalar f_m call
-is the one that seeds the continuity column.
+series representations: stress_contact and stress_outer sum the stable
+K column of _hyp_column at every point, and the *_edge forms make the
+square-root edge behavior explicit, for cross-checking.  Every sum over
+a coefficient family stops at the rounding-level weight cut (_kept).
+The stress and displacement evaluators take a float or an array of
+positions and return the same kind; an array is evaluated with one
+recurrence over the series index for all its points, and a float with
+the same recurrence on Python floats (specfun._recurrence), to the same
+bits.  The only scalar f_m call is the one that seeds the continuity
+column.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ __all__ = [
     "SifResult",
     "SIF_SERIES_COEFFS",
     "stress_contact",
-    "stress_contact_series",
     "stress_contact_edge",
     "stress_outer",
-    "stress_outer_series",
     "stress_outer_edge",
     "sif_exact",
     "sif_asymptotic",
@@ -125,18 +123,6 @@ def _hyp_column(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (coeffs / (np.arange(len(coeffs)) - 0.5)) @ K / np.sqrt(1.0 - x)
 
 
-def stress_contact_series(
-    p: DiscProblem, c: CoefficientSetDisc, r_over_b: float | np.ndarray
-) -> float | np.ndarray:
-    """Contact stress under the disc via the hypergeometric series."""
-    r, scalar = _points(r_over_b)
-    _check_unit_interval(r)
-    x2 = r * r
-    lead = -p.delta_star / (p.lam * np.sqrt(math.pi * (1.0 - x2)))
-    tail = -_hyp_column(_kept(p, c)[0], x2) / (2.0 * p.lam * SQRT_PI)
-    return _result(p.theta1 * (lead + tail), scalar)
-
-
 def stress_contact_edge(
     p: DiscProblem, c: CoefficientSetDisc, r_over_b: float | np.ndarray
 ) -> float | np.ndarray:
@@ -159,17 +145,12 @@ def stress_contact(
     cancel like (lam**2 (2 - r**2))**m and fail at high lam and large N.
     Accepts a float or an array of r/b and returns the same kind.
     """
-    return stress_contact_series(p, c, r_over_b)
-
-
-def stress_outer_series(
-    p: DiscProblem, c: CoefficientSetDisc, r_over_a: float | np.ndarray
-) -> float | np.ndarray:
-    """Stress outside the crack via the hypergeometric series."""
-    r, scalar = _points(r_over_a)
-    _check_outside_crack(r)
-    x2 = 1.0 / (r * r)
-    return _result(p.theta1 * _hyp_column(_kept(p, c)[1], x2) * x2**1.5 / SQRT_PI, scalar)
+    r, scalar = _points(r_over_b)
+    _check_unit_interval(r)
+    x2 = r * r
+    lead = -p.delta_star / (p.lam * np.sqrt(math.pi * (1.0 - x2)))
+    tail = -_hyp_column(_kept(p, c)[0], x2) / (2.0 * p.lam * SQRT_PI)
+    return _result(p.theta1 * (lead + tail), scalar)
 
 
 def stress_outer_edge(
@@ -193,7 +174,10 @@ def stress_outer(
     stress_contact.  Accepts a float or an array of r/a and returns the
     same kind.
     """
-    return stress_outer_series(p, c, r_over_a)
+    r, scalar = _points(r_over_a)
+    _check_outside_crack(r)
+    x2 = 1.0 / (r * r)
+    return _result(p.theta1 * _hyp_column(_kept(p, c)[1], x2) * x2**1.5 / SQRT_PI, scalar)
 
 
 def sif_asymptotic(lam: float, n_terms: int = 5) -> float:

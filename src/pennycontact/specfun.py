@@ -29,7 +29,6 @@ __all__ = [
     "kernel_L",
     "l_plus",
     "l_minus",
-    "l_plus_reciprocal",
     "l_minus_reciprocal",
     "tan_half_pi",
     "cot_half_pi",
@@ -425,14 +424,6 @@ def l_minus(s):
     _check_finite(s)
     _guard_pole(s, -1, -2, "L-")
     return _complex_result(_gamma_ratio_complex(0.5 + s / 2.0, s / 2.0), shape)
-
-
-def l_plus_reciprocal(s):
-    """1 / l_plus, returning an exact 0 at the poles s = 2n + 1 of l_plus."""
-    s, shape = _complex_points(s)
-    _check_finite(s)
-    _guard_pole(s, 2, 2, "1/L+")
-    return _complex_result(_gamma_ratio_complex(1.0 - s / 2.0, 0.5 - s / 2.0), shape)
 
 
 def l_minus_reciprocal(s):

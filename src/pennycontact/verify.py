@@ -190,10 +190,10 @@ def _check_fields(report: VerificationReport, delta_star: float, n_trunc: int) -
     x = np.linspace(0.6, 0.95, 6)
     r = np.linspace(1.05, 1.4, 6)
     for lam, (p, c) in solved.items():
-        a = fields.stress_contact_series(p, c, x)
+        a = fields.stress_contact(p, c, x)
         b = fields.stress_contact_edge(p, c, x)
         contact_dual = max(contact_dual, np.max(np.abs(a - b) / np.abs(a)))
-        a = fields.stress_outer_series(p, c, r)
+        a = fields.stress_outer(p, c, r)
         b = fields.stress_outer_edge(p, c, r)
         outer_dual = max(outer_dual, np.max(np.abs(a - b) / np.abs(a)))
         if lam in (0.3, 0.5):

@@ -21,7 +21,6 @@ COMPLEX_FUNCTIONS = (
     "log_gamma_complex",
     "l_plus",
     "l_minus",
-    "l_plus_reciprocal",
     "l_minus_reciprocal",
     "kernel_L",
     "tan_half_pi",

@@ -13,6 +13,7 @@ from pennycontact.cli import (
     load_coefficients,
     load_config,
     main,
+    run_displacement,
     run_sif_sweep,
     run_solve,
     run_stress,
@@ -95,6 +96,14 @@ class TestExitCodes:
             assert main(argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_displacement_grid_collapsing_near_lambda_one_is_config_error(self, capsys):
+        # at lambda >= 0.999999995 the grid's end rows round onto lambda or 1
+        for lam in ("0.999999995", "0.999999999999"):
+            assert main(["displacement", "--lambda", lam]) == 1, lam
+            err = capsys.readouterr().err
+            assert err.startswith("error: lambda") and err.count("\n") == 1, err
+            assert lam in err
 
     def test_verify_passes_with_defaults(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -301,9 +310,11 @@ class TestFigures:
         ]
 
     def test_stress_rejects_annulus(self):
+        # every field command is disc-only, the intensity-factor sweep included
         cfg = load_config(None, {"model": "annulus", "lam0": 0.2, "lam1": 0.5})
-        with pytest.raises(ConfigError):
-            run_stress(cfg)
+        for run in (run_stress, run_sif_sweep, run_displacement):
+            with pytest.raises(ConfigError, match="model:"):
+                run(cfg)
 
 
 class TestNumericalFailures:

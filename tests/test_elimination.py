@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pennycontact.factorization import _column_rhs, factor_recurrence_table
+from pennycontact.factorization import _column_rhs
 from pennycontact.models import (
     _MODEL_SCALE,
     _SLOTS,
@@ -78,7 +78,7 @@ def test_model_power_table_matches_loop_oracle(rows):
 @pytest.mark.parametrize("column_index", [1, 2])
 def test_factor_power_table_matches_loop_oracle(rows, column_index):
     d1, d2 = float(column_index == 1), float(column_index == 2)
-    a, b = factor_recurrence_table(column_index, rows, 120)
+    a, b = _power_table(2.0 * d2 / math.pi, -2.0 * d1 / math.pi, rows, 120)
     a_ref, b_ref = power_table_oracle(2.0 * d2 / math.pi, -2.0 * d1 / math.pi, rows, 120)
     np.testing.assert_allclose(a, a_ref, rtol=1e-14, atol=0)
     np.testing.assert_allclose(b, b_ref, rtol=1e-14, atol=0)

@@ -5,18 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from pennycontact import models
 from pennycontact.factorization import (
+    _KRONECKER,
     AnnulusFactorColumn,
     DiscFactorColumn,
     boundary_residual,
     contour_samples,
     eval_X_annulus,
     eval_X_disc,
-    factor_recurrence_table,
     factor_system_residual,
     g0_annulus,
     g0_disc,
-    matrix_sample,
     order_fit,
     partial_index_estimate,
     solve_factor_columns_annulus,
@@ -39,20 +39,28 @@ def annulus_columns():
     return solve_factor_columns_annulus(0.2, 0.5, 60)
 
 
+def _column_power_table(j, rows, order_K):
+    """Model lambda-power tables seeded by the Kronecker forcing of disc column j."""
+    return models._power_table(_KRONECKER[1, j], _KRONECKER[0, j], rows, order_K)
+
+
 class TestDiscColumns:
     def test_reduction_matches_recurrence(self):
-        red = solve_factor_columns_disc(0.5, 60, method="reduction")
-        rec = solve_factor_columns_disc(0.5, 60, method="recurrence", order_K=120)
-        for c1, c2 in zip(red, rec):
-            assert np.abs(c1.A_plus - c2.A_plus).max() <= 1e-10
-            assert np.abs(c1.B_minus - c2.B_minus).max() <= 1e-10
+        # the column system is the models' operator, so the model recurrence
+        # seeded by the column's Kronecker forcing solves it too; an order-120
+        # table reads its rows up to 120 // 2, so it needs 61 of them
+        red = solve_factor_columns_disc(0.5, 60)
+        for j, c1 in enumerate(red):
+            a, b = models._power_sums(0.5, *_column_power_table(j, 61, 120), 60)
+            assert np.abs(c1.A_plus - a).max() <= 1e-10
+            assert np.abs(c1.B_minus - b).max() <= 1e-10
 
     def test_recurrence_seed_rows(self):
         # the b seeds are constant rows; the a seed of the second column
         # is the bare forcing, while the first column's a seed inherits
         # the b feed-through (confirmed against the reduction solve)
-        a1, b1 = factor_recurrence_table(1, 6, 4)
-        a2, b2 = factor_recurrence_table(2, 6, 4)
+        a1, b1 = _column_power_table(0, 6, 4)
+        a2, b2 = _column_power_table(1, 6, 4)
         half = np.arange(6) + 0.5
         assert np.allclose(b1[:, 0], -2.0 / PI)
         assert np.allclose(b2[:, 0], 0.0)
@@ -82,10 +90,6 @@ class TestDiscColumns:
         for col in disc_columns:
             assert factor_system_residual(col) <= 1e-12
 
-    def test_kronecker_sources(self, disc_columns):
-        assert disc_columns[0].kronecker_sources == ("B_minus",)
-        assert disc_columns[1].kronecker_sources == ("A_plus",)
-
 
 class TestDiscMatrices:
     def test_determinants_at_spot_point(self, disc_columns):
@@ -110,13 +114,6 @@ class TestDiscMatrices:
 
     def test_boundary_residual_empty_samples(self, disc_columns):
         assert boundary_residual(disc_columns, []) == 0.0
-
-    def test_matrix_sample_bundle(self, disc_columns):
-        sample = matrix_sample(0.5 + 2j, disc_columns)
-        assert sample.X_plus.shape == (2, 2)
-        assert sample.G0.shape == (2, 2)
-        assert sample.boundary_defect <= 1e-12
-        assert np.all(np.isfinite(sample.X_minus))
 
     def test_boundary_relation_large_imag_uses_scaled_trig(self, disc_columns):
         res = boundary_residual(
@@ -184,11 +181,6 @@ class TestAnnulusMatrices:
         for col in annulus_columns:
             assert factor_system_residual(col) <= 1e-12
 
-    def test_kronecker_sources(self, annulus_columns):
-        assert annulus_columns[0].kronecker_sources == ("B_minus",)
-        assert annulus_columns[1].kronecker_sources == ("A_plus", "A_minus")
-        assert annulus_columns[2].kronecker_sources == ("B_plus",)
-
     def test_small_inner_radius_keeps_determinant_identities(self):
         # degeneration study: the 3x3 identities persist as lam0 -> 0,
         # det X+ growing like 1/(2 lam0); recorded, not forced onto the
@@ -231,8 +223,6 @@ def test_validation_errors():
         solve_factor_columns_disc(1.2, 10)
     with pytest.raises(ValueError):
         solve_factor_columns_annulus(0.5, 0.2, 10)
-    with pytest.raises(ValueError):
-        solve_factor_columns_disc(0.5, 10, method="bogus")
     with pytest.raises(TypeError):
         factor_system_residual(object())
     with pytest.raises(ValueError):

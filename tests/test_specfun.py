@@ -25,7 +25,6 @@ from pennycontact.specfun import (
     kernel_L,
     l_minus,
     l_plus,
-    l_plus_reciprocal,
     log_gamma_complex,
     pochhammer,
     tan_half_pi,
@@ -254,10 +253,6 @@ class TestKernel:
             kernel_L(0.0)
         with pytest.raises(PoleError):
             kernel_L(1.0)
-
-    def test_reciprocal_vanishes_at_plus_poles(self):
-        assert l_plus_reciprocal(3.0) == 0.0
-        assert l_plus_reciprocal(7.0) == 0.0
 
     def test_kernel_zeros_exact(self):
         assert kernel_L(2.0) == 0.0
