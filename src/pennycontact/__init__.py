@@ -15,7 +15,6 @@ from .factorization import (
     boundary_residual,
     eval_X_annulus,
     eval_X_disc,
-    partial_index_estimate,
     solve_factor_columns_annulus,
     solve_factor_columns_disc,
 )
@@ -33,9 +32,7 @@ from .models import (
     CoefficientSetAnnulus,
     CoefficientSetDisc,
     DiscProblem,
-    RecurrenceTable,
     SingularSystemError,
-    recurrence_table,
     solve_annulus_reduction,
     solve_disc_recurrence,
     solve_disc_reduction,
@@ -46,11 +43,9 @@ from .specfun import (
     PoleError,
     f_m,
     f_m_limit,
-    gamma,
     kernel_L,
     l_minus,
     l_plus,
-    log_gamma_complex,
     pochhammer,
 )
 from .verify import CheckResult, VerificationReport, run_verification
@@ -67,7 +62,6 @@ __all__ = [
     "DiscProblem",
     "FitAmbiguityError",
     "PoleError",
-    "RecurrenceTable",
     "SifResult",
     "SingularSystemError",
     "VerificationReport",
@@ -78,14 +72,10 @@ __all__ = [
     "eval_X_disc",
     "f_m",
     "f_m_limit",
-    "gamma",
     "kernel_L",
     "l_minus",
     "l_plus",
-    "log_gamma_complex",
-    "partial_index_estimate",
     "pochhammer",
-    "recurrence_table",
     "run_verification",
     "sif_asymptotic",
     "sif_exact",

@@ -30,7 +30,6 @@ from .models import (
     DiscProblem,
     SingularSystemError,
     solve_annulus_reduction,
-    solve_disc_recurrence,
     solve_disc_reduction,
 )
 from .specfun import SQRT_PI, ConvergenceError, PoleError
@@ -61,8 +60,9 @@ _FIGURE_DELTA_OVER_A = 0.05
 # sweep's lambda grid is held to the same cap.
 _MAX_GRID_POINTS = 100_000
 _MAX_TRUNCATION_N = 1_000
-# The recurrence table has at least order_K/2 + 1 rows, so its size grows as
-# order_K**2: 32 MB at the cap, and models keeps at most two tables (64 MB).
+# order_K is verify's recurrence order.  The recurrence table has at least
+# order_K/2 + 1 rows, so its size grows as order_K**2: 32 MB at the cap, and
+# models keeps at most two tables (64 MB).
 _MAX_ORDER_K = 2_000
 
 
@@ -83,7 +83,6 @@ class RunConfig:
     shear_modulus: float | None = None
     truncation_N: int = 60
     order_K: int = 120
-    method: str = "reduction"
     output_format: str = "csv"
     grid_points: int = 400
     r_max: float = 4.0
@@ -136,10 +135,6 @@ class RunConfig:
         if not 1 <= self.order_K <= _MAX_ORDER_K:
             problems.append(
                 f"order_K: must lie in 1..{_MAX_ORDER_K}, got {self.order_K!r}"
-            )
-        if self.method not in ("reduction", "recurrence"):
-            problems.append(
-                f"method: must be 'reduction' or 'recurrence', got {self.method!r}"
             )
         if self.output_format not in ("csv", "json"):
             problems.append(
@@ -345,13 +340,7 @@ def run_solve(cfg: RunConfig):
     """Solve the configured model and return (problem, coefficient set)."""
     if cfg.model == "disc":
         p = cfg.disc_problem()
-        if cfg.method == "recurrence":
-            _, coeffs = solve_disc_recurrence(p, cfg.truncation_N, cfg.order_K)
-        else:
-            coeffs = solve_disc_reduction(p, cfg.truncation_N)
-        return p, coeffs
-    if cfg.method == "recurrence":
-        raise ConfigError("method: recurrence is only available for the disc model")
+        return p, solve_disc_reduction(p, cfg.truncation_N)
     p = cfg.annulus_problem()
     return p, solve_annulus_reduction(p, cfg.truncation_N)
 
@@ -621,8 +610,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--nu", type=float, help="Poisson ratio")
         sp.add_argument("--shear-modulus", dest="shear_modulus", type=float)
         sp.add_argument("--n-trunc", dest="truncation_N", type=int)
-        sp.add_argument("--order-k", dest="order_K", type=int)
-        sp.add_argument("--method", choices=("reduction", "recurrence"))
+        sp.add_argument("--order-k", dest="order_K", type=int, help="verify's recurrence order K")
         sp.add_argument("--format", dest="output_format", choices=("csv", "json"))
         sp.add_argument("--out", help="output path (directory for figures)")
         sp.add_argument("--grid-points", dest="grid_points", type=int)

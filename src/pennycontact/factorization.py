@@ -50,7 +50,6 @@ __all__ = [
     "factor_system_residual",
     "OrderFit",
     "order_fit",
-    "partial_index_estimate",
     "contour_samples",
 ]
 
@@ -60,6 +59,10 @@ _POLE_TOL = 1e-9
 _ORDER_FIT_RANGE = (1.0e2, 1.0e4)
 _ORDER_FIT_POINTS = 12
 _ORDER_FIT_SLACK = 0.2
+
+# Contour line Re s and the Im s range that contour_samples spans.
+_CONTOUR_RE = 0.5
+_CONTOUR_IM_RANGE = (0.1, 10.0)
 
 
 class FitAmbiguityError(RuntimeError):
@@ -274,15 +277,14 @@ def g0_annulus(s, lam0: float, lam1: float) -> np.ndarray:
     return _matrices(rows, shape)
 
 
-def contour_samples(
-    count: int = 20, gamma: float = 0.5, im_min: float = 0.1, im_max: float = 10.0
-) -> list[complex]:
-    """Log-spaced contour points on Re s = gamma, symmetric in Im s."""
-    taus = np.logspace(math.log10(im_min), math.log10(im_max), max(count // 2, 1))
+def contour_samples(count: int) -> list[complex]:
+    """Log-spaced contour points on Re s = 1/2, symmetric in Im s."""
+    lo, hi = _CONTOUR_IM_RANGE
+    taus = np.logspace(math.log10(lo), math.log10(hi), max(count // 2, 1))
     points = []
     for tau in taus:
-        points.append(complex(gamma, tau))
-        points.append(complex(gamma, -tau))
+        points.append(complex(_CONTOUR_RE, tau))
+        points.append(complex(_CONTOUR_RE, -tau))
     return points[:count]
 
 
@@ -383,12 +385,3 @@ def order_fit(side: str, columns) -> OrderFit:
     for e in np.flatnonzero(~full & (keep.sum(axis=0) >= 4)):
         slopes[e] = np.polyfit(log_t[keep[:, e]], np.log(mags[keep[:, e], e]), 1)[0]
     return OrderFit(-slopes.reshape(dim, dim))
-
-
-def partial_index_estimate(side: str, columns) -> list[int]:
-    """Estimate the partial indices from the column orders at infinity.
-
-    Takes the minimum fitted entry order per column.  A slope more than
-    0.2 away from an integer raises FitAmbiguityError.
-    """
-    return order_fit(side, columns).partial_indices()

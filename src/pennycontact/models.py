@@ -3,10 +3,11 @@
 A flat rigid disc (radius b) or flat rigid annulus (radii c < b) wedged
 into a penny-shaped crack of radius a leads, after Mellin transformation,
 to infinite linear systems for the pole-removal coefficients A and B.
-This module assembles and solves those systems, either by truncation to a
-dense block ("reduction method", geometric convergence in the truncation
-order) or, for the disc, by exact recurrence relations in powers of
-lambda = b/a.
+This module assembles and solves those systems by truncation to a dense
+block ("reduction method", geometric convergence in the truncation order).
+For the disc, solve_disc_recurrence also solves them by exact recurrence
+relations in powers of lambda = b/a; `verify` and the tests use it as an
+independent cross-check of the reduction, and no command solves by it.
 
 The loading enters only through the indentation parameter
 delta_star = 2*delta / (a * theta1 * sqrt(pi)), so every coefficient is
@@ -39,9 +40,6 @@ __all__ = [
     "AnnulusProblem",
     "CoefficientSetDisc",
     "CoefficientSetAnnulus",
-    "RecurrenceTable",
-    "recurrence_table",
-    "system_matrix",
     "solve_disc_reduction",
     "solve_disc_recurrence",
     "solve_annulus_reduction",
@@ -143,18 +141,6 @@ class CoefficientSetAnnulus:
     B_plus: np.ndarray
     B_minus: np.ndarray
     truncation_N: int
-
-
-@dataclass(frozen=True)
-class RecurrenceTable:
-    """Triangular lambda-power coefficients a[n, k], b[n, k] for the disc.
-
-    Row seeds: a[n, 0] = -delta_star/(2 pi (n + 1/2)) and b[n, 0] = 0.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    order_K: int
 
 
 # ----------------------------------------------------------------------
@@ -286,30 +272,10 @@ def _couplings(lam: float, t: float | None, N: int) -> tuple[np.ndarray, np.ndar
     return P, Q
 
 
-def system_matrix(lam: float, t: float | None, N: int) -> np.ndarray:
-    """Truncated operator of the disc (t is None) or annulus (inner ratio t) systems.
-
-    Unknowns interleave per index n as (B-, A+) in the 2N x 2N disc block
-    and (B-, A+, A-, B+) in the 4N x 4N annulus block, lam being the outer
-    ratio.  The B unknowns enter halved, so every coupling is
-    lam**p / (pi (n +- m + shift)) and the factor columns share the operator.
-    """
-    P, Q = _couplings(lam, t, N)
-    h = len(P)
-    k = 2 * h
-    matrix = np.eye(k * N)
-    for j, b in enumerate(_B_SLOTS[:h]):
-        matrix[b::k, j + 1 :: k] += P[j]
-        for i in range(h):
-            matrix[i + 1 :: k, b::k] += Q[i, :, j]
-    return matrix
-
-
 def _apply_operator(lam: float, t: float | None, x: np.ndarray) -> np.ndarray:
     """The shared operator applied to interleaved unknowns x of shape (N, slots).
 
-    x_B + P x_A and x_A + Q x_B, so the (kN)^2 system_matrix is never
-    assembled.
+    x_B + P x_A and x_A + Q x_B, so the (kN)^2 matrix is never assembled.
     """
     N, k = x.shape
     h = k // 2
@@ -482,31 +448,19 @@ def solve_disc_reduction(p: DiscProblem, N: int = DEFAULT_TRUNCATION) -> Coeffic
     return CoefficientSetDisc(**_families(x), truncation_N=N)
 
 
-def recurrence_table(
-    delta_star: float, n_rows: int, order_K: int = DEFAULT_ORDER
-) -> RecurrenceTable:
-    """Fill the triangular lambda-power table for the disc coefficients.
-
-    A+_n = lam**(2n+1) sum_k a[n, k] lam**k and
-    B-_n = lam**(2n) sum_k b[n, k] lam**k, where a and b/2 follow the
-    shared recurrence of the halved system seeded by
-    a[n, 0] = -delta_star/(2 pi (n+1/2)) and b[n, 0] = 0.
-
-    The arrays are built once per argument set and shared read-only.
-    """
-    a, b = _disc_table(delta_star, n_rows, order_K)
-    return RecurrenceTable(a=a, b=b, order_K=order_K)
-
-
 # Two entries: verification, and a sweep over two truncation orders, each
 # solve the disc recurrence at two argument sets.  The order_K cap in the CLI
 # bounds one entry at 32 MB, so the cache holds at most 64 MB.
 @lru_cache(maxsize=2)
 def _disc_table(delta_star: float, n_rows: int, order_K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays a, b of recurrence_table (b the unhalved B family), read-only.
+    """The disc's triangular lambda-power tables a[n, k], b[n, k], read-only.
 
-    They depend on delta_star, the row count and the order but not on
-    lambda, so every solve at a new lambda reuses them.
+    A+_n = lam**(2n+1) sum_k a[n, k] lam**k and
+    B-_n = lam**(2n) sum_k b[n, k] lam**k, where a and b/2 follow the
+    shared recurrence of the halved system seeded by
+    a[n, 0] = -delta_star/(2 pi (n+1/2)) and b[n, 0] = 0.  The tables
+    depend on delta_star, the row count and the order but not on lambda,
+    so every solve at a new lambda reuses them.
     """
     half = np.arange(n_rows) + 0.5
     a, b_half = _power_table(
@@ -520,17 +474,18 @@ def _disc_table(delta_star: float, n_rows: int, order_K: int) -> tuple[np.ndarra
 
 def solve_disc_recurrence(
     p: DiscProblem, N: int = DEFAULT_TRUNCATION, K: int = DEFAULT_ORDER
-) -> tuple[RecurrenceTable, CoefficientSetDisc]:
+) -> tuple[tuple[np.ndarray, np.ndarray], CoefficientSetDisc]:
     """Solve the disc system through the lambda-power recurrences.
 
-    The table is truncated at order K, so the coefficients carry an
+    Returns the read-only tables (a, b) of _disc_table and the coefficients.
+    The tables are truncated at order K, so the coefficients carry an
     O(lam**K) tail error; rows beyond those requested are filled as far
     as the recurrences need them.
     """
     if N < 1 or K < 1:
         raise ValueError("N and K must be >= 1")
-    table = recurrence_table(p.delta_star, max(N, K // 2 + 1), K)
-    A_plus, B_minus = _power_sums(p.lam, table.a, table.b, N)
+    table = _disc_table(p.delta_star, max(N, K // 2 + 1), K)
+    A_plus, B_minus = _power_sums(p.lam, *table, N)
     return table, CoefficientSetDisc(A_plus=A_plus, B_minus=B_minus, truncation_N=N)
 
 

@@ -1,15 +1,17 @@
 """Special functions used throughout the package.
 
-Real and complex gamma machinery, the half-integer hypergeometric family
+Gamma machinery, the half-integer hypergeometric family
 f_m = 2F1(1/2, m+1/2; m+3/2; x) on [0, 1), and the Mellin kernel of the
 Weber-Sonin integral together with its plus/minus factorization.  f_m gives
 one value by its seed series; _f_family gives all indices at once by one
 recurrence, and _recurrence, which runs it, also runs the field evaluators'
 H_m column: every hypergeometric value in the package comes from these.
-The complex functions (log_gamma_complex, the kernel and its factors,
-tan_half_pi, cot_half_pi) take a complex number or an array of them; the
-real ones take scalars.  Everything here is a pure function of its
-arguments; there is no shared mutable state.
+Every gamma value comes from the complex log-gamma _log_gamma, except the
+real ratios Gamma(k+3/2)/Gamma(k+1) of _gamma_ratios and f_m_limit.
+The complex functions (the kernel and its factors, tan_half_pi,
+cot_half_pi) take a complex number or an array of them; the real ones
+take scalars.  Everything here is a pure function of its arguments; there
+is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import numpy as np
 __all__ = [
     "PoleError",
     "ConvergenceError",
-    "gamma",
-    "log_gamma_complex",
     "pochhammer",
     "f_m",
     "f_m_limit",
@@ -108,32 +108,6 @@ def _check_finite(z: np.ndarray) -> None:
         raise ValueError(f"argument must be finite, got {complex(z[bad][0])!r}")
 
 
-def _nearest_nonpositive_integer_distance(z: complex) -> tuple[float, int]:
-    """Distance from z to the nearest nonpositive integer and its value."""
-    n = round(z.real)
-    if n > 0:
-        n = 0
-    return abs(z - n), int(n)
-
-
-def gamma(x: float) -> float:
-    """Gamma function of a real argument.
-
-    Raises PoleError within 1e-9 of a nonpositive integer.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x!r}")
-    if x <= 0.5:
-        dist, n = _nearest_nonpositive_integer_distance(complex(x))
-        if dist < _POLE_TOL:
-            raise PoleError(f"gamma pole at {n}")
-    try:
-        return math.gamma(x)
-    except ValueError as exc:  # pragma: no cover - guarded above
-        raise PoleError(f"gamma pole at {round(x)}") from exc
-
-
 def _lanczos_log_gamma(z: np.ndarray) -> np.ndarray:
     """Principal log-gamma for Re z >= 0.5 via the Lanczos sum."""
     zm1 = z - 1.0
@@ -145,7 +119,14 @@ def _lanczos_log_gamma(z: np.ndarray) -> np.ndarray:
 
 
 def _log_gamma(z: np.ndarray) -> np.ndarray:
-    """log_gamma_complex at every point of a flat complex array."""
+    """Principal-branch log-gamma at every point of a flat complex array.
+
+    For Re z < 0.5 the value is continued by the downward recursion
+    log_gamma(z) = log_gamma(z + n) - sum log(z + k); every branch cut
+    introduced by the logs lies on the negative real axis, so the result
+    stays on the principal branch.  The array is rejected whole if any point
+    is within 1e-9 of a pole.
+    """
     _check_finite(z)
     dist, point = _nearest_lattice_point(z, 0, -1)
     near = dist < _POLE_TOL
@@ -173,19 +154,6 @@ def _shift_logs(z: np.ndarray, shift: np.ndarray) -> np.ndarray:
         live = live[shift[live] > start]
         width = min(2 * width, max(1, _SHIFT_BLOCK // max(len(live), 1)))
     return acc
-
-
-def log_gamma_complex(z):
-    """Principal-branch log-gamma of a complex argument or an array of them.
-
-    For Re z < 0.5 the value is continued by the downward recursion
-    log_gamma(z) = log_gamma(z + n) - sum log(z + k); every branch cut
-    introduced by the logs lies on the negative real axis, so the result
-    stays on the principal branch.  An array is rejected whole if any point
-    is within 1e-9 of a pole.
-    """
-    z, shape = _complex_points(z)
-    return _complex_result(_log_gamma(z), shape)
 
 
 def pochhammer(a: float, m: int) -> float:

@@ -8,12 +8,18 @@ with mpmath's own hyp2f1 and gamma.  The truncated coefficient systems are re-de
 by term in their original scaling, so a wrong block in the library's
 shared operator cannot cancel out of the check, and the lambda-power
 tables are filled by the plain double loop over orders and terms.
+
+system_matrix is the one exception: it assembles the library's own couplings
+into the dense operator, the reference that the eliminated solves are checked
+against; test_operator_reuse checks it entry by entry against a fresh build.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+
+from pennycontact.models import _B_SLOTS, _couplings
 
 
 def gamma_product_oracle(x, dps=50, shift=50):
@@ -159,6 +165,25 @@ def annulus_column_defect(lam0, lam1, column_index, A_plus, A_minus, B_plus, B_m
         )
         worst = max(worst, *(abs(r) for r in residuals))
     return worst
+
+
+def system_matrix(lam, t, N):
+    """Truncated operator of the disc (t is None) or annulus (inner ratio t) systems.
+
+    Unknowns interleave per index n as (B-, A+) in the 2N x 2N disc block
+    and (B-, A+, A-, B+) in the 4N x 4N annulus block, lam being the outer
+    ratio.  The B unknowns enter halved, so every coupling is
+    lam**p / (pi (n +- m + shift)) and the factor columns share the operator.
+    """
+    P, Q = _couplings(lam, t, N)
+    h = len(P)
+    k = 2 * h
+    matrix = np.eye(k * N)
+    for j, b in enumerate(_B_SLOTS[:h]):
+        matrix[b::k, j + 1 :: k] += P[j]
+        for i in range(h):
+            matrix[i + 1 :: k, b::k] += Q[i, :, j]
+    return matrix
 
 
 def power_table_oracle(seed_a, seed_b, n_rows, order_K):

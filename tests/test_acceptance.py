@@ -53,7 +53,7 @@ class _Criterion:
 
 def test_criterion_1_recurrence_seed_reproduction():
     with _Criterion(1, "recurrence seeds match the printed table", 1.0):
-        table = models.recurrence_table(1.0, 3, 5)
+        a, _ = models._disc_table(1.0, 3, 5)
         expected = {
             (0, 0): -1.0 / PI,
             (1, 0): -1.0 / (3.0 * PI),
@@ -66,15 +66,15 @@ def test_criterion_1_recurrence_seed_reproduction():
             (0, 4): -(64.0 / PI**5) * (4.0 / PI**4 + 1.0 / 9.0),
         }
         for (n, k), want in expected.items():
-            got = table.a[n, k]
+            got = a[n, k]
             assert abs(got - want) <= 1e-13 * abs(want), (n, k, got, want)
 
 
 def test_criterion_2_asymptotic_coefficient_reproduction():
     with _Criterion(2, "table sums give the five normalized coefficients", 1.0):
-        table = models.recurrence_table(1.0, 3, 5)
+        a, _ = models._disc_table(1.0, 3, 5)
         for q in range(5):
-            total = sum(table.a[m, q - 2 * m] for m in range(q // 2 + 1))
+            total = sum(a[m, q - 2 * m] for m in range(q // 2 + 1))
             got = -PI * total
             want = fields.SIF_SERIES_COEFFS[q]
             assert abs(got - want) <= 1e-12 * abs(want), (q, got, want)
@@ -157,8 +157,8 @@ def test_criterion_7_partial_indices():
         disc_cols = fz.solve_factor_columns_disc(0.5, 60)
         ann_cols = fz.solve_factor_columns_annulus(0.2, 0.5, 60)
         for side in ("plus", "minus"):
-            assert fz.partial_index_estimate(side, disc_cols) == [0, 0]
-            assert fz.partial_index_estimate(side, ann_cols) == [0, 0, 0]
+            assert fz.order_fit(side, disc_cols).partial_indices() == [0, 0]
+            assert fz.order_fit(side, ann_cols).partial_indices() == [0, 0, 0]
             assert fz.order_fit(side, disc_cols).distance <= 0.1
             assert fz.order_fit(side, ann_cols).distance <= 0.1
 

@@ -56,6 +56,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown keys"):
             load_config(str(path), {})
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_solve_method_is_gone(self, source, tmp_path, capsys):
+        # the disc is solved by reduction only: the recurrence flag and the
+        # method key are rejected, not ignored
+        if source == "flag":
+            argv = ["solve", "--method", "recurrence"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"method": "reduction"}))
+            argv = ["solve", "--config", str(path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
+        if source == "config":
+            assert "'method'" in captured.err
+
     def test_config_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_bytes(b"\xff\xfe{}")
@@ -149,7 +166,9 @@ class TestExitCodes:
             raise ValueError(f"non-standard JSON constant {constant}")
 
         argv = ["verify", "--lambda0", "1e-300", "--lambda1", "0.5", "--format", "json"]
-        assert main(argv) == 2
+        # t**(-s) overflows there, and numpy warns of it
+        with pytest.warns(RuntimeWarning):
+            assert main(argv) == 2
         report = json.loads(capsys.readouterr().out, parse_constant=reject)
         failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
         for name in ("factorization.annulus_det_plus", "factorization.annulus_boundary_residual"):
@@ -368,17 +387,16 @@ class TestCaps:
         from pennycontact import cli as cli_module
 
         def must_not_run(*args, **kwargs):
-            raise AssertionError("an out-of-range order K reached the solver")
+            raise AssertionError("an out-of-range order K reached verify")
 
-        monkeypatch.setattr(cli_module, "run_solve", must_not_run)
-        argv = ["solve", "--method", "recurrence", "--order-k", order_k]
-        assert main(argv) == 1
+        monkeypatch.setattr(cli_module, "run_verify", must_not_run)
+        assert main(["verify", "--order-k", order_k]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: order_K") and err.count("\n") == 1, err
         assert order_k in err
 
     def test_order_k_at_the_cap_validates(self):
-        RunConfig(method="recurrence", order_K=2_000).validate()
+        RunConfig(order_K=2_000).validate()
 
     @pytest.mark.parametrize("count", ["1", "100001", "1000000000000"])
     def test_lambda_count_out_of_range_is_config_error(self, count, capsys, monkeypatch):

@@ -15,10 +15,9 @@ from pennycontact.models import (
     _disc_forcing,
     _power_table,
     _solve_interleaved,
-    system_matrix,
 )
 
-from oracles import power_table_oracle
+from oracles import power_table_oracle, system_matrix
 
 # (lam, t, N): t = 0.05 at lam = 0.1 has subnormal weights lam**(2n+1) and
 # t**(2n+1) at N = 240; t = 0 is the lam0 = 0 degenerate annulus.

@@ -18,7 +18,6 @@ from pennycontact.factorization import (
     g0_annulus,
     g0_disc,
     order_fit,
-    partial_index_estimate,
     solve_factor_columns_annulus,
     solve_factor_columns_disc,
 )
@@ -122,8 +121,8 @@ class TestDiscMatrices:
         assert res <= 1e-8
 
     def test_partial_indices_zero(self, disc_columns):
-        assert partial_index_estimate("plus", disc_columns) == [0, 0]
-        assert partial_index_estimate("minus", disc_columns) == [0, 0]
+        assert order_fit("plus", disc_columns).partial_indices() == [0, 0]
+        assert order_fit("minus", disc_columns).partial_indices() == [0, 0]
 
     def test_fit_distance_small(self, disc_columns):
         assert order_fit("plus", disc_columns).distance <= 0.1
@@ -170,8 +169,8 @@ class TestAnnulusMatrices:
         assert res <= 1e-7
 
     def test_partial_indices_zero(self, annulus_columns):
-        assert partial_index_estimate("plus", annulus_columns) == [0, 0, 0]
-        assert partial_index_estimate("minus", annulus_columns) == [0, 0, 0]
+        assert order_fit("plus", annulus_columns).partial_indices() == [0, 0, 0]
+        assert order_fit("minus", annulus_columns).partial_indices() == [0, 0, 0]
 
     def test_fit_distance_small(self, annulus_columns):
         assert order_fit("plus", annulus_columns).distance <= 0.1
@@ -226,7 +225,7 @@ def test_validation_errors():
     with pytest.raises(TypeError):
         factor_system_residual(object())
     with pytest.raises(ValueError):
-        partial_index_estimate("sideways", solve_factor_columns_disc(0.5, 5))
+        order_fit("sideways", solve_factor_columns_disc(0.5, 5))
 
 
 def test_disc_columns_satisfy_elementwise_equations():

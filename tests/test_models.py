@@ -11,8 +11,8 @@ from pennycontact.models import (
     DiscProblem,
     _annulus_forcings,
     _disc_forcing,
+    _disc_table,
     _omega_tilde_series,
-    recurrence_table,
     solve_annulus_reduction,
     solve_disc_recurrence,
     solve_disc_reduction,
@@ -60,22 +60,22 @@ class TestOmega1Disc:
 
 class TestRecurrenceTable:
     def test_seed_rows(self):
-        table = recurrence_table(1.3, 12, 8)
+        a, b = _disc_table(1.3, 12, 8)
         half = np.arange(12) + 0.5
-        assert np.allclose(table.a[:, 0], -1.3 / (2 * PI * half), rtol=1e-15)
-        assert np.all(table.b[:, 0] == 0.0)
+        assert np.allclose(a[:, 0], -1.3 / (2 * PI * half), rtol=1e-15)
+        assert np.all(b[:, 0] == 0.0)
 
     def test_printed_low_order_values(self):
-        table = recurrence_table(1.0, 3, 5)
-        assert table.a[0, 0] == pytest.approx(-1 / PI, rel=1e-14)
-        assert table.a[1, 0] == pytest.approx(-1 / (3 * PI), rel=1e-14)
-        assert table.a[0, 1] == pytest.approx(-4 / PI**3, rel=1e-14)
+        a, _ = _disc_table(1.0, 3, 5)
+        assert a[0, 0] == pytest.approx(-1 / PI, rel=1e-14)
+        assert a[1, 0] == pytest.approx(-1 / (3 * PI), rel=1e-14)
+        assert a[0, 1] == pytest.approx(-4 / PI**3, rel=1e-14)
 
     def test_linearity_in_load(self):
-        t1 = recurrence_table(1.0, 4, 6)
-        t2 = recurrence_table(2.5, 4, 6)
-        assert np.allclose(2.5 * t1.a, t2.a, rtol=1e-14)
-        assert np.allclose(2.5 * t1.b, t2.b, rtol=1e-14)
+        a1, b1 = _disc_table(1.0, 4, 6)
+        a2, b2 = _disc_table(2.5, 4, 6)
+        assert np.allclose(2.5 * a1, a2, rtol=1e-14)
+        assert np.allclose(2.5 * b1, b2, rtol=1e-14)
 
 
 class TestDiscSolvers:

@@ -23,8 +23,9 @@ from pennycontact.models import (
     _kept_counts,
     _row_weights,
     _solve_interleaved,
-    system_matrix,
 )
+
+from oracles import system_matrix
 
 # (lam, t, N) with weights below the cut: both small, lam small, t small, t = 0.
 CUT_CASES = [
