@@ -1,11 +1,13 @@
 """Per-layer timings of the library, written to a BENCH_*.json file.
 
-    python scripts/bench_layers.py [--repeats 30] [--out BENCH_12.json]
+    python scripts/bench_layers.py [--repeats 30] [--out BENCH_17.json]
 
 Times, one call per sample after one warm-up call, each of: the scalar f_m,
 the f_m family on one point and on a grid, the disc and annulus solves at
-N = 60 and 240, the continuity defects, and one stress and one displacement
-point.  BLAS is pinned to one thread before numpy is imported, so a timing
+N = 60 and 240, the continuity defects, one stress and one displacement
+point, the SIF sweep at the default grid (N = 60) and at 2000 rows
+(N = 240) with its series coefficients cached, and the uncached build of
+those coefficients for the default grid.  BLAS is pinned to one thread before numpy is imported, so a timing
 does not depend on how many cores the host lends the process.  The library
 is imported from this checkout's ``src``.  Each entry holds the median and
 the quartiles of its samples in microseconds; the file also records the
@@ -35,7 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from pennycontact import fields, models, specfun  # noqa: E402
+from pennycontact import cli, fields, models, specfun  # noqa: E402
 
 DELTA_STAR = 2.0 * 0.05 / math.sqrt(math.pi)
 
@@ -62,6 +64,16 @@ def cases() -> dict:
         )
     timed["fields.stress_contact point N=60"] = lambda: fields.stress_contact(disc[0.5], at_60, 0.5)
     timed["fields.displacement point N=60"] = lambda: fields.displacement(disc[0.5], at_60, 0.75)
+    for count, n in ((60, 60), (2000, 240)):
+        sweep = cli.load_config(None, {"truncation_N": n, "lambda_count": count})
+        timed[f"cli.run_sif_sweep count={count} N={n}"] = lambda sweep=sweep: cli.run_sif_sweep(sweep)
+    order = cli._series_order(cli.RunConfig().lambda_max)
+
+    def uncached_build():
+        models._sif_coefficients.cache_clear()
+        models._sif_coefficients(60, order)
+
+    timed[f"models._sif_coefficients N=60 K={order} uncached"] = uncached_build
     return timed
 
 
@@ -104,7 +116,7 @@ def provenance() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=30, help="samples per timing (default 30)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_12.json"), help="JSON file to write")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_17.json"), help="JSON file to write")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")

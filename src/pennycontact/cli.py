@@ -22,13 +22,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fields import displacement, sif_exact, stress_contact, stress_outer
+from .fields import (
+    SIF_SERIES_COEFFS,
+    displacement,
+    sif_asymptotic,
+    sif_exact,
+    stress_contact,
+    stress_outer,
+)
 from .models import (
     AnnulusProblem,
     CoefficientSetAnnulus,
     CoefficientSetDisc,
     DiscProblem,
     SingularSystemError,
+    _sif_coefficients,
     solve_annulus_reduction,
     solve_disc_reduction,
 )
@@ -64,6 +72,17 @@ _MAX_TRUNCATION_N = 1_000
 # order_K/2 + 1 rows, so its size grows as order_K**2: 32 MB at the cap, and
 # models keeps at most two tables (64 MB).
 _MAX_ORDER_K = 2_000
+# The SIF sweep's series order K comes from the lambda grid, not order_K.  A
+# row is served by the series when its relative tail bound lam**K/(1 - lam)
+# is at most _SERIES_TOL; K is the smallest order meeting that at the grid's
+# top lambda, at most _MAX_SERIES_ORDER.  The coefficients are cached in
+# models._sif_coefficients, K + 1 floats per (N, K) entry.  The series is
+# summed in blocks of _SERIES_CHUNK rows as q = _SERIES_STEP i + j, so a block
+# holds _SERIES_CHUNK (_SERIES_STEP + K/_SERIES_STEP) floats, not count x K.
+_SERIES_TOL = 2.0**-53
+_MAX_SERIES_ORDER = 1024
+_SERIES_CHUNK = 4096
+_SERIES_STEP = 32
 
 
 class ConfigError(ValueError):
@@ -251,7 +270,7 @@ class Table:
 
     header: dict
     columns: tuple
-    rows: list
+    rows: list  # of tuples, one float per column
 
     def render(self, fmt: str) -> str:
         """One indented JSON document, or CSV under `# key=value` header lines."""
@@ -268,7 +287,8 @@ class Table:
             for k, v in self.header.items()
         ]
         lines.append(",".join(self.columns))
-        lines += [",".join(_FLOAT_FMT % v for v in row) for row in self.rows]
+        row_fmt = ",".join([_FLOAT_FMT] * len(self.columns))
+        lines += [row_fmt % row for row in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -435,20 +455,63 @@ def run_stress(cfg: RunConfig) -> tuple[Table, Table]:
     )
 
 
+def _series_order(top: float) -> int:
+    """Smallest K with top**K <= _SERIES_TOL (1 - top), within 1.._MAX_SERIES_ORDER."""
+    if top == 0.0:
+        return 1
+    order = math.ceil(math.log(_SERIES_TOL * (1.0 - top)) / math.log(top))
+    return min(max(order, 1), _MAX_SERIES_ORDER)
+
+
+def _series_values(coefficients: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """sum_q C_q lam**q at each lam, blocked as q = _SERIES_STEP i + j.
+
+    Per block of rows, the short sums over j are one matrix product with the
+    powers lam**j, and the sum over i weights them by (lam**_SERIES_STEP)**i.
+    """
+    step = _SERIES_STEP
+    padded = np.zeros(-(-len(coefficients) // step) * step)
+    padded[: len(coefficients)] = coefficients
+    by_block = padded.reshape(-1, step).T  # [j, i] = C_{step i + j}
+    giant = np.arange(by_block.shape[1])
+    values = np.empty(len(lams))
+    for start in range(0, len(lams), _SERIES_CHUNK):
+        lam = lams[start : start + _SERIES_CHUNK, np.newaxis]
+        inner = (lam ** np.arange(step)) @ by_block
+        values[start : start + len(lam)] = np.sum(inner * (lam**step) ** giant, axis=1)
+    return values
+
+
 def run_sif_sweep(cfg: RunConfig, lambda_grid=None) -> Table:
-    """Normalized intensity factor, exact and asymptotic, over a lambda grid."""
+    """Normalized intensity factor, exact and asymptotic, over a lambda grid.
+
+    The exact value is -4/sqrt(pi) sum_q C_q lam**q, with C the cached series
+    of the N-truncated disc system (models._sif_coefficients), so it agrees
+    with a solve at each lambda to rounding.  The series stops at an order K
+    fixed by the grid's top lambda (_series_order); a row whose tail bound
+    lam**K/(1 - lam) exceeds 2**-53 is solved at its lambda instead, as
+    `solve` would.
+    """
     _require_disc(cfg, "intensity-factor sweeps")
     if lambda_grid is None:
         lambda_grid = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.lambda_count)
+    lams = np.asarray(lambda_grid, dtype=float)
+    inside = (0.0 < lams) & (lams < 1.0)
+    order = _series_order(float(lams.max(initial=0.0, where=inside)))
+    served = inside & (lams**order <= _SERIES_TOL * (1.0 - lams))
+    exact = np.zeros(len(lams))
+    if served.any():
+        series = _series_values(_sif_coefficients(cfg.truncation_N, order), lams[served])
+        exact[served] = (-4.0 / SQRT_PI) * series
     rows = []
-    for lam in lambda_grid:
-        lam = float(lam)
+    for lam, from_series, value in zip(lams.tolist(), served.tolist(), exact.tolist()):
         if lam == 0.0:
             rows.append((0.0, 0.0, 0.0))
-            continue
-        p, coeffs = run_solve(replace(cfg, lam=lam))
-        res = sif_exact(p, coeffs)
-        rows.append((lam, res.normalized, res.normalized_asymptotic))
+        elif from_series:
+            rows.append((lam, value, sif_asymptotic(lam, len(SIF_SERIES_COEFFS))))
+        else:
+            res = sif_exact(*run_solve(replace(cfg, lam=lam)))
+            rows.append((lam, res.normalized, res.normalized_asymptotic))
     return Table(
         header={**_base_header(cfg), "quantity": "normalized_k1"},
         columns=("lambda", "normalized_exact", "normalized_asymptotic"),
@@ -610,11 +673,16 @@ def _build_parser() -> _Parser:
         sp.add_argument("--nu", type=float, help="Poisson ratio")
         sp.add_argument("--shear-modulus", dest="shear_modulus", type=float)
         sp.add_argument("--n-trunc", dest="truncation_N", type=int)
-        sp.add_argument("--order-k", dest="order_K", type=int, help="verify's recurrence order K")
         sp.add_argument("--format", dest="output_format", choices=("csv", "json"))
         sp.add_argument("--out", help="output path (directory for figures)")
-        sp.add_argument("--grid-points", dest="grid_points", type=int)
-        sp.add_argument("--r-max", dest="r_max", type=float)
+        # the remaining flags only on the commands that read them, so a
+        # misplaced one is a usage error rather than silently ignored
+        if name == "verify":
+            sp.add_argument("--order-k", dest="order_K", type=int, help="recurrence order K")
+        if name in ("stress", "displacement", "figures"):
+            sp.add_argument("--grid-points", dest="grid_points", type=int)
+        if name in ("stress", "figures"):
+            sp.add_argument("--r-max", dest="r_max", type=float)
         if name == "sif":
             sp.add_argument("--lambda-min", dest="lambda_min", type=float)
             sp.add_argument("--lambda-max", dest="lambda_max", type=float)

@@ -7,7 +7,9 @@ This module assembles and solves those systems by truncation to a dense
 block ("reduction method", geometric convergence in the truncation order).
 For the disc, solve_disc_recurrence also solves them by exact recurrence
 relations in powers of lambda = b/a; `verify` and the tests use it as an
-independent cross-check of the reduction, and no command solves by it.
+independent cross-check of the reduction, and no command solves by it.  The
+`sif` sweep sums the intensity factor as one power series in lambda whose
+coefficients come from the same recurrence (_sif_coefficients).
 
 The loading enters only through the indentation parameter
 delta_star = 2*delta / (a * theta1 * sqrt(pi)), so every coefficient is
@@ -400,6 +402,11 @@ def _power_table(
         a[n, k] = seed_a [k = 0] + (1/pi) sum_{m <= k//2}     b[m, k-2m]   / (n+m+1/2)
 
     filled order by order, the b column first, each sum as one matvec.
+    Order K reads rows m <= K // 2.  With fewer rows than that each sum is
+    clipped to m < n_rows, which makes the tables exactly those of the
+    system truncated to n_rows unknowns per family (_sif_coefficients); with
+    n_rows >= K // 2 + 1 nothing is clipped and the tables are the infinite
+    system's rows n < n_rows, to order K.
     """
     if n_rows < 1 or order_K < 1:
         raise ValueError("n_rows and order_K must be >= 1")
@@ -407,7 +414,7 @@ def _power_table(
     b = np.zeros((n_rows, order_K))
     a[:, 0] = seed_a
     b[:, 0] = seed_b
-    m = np.arange(order_K // 2 + 1)
+    m = np.arange(min(order_K // 2 + 1, n_rows))
     inv = 1.0 / (math.pi * (m[:, None] + np.arange(n_rows) + 0.5))
     for k in range(order_K):
         mb = m[: (k - 1) // 2 + 1]
@@ -450,7 +457,8 @@ def solve_disc_reduction(p: DiscProblem, N: int = DEFAULT_TRUNCATION) -> Coeffic
 
 # Two entries: verification, and a sweep over two truncation orders, each
 # solve the disc recurrence at two argument sets.  The order_K cap in the CLI
-# bounds one entry at 32 MB, so the cache holds at most 64 MB.
+# bounds one entry at 32 MB, so the cache holds at most 64 MB.  The SIF
+# series keeps its own cache (_sif_coefficients, K + 1 floats per entry).
 @lru_cache(maxsize=2)
 def _disc_table(delta_star: float, n_rows: int, order_K: int) -> tuple[np.ndarray, np.ndarray]:
     """The disc's triangular lambda-power tables a[n, k], b[n, k], read-only.
@@ -470,6 +478,29 @@ def _disc_table(delta_star: float, n_rows: int, order_K: int) -> tuple[np.ndarra
     a.flags.writeable = False
     b.flags.writeable = False
     return a, b
+
+
+# Its own cache, apart from _disc_table's two entries: a sweep asks for one
+# (N, K) pair, and each entry is K + 1 <= 1025 floats, so 8 entries hold at
+# most 66 KB.  Nothing is built before the first sweep.
+@lru_cache(maxsize=8)
+def _sif_coefficients(N: int, order_K: int) -> np.ndarray:
+    """C_q, q <= K, with sum_n A+_n = delta_star sum_q C_q lam**q at truncation N; read-only.
+
+    A+_n = delta_star lam**(2n+1) sum_k a[n, k] lam**k, so
+    C_q = sum_n a[n, q - 2n - 1] over the disc's delta_star = 1 table with
+    min(N, K // 2 + 1) rows: the rows past K // 2 carry no power up to K, and
+    fewer rows clip the recurrence to the N-truncated system that
+    solve_disc_reduction solves (_power_table).  The vector depends on
+    neither lambda nor the loading.
+    """
+    rows = min(N, order_K // 2 + 1)
+    a, _ = _power_table(-1.0 / (2.0 * math.pi * (np.arange(rows) + 0.5)), 0.0, rows, order_K)
+    coefficients = np.zeros(order_K + 1)
+    for n in range(rows):
+        coefficients[2 * n + 1 :] += a[n, : order_K - 2 * n]
+    coefficients.flags.writeable = False
+    return coefficients
 
 
 def solve_disc_recurrence(

@@ -187,21 +187,26 @@ def system_matrix(lam, t, N):
 
 
 def power_table_oracle(seed_a, seed_b, n_rows, order_K):
-    """Lambda-power tables of the shared operator, one term at a time.
+    """Lambda-power tables of the operator truncated to n_rows, one term at a time.
 
-        b[n, k] = seed_b [k = 0] + (1/pi) sum_{m <= (k-1)//2} a[m, k-2m-1] / (n+m+1/2)
-        a[n, k] = seed_a [k = 0] + (1/pi) sum_{m <= k//2}     b[m, k-2m]   / (n+m+1/2)
+        b[n, k] = seed_b [k = 0] + (1/pi) sum_{m < n_rows, 2m+1 <= k} a[m, k-2m-1] / (n+m+1/2)
+        a[n, k] = seed_a [k = 0] + (1/pi) sum_{m < n_rows, 2m <= k}   b[m, k-2m]   / (n+m+1/2)
+
+    With n_rows > order_K // 2 no sum reaches the last row, so the tables
+    are the infinite system's first n_rows rows.
     """
     a = np.zeros((n_rows, order_K))
     b = np.zeros((n_rows, order_K))
     a[:, 0] = seed_a
     b[:, 0] = seed_b
-    den = math.pi * (np.arange(order_K // 2 + 1)[:, None] + np.arange(n_rows) + 0.5)
+    den = math.pi * (np.arange(n_rows)[:, None] + np.arange(n_rows) + 0.5)
     for k in range(order_K):
-        for m in range((k - 1) // 2 + 1):
-            b[:, k] += a[m, k - 2 * m - 1] / den[m]
-        for m in range(k // 2 + 1):
-            a[:, k] += b[m, k - 2 * m] / den[m]
+        for m in range(n_rows):
+            if 2 * m + 1 <= k:
+                b[:, k] += a[m, k - 2 * m - 1] / den[m]
+        for m in range(n_rows):
+            if 2 * m <= k:
+                a[:, k] += b[m, k - 2 * m] / den[m]
     return a, b
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from pennycontact.cli import (
     ConfigError,
+    _build_parser,
     RunConfig,
     coefficients_to_json,
     load_coefficients,
@@ -22,7 +23,48 @@ from pennycontact.models import SingularSystemError, system_residual
 from pennycontact.specfun import ConvergenceError, PoleError
 
 
+# The flags that not every command reads, and the commands that read them.
+_FLAG_READERS = {
+    "--order-k": ("verify",),
+    "--grid-points": ("stress", "displacement", "figures"),
+    "--r-max": ("stress", "figures"),
+    "--lambda-min": ("sif",),
+    "--lambda-max": ("sif",),
+    "--lambda-count": ("sif",),
+}
+_COMMAND_NAMES = ("solve", "stress", "sif", "displacement", "verify", "figures")
+
+
 class TestConfig:
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(c, f) for f, readers in _FLAG_READERS.items() for c in _COMMAND_NAMES if c not in readers],
+    )
+    def test_flag_on_a_command_that_does_not_read_it_is_config_error(
+        self, command, flag, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # figures would write into the working directory
+        assert main([command, flag, "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
+        assert flag in captured.err
+
+    @pytest.mark.parametrize(
+        "command,flag", [(c, f) for f, readers in _FLAG_READERS.items() for c in readers]
+    )
+    def test_flag_parses_on_the_commands_that_read_it(self, command, flag):
+        assert _build_parser().parse_args([command, flag, "5"]).command == command
+
+    def test_config_keys_apply_to_every_command(self, tmp_path, capsys):
+        # the flags are placed per command, the config keys are not
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"order_K": 5, "grid_points": 7, "r_max": 9.0, "lambda_count": 3}))
+        assert main(["solve", "--n-trunc", "4", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        cfg = load_config(str(path), {})
+        assert (cfg.order_K, cfg.grid_points, cfg.r_max, cfg.lambda_count) == (5, 7, 9.0, 3)
+
     def test_defaults_validate(self):
         RunConfig().validate()
 
