@@ -1,10 +1,11 @@
 """Per-layer timings of the library, written to a BENCH_*.json file.
 
-    python scripts/bench_layers.py [--repeats 30] [--out BENCH_17.json]
+    python scripts/bench_layers.py [--repeats 30] [--out BENCH_18.json]
 
 Times, one call per sample after one warm-up call, each of: the scalar f_m,
 the f_m family on one point and on a grid, the disc and annulus solves at
-N = 60 and 240, the continuity defects, one stress and one displacement
+N = 60 and 240 and the annulus solve at N = 1000, the disc and annulus
+system residuals at N = 240, the continuity defects, one stress and one displacement
 point, the SIF sweep at the default grid (N = 60) and at 2000 rows
 (N = 240) with its series coefficients cached, and the uncached build of
 those coefficients for the default grid.  BLAS is pinned to one thread before numpy is imported, so a timing
@@ -58,6 +59,10 @@ def cases() -> dict:
     for n in (60, 240):
         timed[f"models.solve_disc_reduction N={n}"] = lambda n=n: models.solve_disc_reduction(disc[0.5], n)
         timed[f"models.solve_annulus_reduction N={n}"] = lambda n=n: models.solve_annulus_reduction(annulus, n)
+    timed["models.solve_annulus_reduction N=1000"] = lambda: models.solve_annulus_reduction(annulus, 1000)
+    annulus_240 = models.solve_annulus_reduction(annulus, 240)
+    timed["models.system_residual disc N=240"] = lambda: models.system_residual(disc[0.5], solved[0.5])
+    timed["models.system_residual annulus N=240"] = lambda: models.system_residual(annulus, annulus_240)
     for lam in (0.5, 0.9):
         timed[f"fields.continuity_defects lam={lam} N=240"] = (
             lambda lam=lam: fields.continuity_defects(disc[lam], solved[lam])
@@ -116,7 +121,7 @@ def provenance() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=30, help="samples per timing (default 30)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_17.json"), help="JSON file to write")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_18.json"), help="JSON file to write")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")

@@ -665,18 +665,19 @@ def _build_parser() -> _Parser:
     for name, (help_text, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON configuration file")
-        sp.add_argument("--model", choices=("disc", "annulus"))
-        sp.add_argument("--lambda", dest="lam", type=float, help="radius ratio b/a")
-        sp.add_argument("--lambda0", dest="lam0", type=float, help="inner ratio c/a")
-        sp.add_argument("--lambda1", dest="lam1", type=float, help="outer ratio b/a")
-        sp.add_argument("--delta-over-a", dest="delta_over_a", type=float)
+        # flags only on the commands that read them (figures runs at fixed
+        # reference parameters), so a misplaced one is a usage error
+        if name != "figures":
+            sp.add_argument("--model", choices=("disc", "annulus"))
+            sp.add_argument("--lambda", dest="lam", type=float, help="radius ratio b/a")
+            sp.add_argument("--lambda0", dest="lam0", type=float, help="inner ratio c/a")
+            sp.add_argument("--lambda1", dest="lam1", type=float, help="outer ratio b/a")
+            sp.add_argument("--delta-over-a", dest="delta_over_a", type=float)
+            sp.add_argument("--format", dest="output_format", choices=("csv", "json"))
         sp.add_argument("--nu", type=float, help="Poisson ratio")
         sp.add_argument("--shear-modulus", dest="shear_modulus", type=float)
         sp.add_argument("--n-trunc", dest="truncation_N", type=int)
-        sp.add_argument("--format", dest="output_format", choices=("csv", "json"))
         sp.add_argument("--out", help="output path (directory for figures)")
-        # the remaining flags only on the commands that read them, so a
-        # misplaced one is a usage error rather than silently ignored
         if name == "verify":
             sp.add_argument("--order-k", dest="order_K", type=int, help="recurrence order K")
         if name in ("stress", "displacement", "figures"):

@@ -3,8 +3,8 @@
 A flat rigid disc (radius b) or flat rigid annulus (radii c < b) wedged
 into a penny-shaped crack of radius a leads, after Mellin transformation,
 to infinite linear systems for the pole-removal coefficients A and B.
-This module assembles and solves those systems by truncation to a dense
-block ("reduction method", geometric convergence in the truncation order).
+This module solves those systems by truncation to N rows per family
+("reduction method", geometric convergence in N) through per-N kernels.
 For the disc, solve_disc_recurrence also solves them by exact recurrence
 relations in powers of lambda = b/a; `verify` and the tests use it as an
 independent cross-check of the reduction, and no command solves by it.  The
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -238,55 +239,54 @@ def _weighted(lam: float, t: float | None, column: np.ndarray) -> np.ndarray:
     return weight.reshape(weight.shape + (1,) * (column.ndim - 2)) * column
 
 
-def _couplings(lam: float, t: float | None, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """The couplings P (B rows on A unknowns) and Q (A rows on B unknowns).
+# Two entries, like _disc_table's: a solve and its residual share one N, and a
+# sweep over two N keeps both.  One entry is 16 MB at the N = 1000 cap.
+@lru_cache(maxsize=2)
+def _kernels(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weight-free kernels of the shared operator, read-only, shape (N, N + 1).
 
-    With the B unknowns (B-, B+) and the A unknowns (A+, A-) grouped, the
-    operator reads [[I, P], [Q, I]].  P is block-diagonal, B- to A+ and B+ to
-    A-, and holds its h diagonal blocks, shape (h, N, N); Q, shape
-    (h, N, h, N), reshapes to its (hN, hN) matrix without a copy.  Each entry
-    is the row weight over pi (n +- m + shift), n being the row.
+    hankel[n, m] = 1/(pi (n + m + 1/2)) and toeplitz[n, m] = 1/(pi (n - m + 1/2)).
+    Every coupling is a row weight times one of their (N, N) column windows
+    (_coupling_kernels), so every solve and residual at one N reads these two.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N!r}")
-    # Every denominator is pi (j + 1/2) for an integer j in [-N, 2N): one
-    # vector, viewed read-only as windows[i, m] = den[i + m], gives the N x N
-    # Hankel (n + m) blocks and, with the columns reversed, the Toeplitz
-    # (n - m) ones.  The view is a direct strided ndarray because numpy's
-    # sliding_window_view and as_strided go through __array_interface__,
-    # which held ~1 MiB more resident over many calls (numpy 2.4).
-    den = math.pi * (np.arange(-N, 2 * N) + 0.5)
-    windows = np.ndarray((2 * N + 1, N), den.dtype, den, strides=den.strides * 2)
-    windows.flags.writeable = False
-    weight = _row_weights(lam, t, N)[:, :, np.newaxis]  # B-, A+[, A-, B+]
-    h = len(weight) // 2
-    P = np.empty((h, N, N))
-    Q = np.empty((h, N, h, N))
-    plus = windows[N : 2 * N]  # pi (n + m + 1/2)
-    np.divide(weight[0], plus, out=P[0])
-    np.divide(weight[1], plus, out=Q[0, :, 0])
-    if t is not None:
-        plus_one = windows[N + 1 : 2 * N + 1]  # pi (n + m + 3/2)
-        np.divide(weight[3], plus_one, out=P[1])
-        np.divide(weight[1], windows[:N, ::-1], out=Q[0, :, 1])  # pi (n - m - 1/2)
-        np.divide(weight[2], windows[1 : N + 1, ::-1], out=Q[1, :, 0])  # pi (n - m + 1/2)
-        np.divide(weight[2], plus_one, out=Q[1, :, 1])
-    return P, Q
+    j = np.arange(N)[:, np.newaxis] + np.arange(N + 1)  # n + m
+    hankel = 1.0 / (math.pi * (j + 0.5))
+    toeplitz = 1.0 / (math.pi * (j[:, ::-1] - N + 0.5))  # n + (N - m) - N
+    hankel.flags.writeable = False
+    toeplitz.flags.writeable = False
+    return hankel, toeplitz
+
+
+def _coupling_kernels(N: int, h: int) -> list[list[np.ndarray]]:
+    """The coupling kernels K[i][j], (N, N) column windows of _kernels(N).
+
+    With the h B slots (B-, B+) and h A slots (A+, A-) grouped, the operator
+    reads [[I, P], [Q, I]]: Q_ij = diag(w_Ai) K[i][j] couples A slot i to
+    B slot j, and the block-diagonal P_j = diag(w_Bj) K[j][j] couples B slot j
+    to A slot j, the w being _row_weights.  K[i][j] is
+    1/(pi (n + m + j + 1/2)) if i == j, else 1/(pi (n - m - j + 1/2)).
+    """
+    hankel, toeplitz = _kernels(N)
+    return [[(hankel if i == j else toeplitz)[:, j : j + N] for j in range(h)] for i in range(h)]
 
 
 def _apply_operator(lam: float, t: float | None, x: np.ndarray) -> np.ndarray:
     """The shared operator applied to interleaved unknowns x of shape (N, slots).
 
-    x_B + P x_A and x_A + Q x_B, so the (kN)^2 matrix is never assembled.
+    x_B + P x_A and x_A + Q x_B, each a kernel product scaled by its rows'
+    weights, so no weighted N x N block is built.
     """
     N, k = x.shape
     h = k // 2
-    P, Q = _couplings(lam, t, N)
-    b_slots = list(_B_SLOTS[:h])
+    K = _coupling_kernels(N, h)
+    w = _row_weights(lam, t, N)
+    b_slots = _B_SLOTS[:h]
     out = x.copy()
-    for j, b in enumerate(b_slots):
-        out[:, b] += P[j] @ x[:, j + 1]
-    out[:, 1 : h + 1] += (Q.reshape(h * N, h * N) @ x[:, b_slots].T.ravel()).reshape(h, N).T
+    for i, b in enumerate(b_slots):
+        out[:, b] += w[b] * (K[i][i] @ x[:, i + 1])
+        out[:, i + 1] += w[i + 1] * sum(K[i][j] @ x[:, c] for j, c in enumerate(b_slots))
     return out
 
 
@@ -314,34 +314,12 @@ def _families(x: np.ndarray) -> dict:
     return {name: x[:, i] for i, name in enumerate(_SLOTS[: x.shape[1]])}
 
 
-def _schur(P: np.ndarray, Q: np.ndarray, n_a: list[int], n_b: list[int]) -> np.ndarray:
-    """I - Q P over the leading n_a[i] A and n_b[j] B unknowns of each slot.
-
-    P is block-diagonal, so block (i, j) of Q P is the single product
-    Q_ij P_j: h*h products of prefix views, written into one buffer in
-    slot-major order and negated in place, with the identity added on the
-    diagonal.
-    """
-    size = sum(n_a)
-    schur = np.empty((size, size))
-    row = 0
-    for i, rows in enumerate(n_a):
-        col = 0
-        for j, cols in enumerate(n_a):
-            block = schur[row : row + rows, col : col + cols]
-            np.matmul(Q[i, :rows, j, : n_b[j]], P[j, : n_b[j], :cols], out=block)
-            col += cols
-        row += rows
-    np.negative(schur, out=schur)
-    schur.flat[:: size + 1] += 1.0
-    return schur
-
-
 def _solve_interleaved(lam: float, t: float | None, rhs: np.ndarray) -> np.ndarray:
     """Solve the shared operator for rhs of shape (N, slots[, columns]).
 
     The operator reads [[I, P], [Q, I]], so the A unknowns solve the Schur
-    complement (I - Q P) a = r_A - Q r_B, of half its size, and b = r_B - P a.
+    complement (I - Q P) a = r_A - Q r_B, of half its size, and b = r_B - P a,
+    each coupling applied as its rows' weights times a per-N kernel.
 
     The Schur complement keeps only unknowns whose row weight is at least
     _MIN_WEIGHT = 2**-64: the first n_a[i] of A slot i and n_b[j] of B slot j
@@ -356,24 +334,46 @@ def _solve_interleaved(lam: float, t: float | None, rhs: np.ndarray) -> np.ndarr
     """
     N, k = rhs.shape[:2]
     h = k // 2
-    P, Q = _couplings(lam, t, N)
-    Q_rows = Q.reshape(h, N, h * N)  # row n of A slot i, over every B unknown
+    K = _coupling_kernels(N, h)
+    w = _row_weights(lam, t, N)[:, :, np.newaxis]
     x = np.zeros(rhs.shape)  # the A tail stays 0 until its substitution
     r, x_slots = (v.reshape(N, k, -1).transpose(1, 0, 2) for v in (rhs, x))
     b_slots = list(_B_SLOTS[:h])
     r_a, a, r_b = r[1 : h + 1], x_slots[1 : h + 1], r[b_slots]  # A slots as views
+    w_a, w_b = w[1 : h + 1], w[b_slots]
     kept = _kept_counts(lam, t, N)
     n_a, n_b = kept[1 : h + 1], [kept[j] for j in b_slots]
+
+    def q_rows(i, rows, y):  # rows `rows` of Q y in A slot i
+        return w_a[i, rows] * sum(K[i][j][rows] @ y[j] for j in range(h))
+
+    def p(cols):  # P a over the first cols[j] rows of each A slot j
+        return w_b * np.stack([K[j][j][:, :c] @ a[j, :c] for j, c in enumerate(cols)])
+
+    # I - Q P over the kept prefixes.  P is block-diagonal, so block (i, j)
+    # of Q P is the one product Q_ij P_j = w_Ai (K[i][j] (w_Bj K[j][j])): the
+    # h*h kernel products go into one buffer, and each row is then scaled by
+    # minus its A weight.  Kept weights are >= 2**-64, so every product is a
+    # normal number.
+    size, at = sum(n_a), [0, *accumulate(n_a)]
+    schur = np.empty((size, size))
+    for j, cols in enumerate(n_a):
+        weighted = w_b[j, : n_b[j]] * K[j][j][: n_b[j], :cols]
+        for i, rows in enumerate(n_a):
+            block = schur[at[i] : at[i + 1], at[j] : at[j + 1]]
+            np.matmul(K[i][j][:rows, : n_b[j]], weighted, out=block)
+    schur *= -np.concatenate([w_a[i, :rows] for i, rows in enumerate(n_a)])
+    schur.flat[:: size + 1] += 1.0
     rhs_kept = np.concatenate(
-        [r_a[i, :rows] - Q_rows[i, :rows] @ r_b.reshape(h * N, -1) for i, rows in enumerate(n_a)]
+        [r_a[i, :rows] - q_rows(i, slice(rows), r_b) for i, rows in enumerate(n_a)]
     )
-    solution = _solve_dense(_schur(P, Q, n_a, n_b), rhs_kept)
+    solution = _solve_dense(schur, rhs_kept)
     for i, rows in enumerate(n_a):
-        a[i, :rows] = solution[sum(n_a[:i]) :][:rows]
-    b = r_b - P @ a
+        a[i, :rows] = solution[at[i] : at[i + 1]]
+    b = r_b - p(n_a)  # the A tail is still 0
     for i, rows in enumerate(n_a):
-        a[i, rows:] = r_a[i, rows:] - Q_rows[i, rows:] @ b.reshape(h * N, -1)
-    x_slots[b_slots] = r_b - P @ a
+        a[i, rows:] = r_a[i, rows:] - q_rows(i, slice(rows, None), b)
+    x_slots[b_slots] = r_b - p([N] * h)
     return x
 
 

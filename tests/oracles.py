@@ -9,9 +9,12 @@ by term in their original scaling, so a wrong block in the library's
 shared operator cannot cancel out of the check, and the lambda-power
 tables are filled by the plain double loop over orders and terms.
 
-system_matrix is the one exception: it assembles the library's own couplings
-into the dense operator, the reference that the eliminated solves are checked
-against; test_operator_reuse checks it entry by entry against a fresh build.
+system_matrix is the one exception: it assembles the couplings from the
+library's row weights into the dense operator, the reference that the
+eliminated solves are checked against.  Its couplings divide each weight by
+its denominator (_couplings), where the library multiplies kernel products by
+the weights, so the two constructions differ; test_operator_reuse checks it
+entry by entry against a fresh build.
 """
 
 import math
@@ -19,7 +22,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from pennycontact.models import _B_SLOTS, _couplings
+from pennycontact.models import _B_SLOTS, _row_weights
 
 
 def gamma_product_oracle(x, dps=50, shift=50):
@@ -165,6 +168,42 @@ def annulus_column_defect(lam0, lam1, column_index, A_plus, A_minus, B_plus, B_m
         )
         worst = max(worst, *(abs(r) for r in residuals))
     return worst
+
+
+def _couplings(lam: float, t: float | None, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The couplings P (B rows on A unknowns) and Q (A rows on B unknowns).
+
+    With the B unknowns (B-, B+) and the A unknowns (A+, A-) grouped, the
+    operator reads [[I, P], [Q, I]].  P is block-diagonal, B- to A+ and B+ to
+    A-, and holds its h diagonal blocks, shape (h, N, N); Q, shape
+    (h, N, h, N), reshapes to its (hN, hN) matrix without a copy.  Each entry
+    is the row weight over pi (n +- m + shift), n being the row.
+    """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N!r}")
+    # Every denominator is pi (j + 1/2) for an integer j in [-N, 2N): one
+    # vector, viewed read-only as windows[i, m] = den[i + m], gives the N x N
+    # Hankel (n + m) blocks and, with the columns reversed, the Toeplitz
+    # (n - m) ones.  The view is a direct strided ndarray because numpy's
+    # sliding_window_view and as_strided go through __array_interface__,
+    # which held ~1 MiB more resident over many calls (numpy 2.4).
+    den = math.pi * (np.arange(-N, 2 * N) + 0.5)
+    windows = np.ndarray((2 * N + 1, N), den.dtype, den, strides=den.strides * 2)
+    windows.flags.writeable = False
+    weight = _row_weights(lam, t, N)[:, :, np.newaxis]  # B-, A+[, A-, B+]
+    h = len(weight) // 2
+    P = np.empty((h, N, N))
+    Q = np.empty((h, N, h, N))
+    plus = windows[N : 2 * N]  # pi (n + m + 1/2)
+    np.divide(weight[0], plus, out=P[0])
+    np.divide(weight[1], plus, out=Q[0, :, 0])
+    if t is not None:
+        plus_one = windows[N + 1 : 2 * N + 1]  # pi (n + m + 3/2)
+        np.divide(weight[3], plus_one, out=P[1])
+        np.divide(weight[1], windows[:N, ::-1], out=Q[0, :, 1])  # pi (n - m - 1/2)
+        np.divide(weight[2], windows[1 : N + 1, ::-1], out=Q[1, :, 0])  # pi (n - m + 1/2)
+        np.divide(weight[2], plus_one, out=Q[1, :, 1])
+    return P, Q
 
 
 def system_matrix(lam, t, N):

@@ -31,8 +31,14 @@ _FLAG_READERS = {
     "--lambda-min": ("sif",),
     "--lambda-max": ("sif",),
     "--lambda-count": ("sif",),
+    **dict.fromkeys(
+        ("--format", "--lambda", "--lambda0", "--lambda1", "--model", "--delta-over-a"),
+        ("solve", "stress", "sif", "displacement", "verify"),
+    ),
 }
 _COMMAND_NAMES = ("solve", "stress", "sif", "displacement", "verify", "figures")
+# A value each flag parses; "5" for the numeric ones.
+_FLAG_VALUES = {"--format": "json", "--model": "disc"}
 
 
 class TestConfig:
@@ -54,7 +60,8 @@ class TestConfig:
         "command,flag", [(c, f) for f, readers in _FLAG_READERS.items() for c in readers]
     )
     def test_flag_parses_on_the_commands_that_read_it(self, command, flag):
-        assert _build_parser().parse_args([command, flag, "5"]).command == command
+        argv = [command, flag, _FLAG_VALUES.get(flag, "5")]
+        assert _build_parser().parse_args(argv).command == command
 
     def test_config_keys_apply_to_every_command(self, tmp_path, capsys):
         # the flags are placed per command, the config keys are not

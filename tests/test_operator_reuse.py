@@ -1,13 +1,14 @@
 """The geometry-independent parts of the shared operator, built once.
 
-The kernel blocks come from one denominator vector viewed as Hankel and
-Toeplitz blocks, the disc lambda-power table is shared read-only per
-argument set, and the residuals apply the operator block by block.  Each must give
-what the direct construction gives.
+The weight-free Hankel and Toeplitz kernels are shared read-only per N by
+every solve and residual, the disc lambda-power table is shared read-only per
+argument set, and the residuals apply the operator block by block.  Each must
+give what the direct construction gives.
 """
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,10 +25,11 @@ from pennycontact.models import (
     AnnulusProblem,
     DiscProblem,
     _annulus_forcings,
-    _couplings,
+    _apply_operator,
     _disc_forcing,
     _disc_table,
     _interleave,
+    _kernels,
     _power_table,
     _row_weights,
     solve_annulus_reduction,
@@ -36,7 +38,7 @@ from pennycontact.models import (
 )
 from pennycontact.verify import run_verification
 
-from oracles import system_matrix
+from oracles import _couplings, system_matrix
 
 
 def _fresh_operator(lam, t, N):
@@ -58,8 +60,12 @@ def _fresh_operator(lam, t, N):
     return matrix
 
 
-@pytest.mark.parametrize("N", [1, 2, 60, 240])
-@pytest.mark.parametrize("lam,t", [(0.5, None), (0.9, 0.4), (0.2, 0.1)])
+_OPERATOR_GRID = pytest.mark.parametrize("N", [1, 2, 60, 240])
+_GEOMETRIES = pytest.mark.parametrize("lam,t", [(0.5, None), (0.9, 0.4), (0.2, 0.1)])
+
+
+@_OPERATOR_GRID
+@_GEOMETRIES
 def test_couplings_are_bit_identical_to_fresh_denominators(lam, t, N):
     h = 1 if t is None else 2
     P, Q = _couplings(lam, t, N)
@@ -67,10 +73,82 @@ def test_couplings_are_bit_identical_to_fresh_denominators(lam, t, N):
     assert np.all(system_matrix(lam, t, N) == _fresh_operator(lam, t, N))
 
 
-def test_coupling_blocks_are_fresh_arrays():
-    for block in _couplings(0.5, 0.5, 4):
-        block[:] = math.nan
-    assert all(np.all(np.isfinite(block)) for block in _couplings(0.5, 0.5, 4))
+@_OPERATOR_GRID
+@_GEOMETRIES
+def test_kernel_operator_matches_the_divided_matrix(lam, t, N):
+    x = np.random.default_rng(N).standard_normal((N, 2 if t is None else 4))
+    want = system_matrix(lam, t, N) @ x.ravel()
+    got = _apply_operator(lam, t, x).ravel()
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("N", [1, 2, 7])
+def test_kernel_entries_are_the_reciprocal_denominators(N):
+    hankel, toeplitz = _kernels(N)
+    assert hankel.shape == toeplitz.shape == (N, N + 1)
+    for n in range(N):
+        for m in range(N + 1):
+            assert hankel[n, m] == 1.0 / (math.pi * (n + m + 0.5))
+            assert toeplitz[n, m] == 1.0 / (math.pi * (n - m + 0.5))
+
+
+def test_kernels_are_read_only():
+    problem = AnnulusProblem(lam0=0.2, lam1=0.5, delta_star=0.7)
+    before = solve_annulus_reduction(problem, 8)
+    for kernel in _kernels(8):
+        with pytest.raises(ValueError):
+            kernel[0, 0] = math.nan
+    after = solve_annulus_reduction(problem, 8)
+    for name in ("A_plus", "A_minus", "B_plus", "B_minus"):
+        assert np.array_equal(getattr(before, name), getattr(after, name))
+
+
+def test_every_operator_caller_shares_one_kernel_build(monkeypatch):
+    N, lam0, lam1 = 24, 0.2, 0.5
+    disc = DiscProblem(lam=lam1, delta_star=0.7)
+    annulus = AnnulusProblem(lam0=lam0, lam1=lam1, delta_star=0.7)
+    served = []
+    cached = models._kernels
+
+    def recording(n):
+        served.append(cached(n))
+        return served[-1]
+
+    cached.cache_clear()
+    monkeypatch.setattr(models, "_kernels", recording)
+    try:
+        system_residual(disc, solve_disc_reduction(disc, N))
+        system_residual(annulus, solve_annulus_reduction(annulus, N))
+        for columns in (solve_factor_columns_disc(lam1, N), solve_factor_columns_annulus(lam0, lam1, N)):
+            for column in columns:
+                factor_system_residual(column)
+        info = cached.cache_info()
+    finally:
+        cached.cache_clear()
+    # two solves, their residuals, two column solves and five column residuals
+    assert len(served) == 11 and info.misses == 1
+    assert all(pair[0] is served[0][0] and pair[1] is served[0][1] for pair in served)
+    assert not any(kernel.flags.writeable for kernel in served[0])
+
+
+def _peak_bytes(fn):
+    """The tracemalloc peak of one call, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_annulus_solve_and_residual_build_no_n_squared_array():
+    # one weighted N x N block at N = 1000 is 7.6 MiB; the parent's
+    # couplings held six of them
+    problem = AnnulusProblem(lam0=0.45, lam1=0.9, delta_star=0.7)
+    coeffs = solve_annulus_reduction(problem, 1000)
+    assert _peak_bytes(lambda: solve_annulus_reduction(problem, 1000)) <= 4 * 2**20
+    assert _peak_bytes(lambda: system_residual(problem, coeffs)) <= 2**20
 
 
 # ----------------------------------------------------------------------
