@@ -5,8 +5,8 @@
 Times, one call per sample after one warm-up call, each of: the scalar f_m,
 the f_m family on one point and on a grid, the disc and annulus solves at
 N = 60 and 240 and the annulus solve at N = 1000, the disc and annulus
-system residuals at N = 240, the continuity defects, one stress and one displacement
-point, the SIF sweep at the default grid (N = 60) and at 2000 rows
+system residuals at N = 240, the continuity defects, one stress and one
+displacement point, the SIF sweep at the default grid (N = 60) and at 2000 rows
 (N = 240) with its series coefficients cached, and the uncached build of
 those coefficients for the default grid.  BLAS is pinned to one thread before numpy is imported, so a timing
 does not depend on how many cores the host lends the process.  The library

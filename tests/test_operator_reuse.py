@@ -143,8 +143,8 @@ def _peak_bytes(fn):
 
 
 def test_annulus_solve_and_residual_build_no_n_squared_array():
-    # one weighted N x N block at N = 1000 is 7.6 MiB; the parent's
-    # couplings held six of them
+    # one weighted N x N block at N = 1000 is 7.6 MiB, and building the
+    # annulus P and Q by division took six of them
     problem = AnnulusProblem(lam0=0.45, lam1=0.9, delta_star=0.7)
     coeffs = solve_annulus_reduction(problem, 1000)
     assert _peak_bytes(lambda: solve_annulus_reduction(problem, 1000)) <= 4 * 2**20
