@@ -72,7 +72,7 @@ def cases() -> dict:
     for count, n in ((60, 60), (2000, 240)):
         sweep = cli.load_config(None, {"truncation_N": n, "lambda_count": count})
         timed[f"cli.run_sif_sweep count={count} N={n}"] = lambda sweep=sweep: cli.run_sif_sweep(sweep)
-    order = cli._series_order(cli.RunConfig().lambda_max)
+    order = fields._series_order(cli.RunConfig().lambda_max)
 
     def uncached_build():
         models._sif_coefficients.cache_clear()

@@ -22,21 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fields import (
-    SIF_SERIES_COEFFS,
-    displacement,
-    sif_asymptotic,
-    sif_exact,
-    stress_contact,
-    stress_outer,
-)
+from .fields import displacement, sif_sweep, stress_contact, stress_outer
 from .models import (
     AnnulusProblem,
     CoefficientSetAnnulus,
     CoefficientSetDisc,
     DiscProblem,
     SingularSystemError,
-    _sif_coefficients,
     solve_annulus_reduction,
     solve_disc_reduction,
 )
@@ -72,17 +64,6 @@ _MAX_TRUNCATION_N = 1_000
 # order_K/2 + 1 rows, so its size grows as order_K**2: 32 MB at the cap, and
 # models keeps at most two tables (64 MB).
 _MAX_ORDER_K = 2_000
-# The SIF sweep's series order K comes from the lambda grid, not order_K.  A
-# row is served by the series when its relative tail bound lam**K/(1 - lam)
-# is at most _SERIES_TOL; K is the smallest order meeting that at the grid's
-# top lambda, at most _MAX_SERIES_ORDER.  The coefficients are cached in
-# models._sif_coefficients, K + 1 floats per (N, K) entry.  The series is
-# summed in blocks of _SERIES_CHUNK rows as q = _SERIES_STEP i + j, so a block
-# holds _SERIES_CHUNK (_SERIES_STEP + K/_SERIES_STEP) floats, not count x K.
-_SERIES_TOL = 2.0**-53
-_MAX_SERIES_ORDER = 1024
-_SERIES_CHUNK = 4096
-_SERIES_STEP = 32
 
 
 class ConfigError(ValueError):
@@ -455,83 +436,29 @@ def run_stress(cfg: RunConfig) -> tuple[Table, Table]:
     )
 
 
-def _series_order(top: float) -> int:
-    """Smallest K with top**K <= _SERIES_TOL (1 - top), within 1.._MAX_SERIES_ORDER."""
-    if top == 0.0:
-        return 1
-    order = math.ceil(math.log(_SERIES_TOL * (1.0 - top)) / math.log(top))
-    return min(max(order, 1), _MAX_SERIES_ORDER)
-
-
-def _series_values(coefficients: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """sum_q C_q lam**q at each lam, blocked as q = _SERIES_STEP i + j.
-
-    Per block of rows, the short sums over j are one matrix product with the
-    powers lam**j, and the sum over i weights them by (lam**_SERIES_STEP)**i.
-    """
-    step = _SERIES_STEP
-    padded = np.zeros(-(-len(coefficients) // step) * step)
-    padded[: len(coefficients)] = coefficients
-    by_block = padded.reshape(-1, step).T  # [j, i] = C_{step i + j}
-    giant = np.arange(by_block.shape[1])
-    values = np.empty(len(lams))
-    for start in range(0, len(lams), _SERIES_CHUNK):
-        lam = lams[start : start + _SERIES_CHUNK, np.newaxis]
-        inner = (lam ** np.arange(step)) @ by_block
-        values[start : start + len(lam)] = np.sum(inner * (lam**step) ** giant, axis=1)
-    return values
-
-
-def run_sif_sweep(cfg: RunConfig, lambda_grid=None) -> Table:
-    """Normalized intensity factor, exact and asymptotic, over a lambda grid.
-
-    The exact value is -4/sqrt(pi) sum_q C_q lam**q, with C the cached series
-    of the N-truncated disc system (models._sif_coefficients), so it agrees
-    with a solve at each lambda to rounding.  The series stops at an order K
-    fixed by the grid's top lambda (_series_order); a row whose tail bound
-    lam**K/(1 - lam) exceeds 2**-53 is solved at its lambda instead, as
-    `solve` would.
-    """
+def run_sif_sweep(cfg: RunConfig) -> Table:
+    """Normalized intensity factor, exact and asymptotic, over the lambda grid (fields.sif_sweep)."""
     _require_disc(cfg, "intensity-factor sweeps")
-    if lambda_grid is None:
-        lambda_grid = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.lambda_count)
-    lams = np.asarray(lambda_grid, dtype=float)
-    inside = (0.0 < lams) & (lams < 1.0)
-    order = _series_order(float(lams.max(initial=0.0, where=inside)))
-    served = inside & (lams**order <= _SERIES_TOL * (1.0 - lams))
-    exact = np.zeros(len(lams))
-    if served.any():
-        series = _series_values(_sif_coefficients(cfg.truncation_N, order), lams[served])
-        exact[served] = (-4.0 / SQRT_PI) * series
-    rows = []
-    for lam, from_series, value in zip(lams.tolist(), served.tolist(), exact.tolist()):
-        if lam == 0.0:
-            rows.append((0.0, 0.0, 0.0))
-        elif from_series:
-            rows.append((lam, value, sif_asymptotic(lam, len(SIF_SERIES_COEFFS))))
-        else:
-            res = sif_exact(*run_solve(replace(cfg, lam=lam)))
-            rows.append((lam, res.normalized, res.normalized_asymptotic))
+    lams = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.lambda_count)
     return Table(
         header={**_base_header(cfg), "quantity": "normalized_k1"},
         columns=("lambda", "normalized_exact", "normalized_asymptotic"),
-        rows=rows,
+        rows=sif_sweep(cfg.disc_problem(), lams, cfg.truncation_N),
     )
 
 
-def run_displacement(cfg: RunConfig, lam: float | None = None) -> Table:
+def run_displacement(cfg: RunConfig) -> Table:
     """Crack-face displacement profile u_z/a on (lam, 1)."""
     _require_disc(cfg, "displacement curves")
-    sub = cfg if lam is None else replace(cfg, lam=lam)
-    grid = _displacement_grid(sub.lam, sub.grid_points)
+    grid = _displacement_grid(cfg.lam, cfg.grid_points)
     # near lam = 1 the end offsets, times the span 1 - lam, round onto lam or 1
-    if not (sub.lam < grid[0] and grid[-1] < 1.0):
+    if not (cfg.lam < grid[0] and grid[-1] < 1.0):
         raise ConfigError(
             f"lambda: too close to 1 for the displacement grid, whose end rows "
-            f"round onto lambda or 1, got {sub.lam!r}"
+            f"round onto lambda or 1, got {cfg.lam!r}"
         )
-    p, coeffs = run_solve(sub)
-    header = {**_base_header(sub), "quantity": "u_z_over_a"}
+    p, coeffs = run_solve(cfg)
+    header = {**_base_header(cfg), "quantity": "u_z_over_a"}
     return _curve(header, grid, displacement(p, coeffs, grid))
 
 
@@ -572,7 +499,7 @@ def run_figures(cfg: RunConfig, out_dir: Path) -> list[Path]:
     write("fig2_sif.csv", run_sif_sweep(replace(base, lam=0.5)))
     for lam in _FIGURE_LAMBDAS:
         name = f"fig3_displacement_lam{int(round(lam * 100)):03d}.csv"
-        write(name, run_displacement(base, lam=lam))
+        write(name, run_displacement(replace(base, lam=lam)))
     return written
 
 
@@ -656,6 +583,34 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# (flag, argparse keywords, the commands that read it), in --help order.  A
+# flag is registered only on its readers, so a misplaced one is a usage error;
+# config-file keys apply to every command.  figures runs at fixed reference
+# parameters, verify checks both models nondimensionally, the field commands
+# are disc-only, and solve always writes JSON.
+_EVERY = tuple(_COMMANDS)
+_FIELDS = ("stress", "sif", "displacement")  # the disc-only field commands
+_FLAGS = (
+    ("--config", dict(help="JSON configuration file"), _EVERY),
+    ("--model", dict(choices=("disc", "annulus")), ("solve", *_FIELDS)),
+    ("--lambda", dict(dest="lam", type=float, help="radius ratio b/a"), ("solve", *_FIELDS, "verify")),
+    ("--lambda0", dict(dest="lam0", type=float, help="inner ratio c/a"), ("solve", "verify")),
+    ("--lambda1", dict(dest="lam1", type=float, help="outer ratio b/a"), ("solve", "verify")),
+    ("--delta-over-a", dict(dest="delta_over_a", type=float), ("solve", *_FIELDS, "verify")),
+    ("--format", dict(dest="output_format", choices=("csv", "json")), (*_FIELDS, "verify")),
+    ("--nu", dict(type=float, help="Poisson ratio"), ("solve", *_FIELDS, "figures")),
+    ("--shear-modulus", dict(dest="shear_modulus", type=float), ("solve", *_FIELDS, "figures")),
+    ("--n-trunc", dict(dest="truncation_N", type=int), _EVERY),
+    ("--out", dict(help="output path (directory for figures)"), _EVERY),
+    ("--order-k", dict(dest="order_K", type=int, help="recurrence order K"), ("verify",)),
+    ("--grid-points", dict(dest="grid_points", type=int), ("stress", "displacement", "figures")),
+    ("--r-max", dict(dest="r_max", type=float), ("stress", "figures")),
+    ("--lambda-min", dict(dest="lambda_min", type=float), ("sif",)),
+    ("--lambda-max", dict(dest="lambda_max", type=float), ("sif",)),
+    ("--lambda-count", dict(dest="lambda_count", type=int), ("sif",)),
+)
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     """The argument parser, built on first use and shared by later calls."""
@@ -664,30 +619,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="JSON configuration file")
-        # flags only on the commands that read them (figures runs at fixed
-        # reference parameters), so a misplaced one is a usage error
-        if name != "figures":
-            sp.add_argument("--model", choices=("disc", "annulus"))
-            sp.add_argument("--lambda", dest="lam", type=float, help="radius ratio b/a")
-            sp.add_argument("--lambda0", dest="lam0", type=float, help="inner ratio c/a")
-            sp.add_argument("--lambda1", dest="lam1", type=float, help="outer ratio b/a")
-            sp.add_argument("--delta-over-a", dest="delta_over_a", type=float)
-            sp.add_argument("--format", dest="output_format", choices=("csv", "json"))
-        sp.add_argument("--nu", type=float, help="Poisson ratio")
-        sp.add_argument("--shear-modulus", dest="shear_modulus", type=float)
-        sp.add_argument("--n-trunc", dest="truncation_N", type=int)
-        sp.add_argument("--out", help="output path (directory for figures)")
-        if name == "verify":
-            sp.add_argument("--order-k", dest="order_K", type=int, help="recurrence order K")
-        if name in ("stress", "displacement", "figures"):
-            sp.add_argument("--grid-points", dest="grid_points", type=int)
-        if name in ("stress", "figures"):
-            sp.add_argument("--r-max", dest="r_max", type=float)
-        if name == "sif":
-            sp.add_argument("--lambda-min", dest="lambda_min", type=float)
-            sp.add_argument("--lambda-max", dest="lambda_max", type=float)
-            sp.add_argument("--lambda-count", dest="lambda_count", type=int)
+        for flag, keywords, readers in _FLAGS:
+            if name in readers:
+                sp.add_argument(flag, **keywords)
     return parser
 
 

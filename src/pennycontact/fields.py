@@ -19,37 +19,48 @@ column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .models import CoefficientSetDisc, DiscProblem, _kept_counts
+from .models import (
+    CoefficientSetDisc,
+    DiscProblem,
+    _kept_counts,
+    _row_weights,
+    _sif_coefficients,
+    solve_disc_reduction,
+)
 from .specfun import SQRT_PI, _f_family, _f_from_seed, _gamma_ratios, _recurrence, f_m
 
 __all__ = [
     "SifResult",
-    "SIF_SERIES_COEFFS",
     "stress_contact",
     "stress_contact_edge",
     "stress_outer",
     "stress_outer_edge",
     "sif_exact",
     "sif_asymptotic",
+    "sif_sweep",
     "displacement",
     "continuity_defects",
 ]
 
-# Normalized small-lambda expansion of the intensity factor: coefficient
-# of lambda**(j+1) is SIF_SERIES_COEFFS[j], the whole series carrying a
-# 4/pi**(3/2) prefactor.
-SIF_SERIES_COEFFS = (
-    1.0,
-    4.0 / math.pi**2,
-    16.0 / math.pi**4 + 1.0 / 3.0,
-    (4.0 / math.pi**2) * (16.0 / math.pi**4 + 5.0 / 9.0),
-    256.0 / math.pi**8 + 112.0 / (9.0 * math.pi**4) + 1.0 / 5.0,
-)
+# The small-lambda expansion is the head C_1..C_5 of the series sif_sweep sums
+# (models._sif_coefficients), which rows n <= 2 of any truncation N >= 3 give.
+_ASYMPTOTIC_COEFFS = tuple(_sif_coefficients(3, 5)[1:].tolist())
+# sif_sweep's series order K comes from the lambda grid.  A row is served by
+# the series when its relative tail bound lam**K/(1 - lam) is at most
+# _SERIES_TOL; K is the smallest order meeting that at the grid's top lambda,
+# at most _MAX_SERIES_ORDER.  The coefficients are cached in
+# models._sif_coefficients, K + 1 floats per (N, K) entry.  The series is
+# summed in blocks of _SERIES_CHUNK rows as q = _SERIES_STEP i + j, so a block
+# holds _SERIES_CHUNK (_SERIES_STEP + K/_SERIES_STEP) floats, not count x K.
+_SERIES_TOL = 2.0**-53
+_MAX_SERIES_ORDER = 1024
+_SERIES_CHUNK = 4096
+_SERIES_STEP = 32
 
 
 @dataclass(frozen=True)
@@ -106,7 +117,7 @@ def _kept(p: DiscProblem, c: CoefficientSetDisc) -> tuple[np.ndarray, np.ndarray
     2**-63/(1 - lam**2) times the family's scale: under 3e-18 of it wherever
     anything is cut at N <= 1000 (lam < 0.978).
     """
-    n = _kept_counts(p.lam, None, len(c.A_plus))[0]
+    n = _kept_counts(_row_weights(p.lam, None, len(c.A_plus)))[0]
     return c.B_minus[:n], c.A_plus[:n]
 
 
@@ -186,16 +197,16 @@ def sif_asymptotic(lam: float, n_terms: int = 5) -> float:
     Returns theta1 * K_I / (sqrt(a) * delta0) summed to lambda**n_terms;
     coefficients beyond the fifth power are not available.
     """
-    if not 1 <= n_terms <= len(SIF_SERIES_COEFFS):
+    if not 1 <= n_terms <= len(_ASYMPTOTIC_COEFFS):
         raise ValueError(
-            f"n_terms must be in 1..{len(SIF_SERIES_COEFFS)}, got {n_terms!r}"
+            f"n_terms must be in 1..{len(_ASYMPTOTIC_COEFFS)}, got {n_terms!r}"
         )
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lam must lie in [0, 1), got {lam!r}")
     acc = 0.0
     for j in range(n_terms - 1, -1, -1):
-        acc = acc * lam + SIF_SERIES_COEFFS[j]
-    return (4.0 / math.pi**1.5) * lam * acc
+        acc = acc * lam + _ASYMPTOTIC_COEFFS[j]
+    return (-4.0 / SQRT_PI) * lam * acc
 
 
 def sif_exact(p: DiscProblem, c: CoefficientSetDisc) -> SifResult:
@@ -208,7 +219,7 @@ def sif_exact(p: DiscProblem, c: CoefficientSetDisc) -> SifResult:
     coefficient_sum = float(np.sum(c.A_plus))
     k1_exact = -2.0 * math.sqrt(p.a_radius) * coefficient_sum
     delta0 = p.delta_over_a
-    norm_asym = sif_asymptotic(p.lam, len(SIF_SERIES_COEFFS))
+    norm_asym = sif_asymptotic(p.lam)
     if delta0 == 0.0:
         normalized = 0.0
         k1_asym = 0.0
@@ -222,6 +233,64 @@ def sif_exact(p: DiscProblem, c: CoefficientSetDisc) -> SifResult:
         normalized_asymptotic=norm_asym,
         coefficient_sum=coefficient_sum,
     )
+
+
+def _series_order(top: float) -> int:
+    """Smallest K with top**K <= _SERIES_TOL (1 - top), within 1.._MAX_SERIES_ORDER."""
+    if top == 0.0:
+        return 1
+    order = math.ceil(math.log(_SERIES_TOL * (1.0 - top)) / math.log(top))
+    return min(max(order, 1), _MAX_SERIES_ORDER)
+
+
+def _series_values(coefficients: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """sum_q C_q lam**q at each lam, blocked as q = _SERIES_STEP i + j.
+
+    Per block of rows, the short sums over j are one matrix product with the
+    powers lam**j, and the sum over i weights them by (lam**_SERIES_STEP)**i.
+    """
+    step = _SERIES_STEP
+    padded = np.zeros(-(-len(coefficients) // step) * step)
+    padded[: len(coefficients)] = coefficients
+    by_block = padded.reshape(-1, step).T  # [j, i] = C_{step i + j}
+    giant = np.arange(by_block.shape[1])
+    values = np.empty(len(lams))
+    for start in range(0, len(lams), _SERIES_CHUNK):
+        lam = lams[start : start + _SERIES_CHUNK, np.newaxis]
+        inner = (lam ** np.arange(step)) @ by_block
+        values[start : start + len(lam)] = np.sum(inner * (lam**step) ** giant, axis=1)
+    return values
+
+
+def sif_sweep(p: DiscProblem, lams: np.ndarray, N: int) -> list[tuple[float, float, float]]:
+    """Rows (lam, normalized exact, normalized asymptotic) at each lam in [0, 1).
+
+    The exact value is -4/sqrt(pi) sum_q C_q lam**q, with C the cached series
+    of the N-truncated disc system (models._sif_coefficients), so it agrees
+    with a solve at each lambda to rounding.  The series stops at an order K
+    fixed by the top lambda (_series_order); a row whose tail bound
+    lam**K/(1 - lam) exceeds 2**-53 is solved at its lambda with the rest of
+    p instead, to sif_exact's bits.  The lambda = 0 row is all zeros.
+    """
+    if not np.all((0.0 <= lams) & (lams < 1.0)):
+        raise ValueError("lams must lie in [0, 1)")
+    order = _series_order(float(lams.max(initial=0.0)))
+    served = lams**order <= _SERIES_TOL * (1.0 - lams)
+    exact = np.zeros(len(lams))
+    if served.any():
+        series = _series_values(_sif_coefficients(N, order), lams[served])
+        exact[served] = (-4.0 / SQRT_PI) * series
+    rows = []
+    for lam, from_series, value in zip(lams.tolist(), served.tolist(), exact.tolist()):
+        if lam == 0.0:
+            rows.append((0.0, 0.0, 0.0))
+        elif from_series:
+            rows.append((lam, value, sif_asymptotic(lam)))
+        else:
+            at = replace(p, lam=lam)
+            res = sif_exact(at, solve_disc_reduction(at, N))
+            rows.append((lam, res.normalized, res.normalized_asymptotic))
+    return rows
 
 
 def displacement(

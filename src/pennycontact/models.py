@@ -218,15 +218,15 @@ def _row_weights(lam: float, t: float | None, N: int) -> np.ndarray:
     return weights
 
 
-def _kept_counts(lam: float, t: float | None, N: int) -> list[int]:
-    """Per slot, the number of leading rows whose weight is at least _MIN_WEIGHT.
+def _kept_counts(weights: np.ndarray) -> list[int]:
+    """Per slot of _row_weights, the number of leading rows whose weight is at least _MIN_WEIGHT.
 
     The weights fall monotonically with n, so these rows are a prefix of each
     slot: the Schur solve factors only that prefix, and fields._kept cuts
     both disc families at the B- count, while every coefficient set keeps its
     full length N.
     """
-    return (np.abs(_row_weights(lam, t, N)) >= _MIN_WEIGHT).sum(axis=1).tolist()
+    return (np.abs(weights) >= _MIN_WEIGHT).sum(axis=1).tolist()
 
 
 def _weighted(lam: float, t: float | None, column: np.ndarray) -> np.ndarray:
@@ -341,7 +341,7 @@ def _solve_interleaved(lam: float, t: float | None, rhs: np.ndarray) -> np.ndarr
     b_slots = list(_B_SLOTS[:h])
     r_a, a, r_b = r[1 : h + 1], x_slots[1 : h + 1], r[b_slots]  # A slots as views
     w_a, w_b = w[1 : h + 1], w[b_slots]
-    kept = _kept_counts(lam, t, N)
+    kept = _kept_counts(w[:, :, 0])
     n_a, n_b = kept[1 : h + 1], [kept[j] for j in b_slots]
 
     def q_rows(i, rows, y):  # rows `rows` of Q y in A slot i
@@ -482,7 +482,7 @@ def _disc_table(delta_star: float, n_rows: int, order_K: int) -> tuple[np.ndarra
 
 # Its own cache, apart from _disc_table's two entries: a sweep asks for one
 # (N, K) pair, and each entry is K + 1 <= 1025 floats, so 8 entries hold at
-# most 66 KB.  Nothing is built before the first sweep.
+# most 66 KB.  Only fields' (3, 5) head is built before the first sweep.
 @lru_cache(maxsize=8)
 def _sif_coefficients(N: int, order_K: int) -> np.ndarray:
     """C_q, q <= K, with sum_n A+_n = delta_star sum_q C_q lam**q at truncation N; read-only.

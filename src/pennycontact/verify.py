@@ -104,17 +104,17 @@ def _check_specfun(report: VerificationReport) -> None:
     report.add("specfun.arcsine_identity", arcsine, 1e-11)
 
 
-def _check_models(report: VerificationReport, delta_star: float, n_trunc: int, order_k: int) -> None:
+def _check_models(
+    report: VerificationReport, solved: dict, delta_star: float, n_trunc: int, order_k: int
+) -> None:
     agreement = 0.0
-    for lam in (0.1, 0.3, 0.5, 0.7):
-        p = models.DiscProblem(lam=lam, delta_star=delta_star)
-        red = models.solve_disc_reduction(p, n_trunc)
+    for p, red in solved.values():
         _, rec = models.solve_disc_recurrence(p, n_trunc, order_k)
         agreement = max(agreement, np.abs(red.A_plus - rec.A_plus).max())
     report.add("models.disc_method_agreement", agreement, 1e-9)
 
     lam = 0.7
-    p = models.DiscProblem(lam=lam, delta_star=delta_star)
+    p, c = solved[lam]
     a_vals = [models.solve_disc_reduction(p, n).A_plus[0] for n in (10, 20, 40)]
     ratio = abs(a_vals[1] - a_vals[2]) / abs(a_vals[0] - a_vals[1])
     report.add(
@@ -124,7 +124,6 @@ def _check_models(report: VerificationReport, delta_star: float, n_trunc: int, o
         "|A0(2N)-A0(4N)| / |A0(N)-A0(2N)| at lam=0.7",
     )
 
-    c = models.solve_disc_reduction(p, n_trunc)
     report.add("models.disc_sign_pattern", float(c.A_plus.max()), 0.0)
 
     a, b = models._disc_table(delta_star, 10, 4)
@@ -135,9 +134,8 @@ def _check_models(report: VerificationReport, delta_star: float, n_trunc: int, o
     seed_defect = max(seed_defect, np.abs(b[:, 0]).max())
     report.add("models.recurrence_seed_rows", seed_defect, 1e-15)
 
-    pd = models.DiscProblem(lam=0.5, delta_star=delta_star)
+    pd, cd = solved[0.5]
     pa = models.AnnulusProblem(lam0=0.0, lam1=0.5, delta_star=delta_star)
-    cd = models.solve_disc_reduction(pd, n_trunc)
     ca = models.solve_annulus_reduction(pa, n_trunc)
     degeneration = max(
         np.abs(ca.A_plus - cd.A_plus).max(),
@@ -171,12 +169,8 @@ def _check_models(report: VerificationReport, delta_star: float, n_trunc: int, o
     report.add("models.omega_tilde_dual_form", tilde, 1e-11)
 
 
-def _check_fields(report: VerificationReport, delta_star: float, n_trunc: int) -> None:
-    solved = {}
-    for lam in (0.3, 0.5, 0.7):
-        p = models.DiscProblem(lam=lam, delta_star=delta_star)
-        solved[lam] = p, models.solve_disc_reduction(p, n_trunc)
-
+def _check_fields(report: VerificationReport, solved: dict) -> None:
+    solved = {lam: solved[lam] for lam in (0.3, 0.5, 0.7)}  # 0.1 is the models check's alone
     contact_dual = 0.0
     outer_dual = 0.0
     negativity = -math.inf
@@ -225,7 +219,7 @@ def _check_fields(report: VerificationReport, delta_star: float, n_trunc: int) -
     report.add("fields.continuity_defects", worst, 1e-9)
 
     lam = 0.7
-    pp = models.DiscProblem(lam=lam, delta_star=delta_star)
+    pp = solved[lam][0]
     defects = {
         n: fields.continuity_defects(pp, models.solve_disc_reduction(pp, n))
         for n in (8, 16)
@@ -321,7 +315,12 @@ def run_verification(
     delta_star = 2.0 * delta_over_a / specfun.SQRT_PI
     report = VerificationReport()
     _check_specfun(report)
-    _check_models(report, delta_star, n_trunc, order_k)
-    _check_fields(report, delta_star, n_trunc)
+    # the disc at the four check ratios, solved once for the models and fields checks
+    solved = {}
+    for lam_check in (0.1, 0.3, 0.5, 0.7):
+        p = models.DiscProblem(lam=lam_check, delta_star=delta_star)
+        solved[lam_check] = p, models.solve_disc_reduction(p, n_trunc)
+    _check_models(report, solved, delta_star, n_trunc, order_k)
+    _check_fields(report, solved)
     _check_factorization(report, lam, lam0, lam1, n_trunc)
     return report

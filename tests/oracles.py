@@ -24,6 +24,18 @@ import numpy as np
 
 from pennycontact.models import _B_SLOTS, _row_weights
 
+# Hand-derived small-lambda expansion of the normalized intensity factor:
+# the coefficient of lambda**(j+1) is SIF_SERIES_COEFFS[j], the whole series
+# carrying a 4/pi**(3/2) prefactor.  The library takes these from the head of
+# its lambda-power series (fields.sif_asymptotic); this closed form checks it.
+SIF_SERIES_COEFFS = (
+    1.0,
+    4.0 / math.pi**2,
+    16.0 / math.pi**4 + 1.0 / 3.0,
+    (4.0 / math.pi**2) * (16.0 / math.pi**4 + 5.0 / 9.0),
+    256.0 / math.pi**8 + 112.0 / (9.0 * math.pi**4) + 1.0 / 5.0,
+)
+
 
 def gamma_product_oracle(x, dps=50, shift=50):
     """Gamma via a 50-term upward product plus the Stirling series."""

@@ -1,5 +1,6 @@
 """CLI: configuration, emission schemas, determinism, round-trips, exit codes."""
 
+import argparse
 import json
 import math
 
@@ -23,22 +24,68 @@ from pennycontact.models import SingularSystemError, system_residual
 from pennycontact.specfun import ConvergenceError, PoleError
 
 
-# The flags that not every command reads, and the commands that read them.
+_COMMAND_NAMES = ("solve", "stress", "sif", "displacement", "verify", "figures")
+# Every flag and the commands that read it, in --help order.
 _FLAG_READERS = {
+    "--config": _COMMAND_NAMES,
+    "--model": ("solve", "stress", "sif", "displacement"),
+    "--lambda": ("solve", "stress", "sif", "displacement", "verify"),
+    "--lambda0": ("solve", "verify"),
+    "--lambda1": ("solve", "verify"),
+    "--delta-over-a": ("solve", "stress", "sif", "displacement", "verify"),
+    "--format": ("stress", "sif", "displacement", "verify"),
+    "--nu": ("solve", "stress", "sif", "displacement", "figures"),
+    "--shear-modulus": ("solve", "stress", "sif", "displacement", "figures"),
+    "--n-trunc": _COMMAND_NAMES,
+    "--out": _COMMAND_NAMES,
     "--order-k": ("verify",),
     "--grid-points": ("stress", "displacement", "figures"),
     "--r-max": ("stress", "figures"),
     "--lambda-min": ("sif",),
     "--lambda-max": ("sif",),
     "--lambda-count": ("sif",),
-    **dict.fromkeys(
-        ("--format", "--lambda", "--lambda0", "--lambda1", "--model", "--delta-over-a"),
-        ("solve", "stress", "sif", "displacement", "verify"),
-    ),
 }
-_COMMAND_NAMES = ("solve", "stress", "sif", "displacement", "verify", "figures")
 # A value each flag parses; "5" for the numeric ones.
 _FLAG_VALUES = {"--format": "json", "--model": "disc"}
+# Small runs for the reader checks, and per flag a value that differs from
+# both this config and the defaults.
+_FAST_CONFIG = {"truncation_N": 8, "grid_points": 16, "lambda_count": 4, "order_K": 20}
+_CHANGED_VALUES = {
+    "--model": "annulus", "--lambda": "0.4", "--lambda0": "0.3", "--lambda1": "0.6",
+    "--delta-over-a": "0.1", "--format": "json", "--nu": "0.2", "--shear-modulus": "2",
+    "--n-trunc": "10", "--out": "elsewhere", "--order-k": "60", "--grid-points": "20",
+    "--r-max": "3", "--lambda-min": "0.1", "--lambda-max": "0.5", "--lambda-count": "5",
+}
+# Settings that a flag changes only under another: the disc solve has no
+# inner ratio, and nu enters theta1 only with a shear modulus.
+_COMPANIONS = {
+    ("solve", "--lambda0"): ["--model", "annulus"],
+    ("solve", "--lambda1"): ["--model", "annulus"],
+    ("solve", "--nu"): ["--shear-modulus", "1"],
+}
+
+
+def _subparser_flags(command):
+    """The long options the parser registers on one command, in --help order."""
+    subparsers = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    actions = subparsers.choices[command]._actions
+    return [f for a in actions for f in a.option_strings if f.startswith("--") and f != "--help"]
+
+
+def _observe(argv, run_dir, capsys, monkeypatch):
+    """Exit code, standard output and the files written, of main(argv) run in run_dir."""
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    code = main(argv)
+    out = capsys.readouterr().out
+    files = {
+        str(path.relative_to(run_dir)): path.read_bytes()
+        for path in sorted(run_dir.rglob("*"))
+        if path.is_file()
+    }
+    return code, out, files
 
 
 class TestConfig:
@@ -50,11 +97,11 @@ class TestConfig:
         self, command, flag, capsys, tmp_path, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)  # figures would write into the working directory
-        assert main([command, flag, "5"]) == 1
+        assert main([command, flag, _FLAG_VALUES.get(flag, "5")]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
-        assert flag in captured.err
+        assert f"unrecognized arguments: {flag}" in captured.err
 
     @pytest.mark.parametrize(
         "command,flag", [(c, f) for f, readers in _FLAG_READERS.items() for c in readers]
@@ -62,6 +109,31 @@ class TestConfig:
     def test_flag_parses_on_the_commands_that_read_it(self, command, flag):
         argv = [command, flag, _FLAG_VALUES.get(flag, "5")]
         assert _build_parser().parse_args(argv).command == command
+
+    @pytest.mark.parametrize("command", _COMMAND_NAMES)
+    def test_parser_registers_exactly_the_readers_in_help_order(self, command):
+        readers = [f for f, commands in _FLAG_READERS.items() if command in commands]
+        assert _subparser_flags(command) == readers
+
+    @pytest.mark.parametrize(
+        "command,flag", [(c, f) for c in _COMMAND_NAMES for f in _subparser_flags(c)]
+    )
+    def test_every_accepted_flag_changes_what_its_command_does(
+        self, command, flag, tmp_path, capsys, monkeypatch
+    ):
+        # a flag the parser accepts must change the command's standard
+        # output, written files or exit code for some value
+        fast, other = tmp_path / "fast.json", tmp_path / "other.json"
+        fast.write_text(json.dumps(_FAST_CONFIG))
+        other.write_text(json.dumps({**_FAST_CONFIG, "truncation_N": 9}))
+        base = [command, *_COMPANIONS.get((command, flag), []), "--config", str(fast)]
+        if flag == "--config":
+            changed = base[:-1] + [str(other)]
+        else:
+            changed = base + [flag, _CHANGED_VALUES[flag]]
+        before = _observe(base, tmp_path / "base", capsys, monkeypatch)
+        after = _observe(changed, tmp_path / "changed", capsys, monkeypatch)
+        assert before != after
 
     def test_config_keys_apply_to_every_command(self, tmp_path, capsys):
         # the flags are placed per command, the config keys are not
@@ -307,8 +379,10 @@ class TestEmission:
         assert all(r > 1.0 for r in rs)
 
     def test_sif_zero_row(self):
-        cfg = load_config(None, {"truncation_N": 12, "lambda_count": 4})
-        table = run_sif_sweep(cfg, lambda_grid=[0.0, 0.3])
+        cfg = load_config(
+            None, {"truncation_N": 12, "lambda_min": 0.0, "lambda_max": 0.3, "lambda_count": 2}
+        )
+        table = run_sif_sweep(cfg)
         assert table.rows[0] == (0.0, 0.0, 0.0)
         assert table.rows[1][1] > 0.0
 
@@ -350,8 +424,8 @@ class TestEmission:
         out = tmp_path / "sif.csv"
         main(["sif", "--lambda-count", "3", "--n-trunc", "16", "--lambda-max", "0.5",
               "--out", str(out)])
-        cfg = load_config(None, {"truncation_N": 16})
-        table = run_sif_sweep(cfg, lambda_grid=np.linspace(0.0, 0.5, 3))
+        cfg = load_config(None, {"truncation_N": 16, "lambda_max": 0.5, "lambda_count": 3})
+        table = run_sif_sweep(cfg)
         lines = [
             l for l in out.read_text().strip().splitlines()
             if not l.startswith("#") and not l.startswith("lambda")

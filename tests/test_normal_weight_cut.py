@@ -101,7 +101,7 @@ def _kept_a_rows(lam, t, N):
 @pytest.mark.parametrize("lam,t", [(0.5, None), (0.9, None), (0.5, 0.3), (0.99, 0.95), (0.05, 0.0), (1e-305, None)])
 @pytest.mark.parametrize("N", [1, 60, 240, 1000])
 def test_kept_counts_follow_the_rule(lam, t, N):
-    assert _kept_counts(lam, t, N) == _kept_rows(lam, t, N)
+    assert _kept_counts(_row_weights(lam, t, N)) == _kept_rows(lam, t, N)
 
 
 def _lu_dimensions(monkeypatch, lam, t, rhs):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pennycontact import fields
-from pennycontact.models import DiscProblem, _kept_counts, solve_disc_reduction
+from pennycontact.models import DiscProblem, _kept_counts, _row_weights, solve_disc_reduction
 from pennycontact.specfun import _f_family
 
 DSTAR = 2.0 * 0.05 / math.sqrt(math.pi)
@@ -42,7 +42,7 @@ def test_prefix_sums_match_full_length_sums(monkeypatch, lam, N):
     monkeypatch.setattr(fields, "f_m", lambda m, x: float(column[m]))
     monkeypatch.setattr(fields, "_f_family", lambda count, x: _f_family(N, x)[:count])
     prefix = _evaluate(p, c)
-    monkeypatch.setattr(fields, "_kept_counts", lambda lam, t, n: [n, n])
+    monkeypatch.setattr(fields, "_kept_counts", lambda weights: [weights.shape[1]] * 2)
     full = _evaluate(p, c)
     for name, want in full.items():
         got = prefix[name]
@@ -53,7 +53,7 @@ def test_prefix_sums_match_full_length_sums(monkeypatch, lam, N):
 def test_the_grid_reaches_cut_and_uncut_families(N):
     # The comparison above has teeth only where something is cut, and the
     # high end of the grid keeps every row at N = 1000.
-    kept = [_kept_counts(lam, None, N) for lam in LAMBDAS]
+    kept = [_kept_counts(_row_weights(lam, None, N)) for lam in LAMBDAS]
     assert any(max(k) < N // 4 for k in kept)
     assert any(max(k) == N for k in kept)
 
@@ -67,7 +67,7 @@ def test_each_family_is_cut_relative_to_its_own_leading_row(monkeypatch, lam):
     c = solve_disc_reduction(p, 60)
     r = np.array([1.0 + 1e-6, 1.5, 4.0])
     got = fields.stress_outer(p, c, r)
-    monkeypatch.setattr(fields, "_kept_counts", lambda lam, t, n: [n, n])
+    monkeypatch.setattr(fields, "_kept_counts", lambda weights: [weights.shape[1]] * 2)
     want = fields.stress_outer(p, c, r)
     assert np.all(want > 0.0)
     assert np.all(np.abs(got - want) <= 1e-15 * want)

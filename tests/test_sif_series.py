@@ -1,10 +1,11 @@
 """The SIF sweep from one cached lambda-power series of the truncated system.
 
-run_sif_sweep sums -4/sqrt(pi) sum_q C_q lam**q, where C comes from the
+fields.sif_sweep sums -4/sqrt(pi) sum_q C_q lam**q, where C comes from the
 disc's lambda-power table clipped to the truncation N
 (models._sif_coefficients), and solves at lambda the rows past the series'
-tail bound.  These tests hold the series to the per-lambda reduction it
-replaces, and the clipped table to a loop oracle of the truncated recurrence.
+tail bound; cli.run_sif_sweep emits its rows over the configured grid.
+These tests hold the series to the per-lambda reduction it replaces, and the
+clipped table to a loop oracle of the truncated recurrence.
 """
 
 import math
@@ -13,12 +14,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pennycontact import cli, models
+from pennycontact import fields, models
 from pennycontact.cli import load_config, run_sif_sweep
-from pennycontact.fields import SIF_SERIES_COEFFS, sif_exact
+from pennycontact.fields import sif_exact
 from pennycontact.models import _power_table, _sif_coefficients, solve_disc_reduction
 
-from oracles import power_table_oracle
+from oracles import SIF_SERIES_COEFFS, power_table_oracle
 
 
 def _reduction_rows(cfg, lams):
@@ -32,10 +33,10 @@ def _reduction_rows(cfg, lams):
 
 
 def _refuse_solves(monkeypatch):
-    def must_not_solve(cfg):
-        raise AssertionError(f"row at lambda = {cfg.lam!r} was solved, not summed")
+    def must_not_solve(p, N):
+        raise AssertionError(f"row at lambda = {p.lam!r} was solved, not summed")
 
-    monkeypatch.setattr(cli, "run_solve", must_not_solve)
+    monkeypatch.setattr(fields, "solve_disc_reduction", must_not_solve)
 
 
 @pytest.mark.parametrize("N", [1, 8, 60, 240])
@@ -63,7 +64,7 @@ def test_rows_past_the_series_bound_are_solved_bitwise():
     cfg = load_config(None, {"truncation_N": 240, "lambda_max": 0.999, "lambda_count": 50})
     rows = run_sif_sweep(cfg).rows
     lams = np.array([row[0] for row in rows])
-    past = lams**cli._MAX_SERIES_ORDER > cli._SERIES_TOL * (1.0 - lams)
+    past = lams**fields._MAX_SERIES_ORDER > fields._SERIES_TOL * (1.0 - lams)
     assert 1 <= past.sum() < len(rows) - 1
     reference = dict(zip(lams[1:].tolist(), _reduction_rows(cfg, lams[1:].tolist())))
     for row, is_past in zip(rows[1:], past[1:]):
@@ -73,21 +74,28 @@ def test_rows_past_the_series_bound_are_solved_bitwise():
             assert row[1] == pytest.approx(reference[row[0]][1], rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("bad", [-0.1, 1.0, math.nan])
+def test_sweep_rejects_a_lambda_outside_the_unit_interval(bad):
+    p = load_config(None, {}).disc_problem()
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        fields.sif_sweep(p, np.array([0.0, 0.5, bad]), 8)
+
+
 def test_series_order_meets_the_tail_bound_at_the_top_lambda():
-    assert cli._series_order(0.95) == 775
+    assert fields._series_order(0.95) == 775
     for top in (1e-300, 0.1, 0.5, 0.95, 0.96):
-        order = cli._series_order(top)
-        assert top**order <= cli._SERIES_TOL * (1.0 - top)
-        assert order == 1 or top ** (order - 1) > cli._SERIES_TOL * (1.0 - top)
-    assert cli._series_order(0.999) == cli._MAX_SERIES_ORDER
+        order = fields._series_order(top)
+        assert top**order <= fields._SERIES_TOL * (1.0 - top)
+        assert order == 1 or top ** (order - 1) > fields._SERIES_TOL * (1.0 - top)
+    assert fields._series_order(0.999) == fields._MAX_SERIES_ORDER
 
 
 def test_blocked_summation_does_not_depend_on_the_block_size(monkeypatch):
     coefficients = _sif_coefficients(60, 775)
     lams = np.linspace(0.01, 0.95, 23)
-    whole = cli._series_values(coefficients, lams)
-    monkeypatch.setattr(cli, "_SERIES_CHUNK", 5)
-    assert np.array_equal(cli._series_values(coefficients, lams), whole)
+    whole = fields._series_values(coefficients, lams)
+    monkeypatch.setattr(fields, "_SERIES_CHUNK", 5)
+    assert np.array_equal(fields._series_values(coefficients, lams), whole)
     powers = lams[:, np.newaxis] ** np.arange(len(coefficients))
     np.testing.assert_allclose(whole, powers @ coefficients, rtol=1e-14, atol=0)
 
@@ -112,7 +120,7 @@ def test_clipped_power_table_matches_truncated_loop_oracle(rows, order_K):
 @pytest.mark.parametrize("N", [1, 60, 240, 1000])
 def test_coefficients_are_nonpositive_and_bounded_by_the_first(N):
     # the tail bound lam**K/(1 - lam) of the series rests on this
-    coefficients = _sif_coefficients(N, cli._MAX_SERIES_ORDER)
+    coefficients = _sif_coefficients(N, fields._MAX_SERIES_ORDER)
     assert coefficients[0] == 0.0 and coefficients[1] == -1.0 / math.pi
     assert np.all(coefficients <= 0.0)
     assert np.abs(coefficients).max() <= 1.0 / math.pi
