@@ -1,19 +1,20 @@
 """Per-layer timings of the library, written to a BENCH_*.json file.
 
-    python scripts/bench_layers.py [--repeats 30] [--out BENCH_18.json]
+    python scripts/bench_layers.py [--repeats 30] [--out BENCH_21.json]
 
 Times, one call per sample after one warm-up call, each of: the scalar f_m,
-the f_m family on one point and on a grid, the disc and annulus solves at
-N = 60 and 240 and the annulus solve at N = 1000, the disc and annulus
-system residuals at N = 240, the continuity defects, one stress and one
-displacement point, the SIF sweep at the default grid (N = 60) and at 2000 rows
-(N = 240) with its series coefficients cached, and the uncached build of
-those coefficients for the default grid.  BLAS is pinned to one thread before numpy is imported, so a timing
-does not depend on how many cores the host lends the process.  The library
-is imported from this checkout's ``src``.  Each entry holds the median and
-the quartiles of its samples in microseconds; the file also records the
-commit, whether the source differs from it, and the Python and numpy
-versions.
+the one-point f_m seed, the f_m family on one point and on a grid, the disc
+and annulus solves at N = 60 and 240 and the annulus solve at N = 1000, the
+disc and annulus system residuals at N = 240 and the annulus residual at
+N = 60 (each on the coefficients of a solve), the continuity defects, one
+stress and one displacement point, the SIF sweep at the default grid
+(N = 60) and at 2000 rows (N = 240) with its series coefficients cached, and
+the uncached build of those coefficients for the default grid.  BLAS is
+pinned to one thread before numpy is imported, so a timing does not depend
+on how many cores the host lends the process.  The library is imported from
+this checkout's ``src``.  Each entry holds the median and the quartiles of
+its samples in microseconds; the file also records the commit, whether the
+source differs from it, and the Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ def cases() -> dict:
     timed = {
         "specfun.f_m m=240 x=0.25": lambda: specfun.f_m(240, 0.25),
         "specfun.f_m m=240 x=0.81": lambda: specfun.f_m(240, 0.81),
+        "specfun._f_seed top=60 x=0.25 points=1": lambda: specfun._f_seed(60, np.array([0.25])),
         "specfun._f_family count=241 points=1": lambda: specfun._f_family(241, np.array([0.81])),
         "specfun._f_family count=241 points=200": lambda: specfun._f_family(241, grid),
     }
@@ -60,9 +62,12 @@ def cases() -> dict:
         timed[f"models.solve_disc_reduction N={n}"] = lambda n=n: models.solve_disc_reduction(disc[0.5], n)
         timed[f"models.solve_annulus_reduction N={n}"] = lambda n=n: models.solve_annulus_reduction(annulus, n)
     timed["models.solve_annulus_reduction N=1000"] = lambda: models.solve_annulus_reduction(annulus, 1000)
-    annulus_240 = models.solve_annulus_reduction(annulus, 240)
+    annulus_solved = {n: models.solve_annulus_reduction(annulus, n) for n in (60, 240)}
     timed["models.system_residual disc N=240"] = lambda: models.system_residual(disc[0.5], solved[0.5])
-    timed["models.system_residual annulus N=240"] = lambda: models.system_residual(annulus, annulus_240)
+    for n in (240, 60):
+        timed[f"models.system_residual annulus N={n}"] = (
+            lambda n=n: models.system_residual(annulus, annulus_solved[n])
+        )
     for lam in (0.5, 0.9):
         timed[f"fields.continuity_defects lam={lam} N=240"] = (
             lambda lam=lam: fields.continuity_defects(disc[lam], solved[lam])
@@ -121,7 +126,7 @@ def provenance() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=30, help="samples per timing (default 30)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_18.json"), help="JSON file to write")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_21.json"), help="JSON file to write")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")

@@ -484,9 +484,20 @@ def run_verify(cfg: RunConfig):
 
 
 def run_figures(cfg: RunConfig, out_dir: Path) -> list[Path]:
-    """Emit the figure-ready tables at the reference parameters."""
+    """Emit the figure-ready tables at the reference parameters.
+
+    The geometry, the loading and the intensity factor's lambda grid are
+    fixed, whatever the config file says.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = replace(cfg, model="disc", delta_over_a=_FIGURE_DELTA_OVER_A)
+    base = replace(
+        cfg,
+        model="disc",
+        delta_over_a=_FIGURE_DELTA_OVER_A,
+        lambda_min=RunConfig.lambda_min,
+        lambda_max=RunConfig.lambda_max,
+        lambda_count=RunConfig.lambda_count,
+    )
     written = []
 
     def write(name: str, table: Table) -> None:

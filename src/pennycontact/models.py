@@ -17,6 +17,12 @@ linear in delta_star.
 
 The forcing functions are built only as arrays, at the points s where the
 equations sample them.
+
+A geometry's set-up is paid once per solve.  Each reduction solve hands
+its forcing to system_residual with the coefficients (_hand_over), outside
+their dataclass fields; the residual reads it only for the problem and N it
+was built for.  The row weights and kept counts of each (lambda, t, N) come
+from one bounded cache (_geometry), the kernels from one per N (_kernels).
 """
 
 from __future__ import annotations
@@ -229,13 +235,30 @@ def _kept_counts(weights: np.ndarray) -> list[int]:
     return (np.abs(weights) >= _MIN_WEIGHT).sum(axis=1).tolist()
 
 
+# Four entries: one case of a sweep reads two geometries, the disc's and the
+# annulus' (with its t), through its solves, residuals and field sums, so the
+# cache holds two cases and a pass over many geometries never reuses an entry
+# from an earlier pass.
+@lru_cache(maxsize=4)
+def _geometry(lam: float, t: float | None, N: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """_row_weights(lam, t, N), read-only, and its _kept_counts.
+
+    Every reader of one geometry's weights or cut (the forcing, the solve,
+    _apply_operator and fields._kept) takes them from here, so each is built
+    once per (lam, t, N) instead of once per reader.
+    """
+    weights = _row_weights(lam, t, N)
+    weights.flags.writeable = False
+    return weights, tuple(_kept_counts(weights))
+
+
 def _weighted(lam: float, t: float | None, column: np.ndarray) -> np.ndarray:
     """A weight-free column, shape (N, slots[, columns]), times its rows' weight magnitudes.
 
     Every right-hand side of the shared operator is built this way, which is
     what lets _solve_interleaved cut the rows whose weight is below _MIN_WEIGHT.
     """
-    weight = np.abs(_row_weights(lam, t, len(column))).T
+    weight = np.abs(_geometry(lam, t, len(column))[0]).T
     return weight.reshape(weight.shape + (1,) * (column.ndim - 2)) * column
 
 
@@ -281,13 +304,21 @@ def _apply_operator(lam: float, t: float | None, x: np.ndarray) -> np.ndarray:
     N, k = x.shape
     h = k // 2
     K = _coupling_kernels(N, h)
-    w = _row_weights(lam, t, N)
-    b_slots = _B_SLOTS[:h]
+    w = _geometry(lam, t, N)[0]
+    x_b = [x[:, c] for c in _B_SLOTS[:h]]
     out = x.copy()
-    for i, b in enumerate(b_slots):
+    for i, b in enumerate(_B_SLOTS[:h]):
         out[:, b] += w[b] * (K[i][i] @ x[:, i + 1])
-        out[:, i + 1] += w[i + 1] * sum(K[i][j] @ x[:, c] for j, c in enumerate(b_slots))
+        out[:, i + 1] += w[i + 1] * _q_sum(K[i], x_b)
     return out
+
+
+def _q_sum(kernels: list[np.ndarray], y) -> np.ndarray:
+    """sum_j kernels[j] @ y[j], added in j order: one A slot's row of Q before its weights."""
+    total = kernels[0] @ y[0]
+    for kernel, part in zip(kernels[1:], y[1:]):
+        total += kernel @ part
+    return total
 
 
 def _solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -323,11 +354,12 @@ def _solve_interleaved(lam: float, t: float | None, rhs: np.ndarray) -> np.ndarr
 
     The Schur complement keeps only unknowns whose row weight is at least
     _MIN_WEIGHT = 2**-64: the first n_a[i] of A slot i and n_b[j] of B slot j
-    (_kept_counts; N where nothing is cut).  Every right-hand side carries its
-    row's weight, so a dropped unknown is its weight times an O(1) number,
-    and each term it would add is below 2**-64 relative to the entry it would
-    change: the kept unknowns are those of the full truncated solve to
-    roundoff.  The A tail T follows by one substitution,
+    (_kept_counts, read through _geometry; N where nothing is cut).  Every
+    right-hand side carries its row's weight, so a dropped unknown is its
+    weight times an O(1) number, and each term it would add is below 2**-64
+    relative to the entry it would change: the kept unknowns are those of
+    the full truncated solve to roundoff.  The A tail T follows by one
+    substitution,
     a_T = (r_A - Q (r_B - P a))_T, empty where nothing is cut, and
     b = r_B - P a over every row, so each dropped row still satisfies its own
     equation to roundoff relative to its weight.
@@ -335,27 +367,23 @@ def _solve_interleaved(lam: float, t: float | None, rhs: np.ndarray) -> np.ndarr
     N, k = rhs.shape[:2]
     h = k // 2
     K = _coupling_kernels(N, h)
-    w = _row_weights(lam, t, N)[:, :, np.newaxis]
+    weights, kept = _geometry(lam, t, N)
+    w = weights[:, :, np.newaxis]
     x = np.zeros(rhs.shape)  # the A tail stays 0 until its substitution
-    r, x_slots = (v.reshape(N, k, -1).transpose(1, 0, 2) for v in (rhs, x))
+    r = rhs.reshape(N, k, -1).transpose(1, 0, 2)
+    x_slots = x.reshape(N, k, -1).transpose(1, 0, 2)
     b_slots = list(_B_SLOTS[:h])
     r_a, a, r_b = r[1 : h + 1], x_slots[1 : h + 1], r[b_slots]  # A slots as views
     w_a, w_b = w[1 : h + 1], w[b_slots]
-    kept = _kept_counts(w[:, :, 0])
     n_a, n_b = kept[1 : h + 1], [kept[j] for j in b_slots]
-
-    def q_rows(i, rows, y):  # rows `rows` of Q y in A slot i
-        return w_a[i, rows] * sum(K[i][j][rows] @ y[j] for j in range(h))
-
-    def p(cols):  # P a over the first cols[j] rows of each A slot j
-        return w_b * np.stack([K[j][j][:, :c] @ a[j, :c] for j, c in enumerate(cols)])
 
     # I - Q P over the kept prefixes.  P is block-diagonal, so block (i, j)
     # of Q P is the one product Q_ij P_j = w_Ai (K[i][j] (w_Bj K[j][j])): the
     # h*h kernel products go into one buffer, and each row is then scaled by
     # minus its A weight.  Kept weights are >= 2**-64, so every product is a
     # normal number.
-    size, at = sum(n_a), [0, *accumulate(n_a)]
+    at = [0, *accumulate(n_a)]
+    size = at[-1]
     schur = np.empty((size, size))
     for j, cols in enumerate(n_a):
         weighted = w_b[j, : n_b[j]] * K[j][j][: n_b[j], :cols]
@@ -365,15 +393,25 @@ def _solve_interleaved(lam: float, t: float | None, rhs: np.ndarray) -> np.ndarr
     schur *= -np.concatenate([w_a[i, :rows] for i, rows in enumerate(n_a)])
     schur.flat[:: size + 1] += 1.0
     rhs_kept = np.concatenate(
-        [r_a[i, :rows] - q_rows(i, slice(rows), r_b) for i, rows in enumerate(n_a)]
+        [
+            r_a[i, :rows] - w_a[i, :rows] * _q_sum([kernel[:rows] for kernel in K[i]], r_b)
+            for i, rows in enumerate(n_a)
+        ]
     )
     solution = _solve_dense(schur, rhs_kept)
     for i, rows in enumerate(n_a):
         a[i, :rows] = solution[at[i] : at[i + 1]]
-    b = r_b - p(n_a)  # the A tail is still 0
-    for i, rows in enumerate(n_a):
-        a[i, rows:] = r_a[i, rows:] - q_rows(i, slice(rows, None), b)
-    x_slots[b_slots] = r_b - p([N] * h)
+    # P a over the kept prefix of each A slot, whose tail is still 0; where
+    # nothing is cut that is already the final b
+    b = r_b - w_b * np.stack([K[j][j][:, :c] @ a[j, :c] for j, c in enumerate(n_a)])
+    if size < N * h:
+        for i, rows in enumerate(n_a):
+            if rows < N:
+                a[i, rows:] = r_a[i, rows:] - w_a[i, rows:] * _q_sum(
+                    [kernel[rows:] for kernel in K[i]], b
+                )
+        b = r_b - w_b * np.stack([K[j][j] @ a[j] for j in range(h)])
+    x_slots[b_slots] = b
     return x
 
 
@@ -451,8 +489,9 @@ def _disc_forcing(p: DiscProblem, N: int) -> np.ndarray:
 
 def solve_disc_reduction(p: DiscProblem, N: int = DEFAULT_TRUNCATION) -> CoefficientSetDisc:
     """Solve the truncated 2N x 2N disc system by a dense solve for A+ alone."""
-    x = _solve_model(p.lam, None, _disc_forcing(p, N))
-    return CoefficientSetDisc(**_families(x), truncation_N=N)
+    forcing = _disc_forcing(p, N)
+    x = _solve_model(p.lam, None, forcing)
+    return _hand_over(CoefficientSetDisc(**_families(x), truncation_N=N), p, forcing)
 
 
 # Two entries: verification, and a sweep over two truncation orders, each
@@ -592,18 +631,41 @@ def solve_annulus_reduction(
     At lam0 = 0 the A- and B+ rows reduce to the identity and the
     remaining block coincides with the disc system.
     """
-    x = _solve_model(p.lam1, p.radius_ratio, _annulus_forcings(p, N))
-    return CoefficientSetAnnulus(**_families(x), truncation_N=N)
+    forcing = _annulus_forcings(p, N)
+    x = _solve_model(p.lam1, p.radius_ratio, forcing)
+    return _hand_over(CoefficientSetAnnulus(**_families(x), truncation_N=N), p, forcing)
+
+
+def _hand_over(coefficients, problem, forcing: np.ndarray):
+    """The solved coefficients, carrying the problem and forcing their solve used.
+
+    system_residual reads the forcing from here instead of building it again.
+    It sits outside the dataclass fields, so equality, repr and the `solve`
+    JSON do not see it, and a dataclasses.replace copy does not carry it.
+    """
+    forcing.flags.writeable = False
+    object.__setattr__(coefficients, "_solved_from", (problem, forcing))
+    return coefficients
 
 
 def system_residual(problem, coefficients) -> float:
-    """Max defect of the truncated (unhalved) model equations at either model's coefficients."""
+    """Max defect of the truncated (unhalved) model equations at either model's coefficients.
+
+    The forcing is the one the solve handed over when `problem` equals the
+    solved problem at the same N; otherwise (another problem, or coefficients
+    read back from a file) it is built here, as the solve would build it.
+    """
     if isinstance(coefficients, CoefficientSetDisc):
         lam, t, forcings = problem.lam, None, _disc_forcing
     elif isinstance(coefficients, CoefficientSetAnnulus):
         lam, t, forcings = problem.lam1, problem.radius_ratio, _annulus_forcings
     else:
         raise TypeError(f"unsupported coefficient set {type(coefficients)!r}")
-    forcing = forcings(problem, coefficients.truncation_N)
+    N = coefficients.truncation_N
+    solved = vars(coefficients).get("_solved_from")
+    if solved is not None and solved[0] == problem and len(solved[1]) == N:
+        forcing = solved[1]
+    else:
+        forcing = forcings(problem, N)
     scale = _MODEL_SCALE[: forcing.shape[1]]
     return _residual(lam, t, _interleave(coefficients, len(scale)), forcing, scale)

@@ -451,6 +451,19 @@ class TestFigures:
             "fig3_displacement_lam070.csv",
         ]
 
+    def test_figures_ignores_a_config_lambda_grid(self, tmp_path):
+        # figures runs at fixed reference parameters, the fig2_sif.csv grid
+        # included; a config file's lambda grid used to shrink that table
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"lambda_count": 3, "lambda_max": 0.5}))
+        argv = ["figures", "--n-trunc", "24", "--grid-points", "32", "--out"]
+        assert main([*argv, str(tmp_path / "plain")]) == 0
+        assert main([*argv, str(tmp_path / "configured"), "--config", str(config)]) == 0
+        for table in (tmp_path / "plain").iterdir():
+            assert (tmp_path / "configured" / table.name).read_bytes() == table.read_bytes(), table.name
+        rows = (tmp_path / "plain" / "fig2_sif.csv").read_text().splitlines()
+        assert len([row for row in rows if row[:1].isdigit()]) == RunConfig.lambda_count
+
     def test_stress_rejects_annulus(self):
         # every field command is disc-only, the intensity-factor sweep included
         cfg = load_config(None, {"model": "annulus", "lam0": 0.2, "lam1": 0.5})

@@ -4,7 +4,9 @@ specfun._recurrence runs every column recurrence of the package: on Python
 floats for one point and on numpy rows for more, with the same operations
 in the same order, so a point gives the same bits on either path.  The
 public f_m evaluates the family's seed series, and the continuity column
-is that one f_m call at the last kept row, recurred down.
+is that one f_m call at the last kept row, recurred down.  A lone point's
+seed series runs on 1-D arrays to the bits of the block path; a point of an
+array can get other bits, where many points are summing beside it.
 """
 
 import math
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from pennycontact import fields, specfun
+from pennycontact.cli import RunConfig, _displacement_grid, run_solve
 from pennycontact.fields import _hyp_column
 from pennycontact.models import DiscProblem, solve_disc_reduction
 from pennycontact.specfun import _f_family, _f_family_below, f_m
@@ -133,3 +136,59 @@ def test_continuity_column_from_one_f_m_call(monkeypatch, lam, N):
     assert worst <= 1e-15
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-16, (g, float(w))
+
+
+def _far_ratio(top):
+    # the raw series' term ratio, as specfun._f_seed writes it
+    return lambda k: (k + 0.5) * (top + 0.5 + k) / ((top + 1.5 + k) * (k + 1.0))
+
+
+SEED_TOPS = [0, 2, 60, 240, 999]
+
+
+def _seed_points(top):
+    """x = 0, points on both sides of the seed's switch at (1-x) max(top, 2) = 1, and the edge."""
+    switch = 1.0 - 1.0 / max(top, 2)
+    return [0.0, 1e-40, 0.25, 0.81, np.nextafter(switch, 0.0), switch, 0.9801, 1.0 - 1e-12]
+
+
+def test_one_point_seed_equals_the_block_path(monkeypatch):
+    # One point sums its series on 1-D arrays (specfun._series_point); the
+    # block path over live points (specfun._series_blocks) is what every
+    # point took before, and a lone point must get its bits on both.
+    grid = [(top, x) for top in SEED_TOPS for x in _seed_points(top)] + [(999, 0.998)]
+    near = [(1.0 - x) * max(top, 2) <= 1.0 for top, x in grid]
+    assert any(near) and not all(near)
+    # (999, 0.998) is on the raw series, and its terms run past 4064
+    ends = []
+    specfun._series_point(lambda k: ends.append(k[-1]) or _far_ratio(999)(k), 0.998)
+    assert ends[-1] > 4064
+    floats = [specfun._f_seed(top, np.array([x]))[0] for top, x in grid]
+    monkeypatch.setattr(specfun, "_positive_series", specfun._series_blocks)
+    blocks = [specfun._f_seed(top, np.array([x]))[0] for top, x in grid]
+    assert floats == blocks
+    assert all(type(v) is np.float64 for v in floats)
+
+
+FIGURE_LAMBDAS = (0.3, 0.5, 0.7)
+# Seeds of the figures' displacement grids that differ between the array
+# and one-point calls, per lambda: (B- family at (lam/r)**2, A+ family at r**2).
+# More than 64 points are still live after the first block, so the array's
+# next blocks are narrower than a lone point's.
+SEEDS_THAT_DIFFER = {0.3: (0, 21), 0.5: (16, 39), 0.7: (47, 58)}
+
+
+@pytest.mark.parametrize("lam", FIGURE_LAMBDAS)
+def test_array_and_point_calls_on_the_figure_grids(lam):
+    p, c = run_solve(RunConfig(lam=lam))
+    grid = _displacement_grid(lam, RunConfig.grid_points)
+    top = len(fields._kept(p, c)[0]) - 1
+    for x, differ in zip(((lam / grid) ** 2, grid * grid), SEEDS_THAT_DIFFER[lam]):
+        array = specfun._f_seed(top, x)
+        points = np.array([specfun._f_seed(top, np.array([v]))[0] for v in x])
+        assert np.count_nonzero(array != points) == differ
+        assert np.all(np.abs(array - points) <= 4.5e-16 * points)
+    array = fields.displacement(p, c, grid)
+    points = np.array([fields.displacement(p, c, float(r)) for r in grid])
+    assert np.any(array != points)
+    assert np.all(np.abs(array - points) <= 5e-17)

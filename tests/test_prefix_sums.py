@@ -23,6 +23,12 @@ DSTAR = 2.0 * 0.05 / math.sqrt(math.pi)
 LAMBDAS = np.linspace(0.021, 0.979, 13).tolist()
 
 
+def _uncut(lam, t, N):
+    """fields' view of one geometry with nothing cut: its weights, and N kept rows per slot."""
+    weights = _row_weights(lam, t, N)
+    return weights, (N,) * len(weights)
+
+
 def _evaluate(p, c):
     lam = p.lam
     return {
@@ -42,7 +48,7 @@ def test_prefix_sums_match_full_length_sums(monkeypatch, lam, N):
     monkeypatch.setattr(fields, "f_m", lambda m, x: float(column[m]))
     monkeypatch.setattr(fields, "_f_family", lambda count, x: _f_family(N, x)[:count])
     prefix = _evaluate(p, c)
-    monkeypatch.setattr(fields, "_kept_counts", lambda weights: [weights.shape[1]] * 2)
+    monkeypatch.setattr(fields, "_geometry", _uncut)
     full = _evaluate(p, c)
     for name, want in full.items():
         got = prefix[name]
@@ -67,7 +73,7 @@ def test_each_family_is_cut_relative_to_its_own_leading_row(monkeypatch, lam):
     c = solve_disc_reduction(p, 60)
     r = np.array([1.0 + 1e-6, 1.5, 4.0])
     got = fields.stress_outer(p, c, r)
-    monkeypatch.setattr(fields, "_kept_counts", lambda weights: [weights.shape[1]] * 2)
+    monkeypatch.setattr(fields, "_geometry", _uncut)
     want = fields.stress_outer(p, c, r)
     assert np.all(want > 0.0)
     assert np.all(np.abs(got - want) <= 1e-15 * want)

@@ -294,3 +294,9 @@ def test_series_convergence_guard():
     # terms that never shrink at z = 1: the family seed's series gives up
     with pytest.raises(ConvergenceError):
         specfun._positive_series(np.ones_like, np.array([1.0]))
+
+
+def test_series_convergence_guard_on_the_block_path():
+    # two points take the numpy blocks over the live points, not the one-point path
+    with pytest.raises(ConvergenceError):
+        specfun._positive_series(np.ones_like, np.array([1.0, 1.0]))
