@@ -1,15 +1,18 @@
 """Per-layer timings of the library, written to a BENCH_*.json file.
 
-    python scripts/bench_layers.py [--repeats 30] [--out BENCH_21.json]
+    python scripts/bench_layers.py [--repeats 30] [--out BENCH_22.json]
 
 Times, one call per sample after one warm-up call, each of: the scalar f_m,
 the one-point f_m seed, the f_m family on one point and on a grid, the disc
 and annulus solves at N = 60 and 240 and the annulus solve at N = 1000, the
+annulus solve at (lam1, t, N) = (0.864, 0.919, 240) and (0.99, 0.99, 1000)
+and the disc solve at (lam, N) = (0.99, 1000), where no row is cut, the
 disc and annulus system residuals at N = 240 and the annulus residual at
 N = 60 (each on the coefficients of a solve), the continuity defects, one
 stress and one displacement point, the SIF sweep at the default grid
-(N = 60) and at 2000 rows (N = 240) with its series coefficients cached, and
-the uncached build of those coefficients for the default grid.  BLAS is
+(N = 60) and at 2000 rows (N = 240) with its series coefficients cached,
+the uncached build of those coefficients for the default grid, and the
+uncached build of both Hankel-window factors at N = 1000.  BLAS is
 pinned to one thread before numpy is imported, so a timing does not depend
 on how many cores the host lends the process.  The library is imported from
 this checkout's ``src``.  Each entry holds the median and the quartiles of
@@ -62,6 +65,13 @@ def cases() -> dict:
         timed[f"models.solve_disc_reduction N={n}"] = lambda n=n: models.solve_disc_reduction(disc[0.5], n)
         timed[f"models.solve_annulus_reduction N={n}"] = lambda n=n: models.solve_annulus_reduction(annulus, n)
     timed["models.solve_annulus_reduction N=1000"] = lambda: models.solve_annulus_reduction(annulus, 1000)
+    for lam1, t, n in ((0.864, 0.919, 240), (0.99, 0.99, 1000)):
+        uncut = models.AnnulusProblem(lam0=t * lam1, lam1=lam1, delta_star=DELTA_STAR)
+        timed[f"models.solve_annulus_reduction N={n} lam1={lam1} t={t}"] = (
+            lambda uncut=uncut, n=n: models.solve_annulus_reduction(uncut, n)
+        )
+    disc_uncut = models.DiscProblem(lam=0.99, delta_star=DELTA_STAR)
+    timed["models.solve_disc_reduction N=1000 lam=0.99"] = lambda: models.solve_disc_reduction(disc_uncut, 1000)
     annulus_solved = {n: models.solve_annulus_reduction(annulus, n) for n in (60, 240)}
     timed["models.system_residual disc N=240"] = lambda: models.system_residual(disc[0.5], solved[0.5])
     for n in (240, 60):
@@ -84,6 +94,12 @@ def cases() -> dict:
         models._sif_coefficients(60, order)
 
     timed[f"models._sif_coefficients N=60 K={order} uncached"] = uncached_build
+
+    def uncached_factors():
+        for window in (0, 1):
+            models._hankel_factor.__wrapped__(1000, window)
+
+    timed["models._hankel_factor N=1000 windows=0,1 uncached"] = uncached_factors
     return timed
 
 
@@ -126,7 +142,7 @@ def provenance() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=30, help="samples per timing (default 30)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_21.json"), help="JSON file to write")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_22.json"), help="JSON file to write")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
@@ -134,7 +150,7 @@ def main(argv=None) -> int:
     for name, fn in cases().items():
         timings[name] = summary(sample(fn, args.repeats))
         entry = timings[name]
-        print(f"{name:45s} {entry['median_us']:10.1f} us  [{entry['q1_us']:.1f}, {entry['q3_us']:.1f}]")
+        print(f"{name:60s} {entry['median_us']:10.1f} us  [{entry['q1_us']:.1f}, {entry['q3_us']:.1f}]")
     record = {**provenance(), "repeats": args.repeats, "timings": timings}
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0

@@ -114,7 +114,8 @@ def solve_factor_columns_disc(
     """Solve the two disc factor-column systems by reduction.
 
     Truncates to the 2N x 2N disc operator and solves both columns with
-    one LU of its N x N Schur complement (the B unknowns eliminated).
+    one LU, the capacitance matrix of its factored Hankel kernel
+    (models._solve_interleaved).
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must lie in (0, 1), got {lam!r}")
@@ -132,8 +133,9 @@ def solve_factor_columns_annulus(
 ) -> tuple[AnnulusFactorColumn, AnnulusFactorColumn, AnnulusFactorColumn]:
     """Solve the three annulus factor-column systems by reduction.
 
-    The three right-hand sides share one LU of the 2N x 2N Schur
-    complement of the 4N x 4N annulus operator with inner ratio lam0/lam1.
+    The three right-hand sides share one LU, the capacitance matrix of the
+    factored Hankel kernels of the 4N x 4N annulus operator with inner
+    ratio lam0/lam1 (models._solve_interleaved).
     """
     if not 0.0 < lam0 < lam1 < 1.0:
         raise ValueError(

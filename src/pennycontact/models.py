@@ -5,6 +5,10 @@ into a penny-shaped crack of radius a leads, after Mellin transformation,
 to infinite linear systems for the pole-removal coefficients A and B.
 This module solves those systems by truncation to N rows per family
 ("reduction method", geometric convergence in N) through per-N kernels.
+The kernel that couples each B family to its A family is a Hankel window,
+a positive-definite Cauchy matrix of rank 18-19 / 23 / 28 to rounding at
+N = 60 / 240 / 1000, so each solve factors only a capacitance matrix of
+those ranks (_solve_interleaved, _hankel_factor).
 For the disc, solve_disc_recurrence also solves them by exact recurrence
 relations in powers of lambda = b/a; `verify` and the tests use it as an
 independent cross-check of the reduction, and no command solves by it.  The
@@ -22,7 +26,9 @@ A geometry's set-up is paid once per solve.  Each reduction solve hands
 its forcing to system_residual with the coefficients (_hand_over), outside
 their dataclass fields; the residual reads it only for the problem and N it
 was built for.  The row weights and kept counts of each (lambda, t, N) come
-from one bounded cache (_geometry), the kernels from one per N (_kernels).
+from one bounded cache (_geometry), the kernels of every N from slices of
+one table (_kernels), and the Hankel factors from one cache per (N, window)
+(_hankel_factor).
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -206,8 +211,9 @@ _B_SLOTS = (0, 3)
 # The rounding-level weight cut, eps/2**12.  Every coupling of row (slot, n),
 # and with the forcings' matching weights the unknown itself, carries that
 # row's weight, so an unknown below the cut changes each entry it enters by
-# less than the cut relative to that entry: the dense Schur solve leaves such
-# unknowns out (_kept_counts), and the field sums stop at the same rows.
+# less than the cut relative to that entry: the solve leaves such unknowns
+# out of its kernel products (_kept_counts), and the field sums stop at the
+# same rows.
 _MIN_WEIGHT = 2.0**-64
 
 
@@ -228,7 +234,7 @@ def _kept_counts(weights: np.ndarray) -> list[int]:
     """Per slot of _row_weights, the number of leading rows whose weight is at least _MIN_WEIGHT.
 
     The weights fall monotonically with n, so these rows are a prefix of each
-    slot: the Schur solve factors only that prefix, and fields._kept cuts
+    slot: the solve's kernel products read only that prefix, and fields._kept cuts
     both disc families at the B- count, while every coefficient set keeps its
     full length N.
     """
@@ -262,8 +268,25 @@ def _weighted(lam: float, t: float | None, column: np.ndarray) -> np.ndarray:
     return weight.reshape(weight.shape + (1,) * (column.ndim - 2)) * column
 
 
-# Two entries, like _disc_table's: a solve and its residual share one N, and a
-# sweep over two N keeps both.  One entry is 16 MB at the N = 1000 cap.
+# The kernels of the largest N asked for so far, [hankel, toeplitz]: their
+# entries depend on n and m alone, so every smaller N reads slices of them.
+_kernel_table: list[np.ndarray] = []
+
+
+def _build_kernels(N: int) -> list[np.ndarray]:
+    """hankel[n, m] = 1/(pi (n + m + 1/2)) and toeplitz[n, m] = 1/(pi (n - m + 1/2)), read-only, shape (N, N + 1)."""
+    j = np.arange(N)[:, np.newaxis] + np.arange(N + 1)  # n + m
+    hankel = 1.0 / (math.pi * (j + 0.5))
+    toeplitz = 1.0 / (math.pi * (j[:, ::-1] - N + 0.5))  # n + (N - m) - N
+    hankel.flags.writeable = False
+    toeplitz.flags.writeable = False
+    return [hankel, toeplitz]
+
+
+# Two entries of views: a solve and its residual share one N, and a sweep over
+# two N keeps both.  A view keeps the table it was cut from, so after the table
+# grows the cache holds at most two older, smaller tables; the N = 1000 cap's
+# table is 16 MB.
 @lru_cache(maxsize=2)
 def _kernels(N: int) -> tuple[np.ndarray, np.ndarray]:
     """The weight-free kernels of the shared operator, read-only, shape (N, N + 1).
@@ -271,15 +294,64 @@ def _kernels(N: int) -> tuple[np.ndarray, np.ndarray]:
     hankel[n, m] = 1/(pi (n + m + 1/2)) and toeplitz[n, m] = 1/(pi (n - m + 1/2)).
     Every coupling is a row weight times one of their (N, N) column windows
     (_coupling_kernels), so every solve and residual at one N reads these two.
+    They are the leading (N, N + 1) slices of one table, built again only
+    when a larger N is asked for (_kernel_table), so a verify run over
+    several N builds it once and a slice has the bits a table of that N has.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N!r}")
-    j = np.arange(N)[:, np.newaxis] + np.arange(N + 1)  # n + m
-    hankel = 1.0 / (math.pi * (j + 0.5))
-    toeplitz = 1.0 / (math.pi * (j[:, ::-1] - N + 0.5))  # n + (N - m) - N
-    hankel.flags.writeable = False
-    toeplitz.flags.writeable = False
-    return hankel, toeplitz
+    if not _kernel_table or len(_kernel_table[0]) < N:
+        _kernel_table[:] = _build_kernels(N)
+    hankel, toeplitz = _kernel_table
+    return hankel[:N, : N + 1], toeplitz[:N, : N + 1]
+
+
+# The stop of _hankel_factor, like _MIN_WEIGHT a rounding-level constant: a
+# window is factored until its largest residual diagonal is at most this times
+# its largest diagonal.  Below it the residual is roundoff, so a smaller stop
+# only adds columns that fit the roundoff (31 against 28 at N = 1000 for
+# 2**-56, 41 for a stop of 0, which ends when every residual rounds to <= 0).
+_FACTOR_TOL = 2.0**-53
+
+
+# Sixteen entries: one verify run reads eight (N, window) keys, and a
+# solve_sweep pass four.  One entry is N x rank floats, 220 KB at N = 1000.
+@lru_cache(maxsize=16)
+def _hankel_factor(N: int, window: int) -> np.ndarray:
+    """Pivoted-Cholesky factor L, read-only, of Hankel window `window` of _kernels(N).
+
+    The window K[n, m] = 1/(pi (x_n + x_m)), x_n = n + (window + 1/2)/2, is
+    the diagonal coupling kernel K[j][j] of _coupling_kernels with j = window:
+    a positive-definite Cauchy matrix whose singular values fall
+    geometrically, so L L^T matches it entrywise to _FACTOR_TOL times its
+    largest entry K[0, 0] with L of shape (N, rank), rank 18-19 / 23 / 28 at
+    N = 60 / 240 / 1000.  Each step takes the largest residual diagonal as
+    pivot and computes that one kernel column on the fly (Harbrecht, Peters
+    and Schneider, Appl. Numer. Math. 62 (2012) 428-440): O(N rank**2), and
+    no N x N array.  The loop stops at the tolerance or after N columns.
+    Keyed by N, not cut from a larger factor, whose pivots differ, so a
+    solve's bits do not depend on what the process solved before.
+    """
+    x = np.arange(N) + 0.5 * (window + 0.5)
+    residual = 1.0 / (2.0 * math.pi * x)
+    stop = _FACTOR_TOL * residual[0]
+    columns = np.empty((min(N, 32), N))  # L^T, grown by doubling
+    rank = 0
+    while rank < N:
+        p = int(np.argmax(residual))
+        if residual[p] <= stop:
+            break
+        if rank == len(columns):
+            columns = np.concatenate([columns, np.empty((min(rank, N - rank), N))])
+        column = 1.0 / (math.pi * (x + x[p])) - columns[:rank].T @ columns[:rank, p]
+        column /= math.sqrt(residual[p])
+        columns[rank] = column
+        residual -= column * column
+        residual[p] = 0.0
+        rank += 1
+    factor = columns[:rank].T.copy()
+    factor.flags.writeable = False
+    return factor
 
 
 def _coupling_kernels(N: int, h: int) -> list[list[np.ndarray]]:
@@ -328,7 +400,7 @@ def _solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularSystemError(
             f"truncated system is singular (cond ~ {np.linalg.cond(matrix):.3e})"
         ) from exc
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise SingularSystemError(
             f"solution overflowed (cond ~ {np.linalg.cond(matrix):.3e})"
         )
@@ -348,18 +420,27 @@ def _families(x: np.ndarray) -> dict:
 def _solve_interleaved(lam: float, t: float | None, rhs: np.ndarray) -> np.ndarray:
     """Solve the shared operator for rhs of shape (N, slots[, columns]).
 
-    The operator reads [[I, P], [Q, I]], so the A unknowns solve the Schur
-    complement (I - Q P) a = r_A - Q r_B, of half its size, and b = r_B - P a,
-    each coupling applied as its rows' weights times a per-N kernel.
+    The operator reads [[I, P], [Q, I]], so the A unknowns solve
+    (I - Q P) a = c with c = r_A - Q r_B, and b = r_B - P a, each coupling
+    applied as its rows' weights times a per-N kernel.  P_j's kernel is
+    Hankel window j, L_j L_j^T to rounding (_hankel_factor), so Q P = X Y^T
+    with Y = blockdiag(L_j) and X of R columns, R the sum of the h factor
+    ranks (_low_rank_rows).  By Woodbury a = c - X z, where the capacitance
+    system (Y^T X - I) z = Y^T c is the one LU: R x R, 18 / 23 / 28 for the
+    disc and 37 / 46 / 56 for the annulus at N = 60 / 240 / 1000, in place
+    of an (hN) x (hN) Schur complement.  The work is O(N**2 R) for the
+    annulus, whose Toeplitz blocks stay dense, and O(N R**2) for the disc.
+    c, the tail substitution and b stay on the exact kernels, and so does
+    _apply_operator, so the residual checks the factored solve independently.
 
-    The Schur complement keeps only unknowns whose row weight is at least
-    _MIN_WEIGHT = 2**-64: the first n_a[i] of A slot i and n_b[j] of B slot j
-    (_kept_counts, read through _geometry; N where nothing is cut).  Every
-    right-hand side carries its row's weight, so a dropped unknown is its
-    weight times an O(1) number, and each term it would add is below 2**-64
-    relative to the entry it would change: the kept unknowns are those of
-    the full truncated solve to roundoff.  The A tail T follows by one
-    substitution,
+    Only A unknowns whose row weight is at least _MIN_WEIGHT = 2**-64 enter
+    c, X and Y: the first n_a[i] of A slot i, with B slot j read over its
+    first n_b[j] (_kept_counts, read through _geometry; N where nothing is
+    cut).  Every right-hand side carries its row's weight, so a dropped
+    unknown is its weight times an O(1) number, and each term it would add
+    is below 2**-64 relative to the entry it would change: the kept unknowns
+    are those of the full truncated solve to roundoff.  The A tail T follows
+    by one substitution,
     a_T = (r_A - Q (r_B - P a))_T, empty where nothing is cut, and
     b = r_B - P a over every row, so each dropped row still satisfies its own
     equation to roundoff relative to its weight.
@@ -372,47 +453,59 @@ def _solve_interleaved(lam: float, t: float | None, rhs: np.ndarray) -> np.ndarr
     x = np.zeros(rhs.shape)  # the A tail stays 0 until its substitution
     r = rhs.reshape(N, k, -1).transpose(1, 0, 2)
     x_slots = x.reshape(N, k, -1).transpose(1, 0, 2)
-    b_slots = list(_B_SLOTS[:h])
-    r_a, a, r_b = r[1 : h + 1], x_slots[1 : h + 1], r[b_slots]  # A slots as views
-    w_a, w_b = w[1 : h + 1], w[b_slots]
-    n_a, n_b = kept[1 : h + 1], [kept[j] for j in b_slots]
+    # every slot as a view: b is written into x in place
+    r_a, a, w_a = r[1 : h + 1], x_slots[1 : h + 1], w[1 : h + 1]
+    r_b, b, w_b = ([array[j] for j in _B_SLOTS[:h]] for array in (r, x_slots, w))
+    n_a, n_b = kept[1 : h + 1], [kept[j] for j in _B_SLOTS[:h]]
 
-    # I - Q P over the kept prefixes.  P is block-diagonal, so block (i, j)
-    # of Q P is the one product Q_ij P_j = w_Ai (K[i][j] (w_Bj K[j][j])): the
-    # h*h kernel products go into one buffer, and each row is then scaled by
-    # minus its A weight.  Kept weights are >= 2**-64, so every product is a
-    # normal number.
-    at = [0, *accumulate(n_a)]
-    size = at[-1]
-    schur = np.empty((size, size))
-    for j, cols in enumerate(n_a):
-        weighted = w_b[j, : n_b[j]] * K[j][j][: n_b[j], :cols]
-        for i, rows in enumerate(n_a):
-            block = schur[at[i] : at[i + 1], at[j] : at[j + 1]]
-            np.matmul(K[i][j][:rows, : n_b[j]], weighted, out=block)
-    schur *= -np.concatenate([w_a[i, :rows] for i, rows in enumerate(n_a)])
-    schur.flat[:: size + 1] += 1.0
-    rhs_kept = np.concatenate(
-        [
-            r_a[i, :rows] - w_a[i, :rows] * _q_sum([kernel[:rows] for kernel in K[i]], r_b)
-            for i, rows in enumerate(n_a)
-        ]
-    )
-    solution = _solve_dense(schur, rhs_kept)
+    c = [
+        r_a[i, :rows] - w_a[i, :rows] * _q_sum([kernel[:rows] for kernel in K[i]], r_b)
+        for i, rows in enumerate(n_a)
+    ]
+    factors = [_hankel_factor(N, j) for j in range(h)]
+    x_rows = _low_rank_rows(K, factors, w_a, w_b, n_a, n_b)
+    y = [factor[:rows] for factor, rows in zip(factors, n_a)]
+    # Y^T X - I, one row block of r_i rows per A slot, with no zero block of Y
+    capacitance = np.concatenate([y_i.T @ x_i for y_i, x_i in zip(y, x_rows)])
+    capacitance.flat[:: len(capacitance) + 1] -= 1.0
+    z = _solve_dense(capacitance, np.concatenate([y_i.T @ c_i for y_i, c_i in zip(y, c)]))
     for i, rows in enumerate(n_a):
-        a[i, :rows] = solution[at[i] : at[i + 1]]
+        np.subtract(c[i], x_rows[i] @ z, out=a[i, :rows])
     # P a over the kept prefix of each A slot, whose tail is still 0; where
-    # nothing is cut that is already the final b
-    b = r_b - w_b * np.stack([K[j][j][:, :c] @ a[j, :c] for j, c in enumerate(n_a)])
-    if size < N * h:
-        for i, rows in enumerate(n_a):
-            if rows < N:
-                a[i, rows:] = r_a[i, rows:] - w_a[i, rows:] * _q_sum(
-                    [kernel[rows:] for kernel in K[i]], b
-                )
-        b = r_b - w_b * np.stack([K[j][j] @ a[j] for j in range(h)])
-    x_slots[b_slots] = b
+    # nothing of slot j is cut that is already the final b_j
+    for j, rows in enumerate(n_a):
+        np.subtract(r_b[j], w_b[j] * (K[j][j][:, :rows] @ a[j, :rows]), out=b[j])
+    cut = [i for i, rows in enumerate(n_a) if rows < N]
+    for i in cut:
+        rows = n_a[i]
+        q = _q_sum([kernel[rows:] for kernel in K[i]], b)
+        np.subtract(r_a[i, rows:], w_a[i, rows:] * q, out=a[i, rows:])
+    for j in cut:
+        np.subtract(r_b[j], w_b[j] * (K[j][j] @ a[j]), out=b[j])
     return x
+
+
+def _low_rank_rows(K, factors, w_a, w_b, n_a, n_b) -> list[np.ndarray]:
+    """X of Q P = X Y^T over the kept rows: one block (n_a[i], R) per A slot i.
+
+    Its column block j is diag(w_Ai) K[i][j] diag(w_Bj) L_j, the B slot read
+    over its first n_b[j] rows, so times L_j^T it is Q_ij P_j with P_j's
+    kernel replaced by L_j L_j^T.  Q's diagonal kernel K[j][j] is window j
+    too, so that block is L_j (L_j^T diag(w_Bj) L_j), O(N r**2); each of the
+    annulus' two Toeplitz blocks is one dense product, O(n_a[i] n_b[j] r_j).
+    Every kept weight is at least 2**-64, so the products stay normal.
+    """
+    weighted = [w_j[:rows] * factor[:rows] for w_j, factor, rows in zip(w_b, factors, n_b)]
+    rows_of_x = []
+    for i, rows in enumerate(n_a):
+        blocks = [
+            factors[i][:rows] @ (factors[i][: n_b[i]].T @ weighted[i])
+            if i == j
+            else K[i][j][:rows, : n_b[j]] @ weighted[j]
+            for j in range(len(factors))
+        ]
+        rows_of_x.append(w_a[i, :rows] * np.concatenate(blocks, axis=1))
+    return rows_of_x
 
 
 def _solve_model(lam: float, t: float | None, forcing: np.ndarray) -> np.ndarray:
@@ -488,7 +581,7 @@ def _disc_forcing(p: DiscProblem, N: int) -> np.ndarray:
 
 
 def solve_disc_reduction(p: DiscProblem, N: int = DEFAULT_TRUNCATION) -> CoefficientSetDisc:
-    """Solve the truncated 2N x 2N disc system by a dense solve for A+ alone."""
+    """Solve the truncated 2N x 2N disc system through one capacitance LU for A+ (_solve_interleaved)."""
     forcing = _disc_forcing(p, N)
     x = _solve_model(p.lam, None, forcing)
     return _hand_over(CoefficientSetDisc(**_families(x), truncation_N=N), p, forcing)
@@ -626,7 +719,7 @@ def _annulus_forcings(p: AnnulusProblem, N: int) -> np.ndarray:
 def solve_annulus_reduction(
     p: AnnulusProblem, N: int = DEFAULT_TRUNCATION
 ) -> CoefficientSetAnnulus:
-    """Solve the truncated 4N x 4N annulus system by a dense solve for A+ and A-.
+    """Solve the truncated 4N x 4N annulus system through one capacitance LU for A+ and A-.
 
     At lam0 = 0 the A- and B+ rows reduce to the identity and the
     remaining block coincides with the disc system.

@@ -20,8 +20,16 @@ from pennycontact.models import (
 from oracles import power_table_oracle, system_matrix
 
 # (lam, t, N): t = 0.05 at lam = 0.1 has subnormal weights lam**(2n+1) and
-# t**(2n+1) at N = 240; t = 0 is the lam0 = 0 degenerate annulus.
-CASES = [(0.5, 0.5, 60), (0.99, 0.95, 240), (0.1, 0.05, 240), (0.5, 0.0, 60)]
+# t**(2n+1) at N = 240; t = 0 is the lam0 = 0 degenerate annulus; the last two
+# keep every row of a large N, where the factored Hankel kernels carry the solve.
+CASES = [
+    (0.5, 0.5, 60),
+    (0.99, 0.95, 240),
+    (0.1, 0.05, 240),
+    (0.5, 0.0, 60),
+    (0.864, 0.919, 240),
+    (0.95, 0.9, 500),
+]
 
 
 def _dense_solve(lam, t, rhs):

@@ -1,10 +1,11 @@
-"""The dense Schur solve keeps only unknowns whose row weight is at least 2**-64.
+"""The solve keeps only unknowns whose row weight is at least 2**-64.
 
 An unknown whose row weight lam**p or t**p is below this rounding-level cut
 changes no entry it enters by more than the cut relative to that entry, so
-the solve leaves it out of the LU and fills its A unknowns by one
-substitution instead.  The solutions must still match a dense solve of the
-whole operator, for the model forcings and for the factor columns.
+the solve leaves it out of the kernel products behind its one LU, the
+capacitance matrix of the factored Hankel kernels, and fills its A unknowns
+by one substitution instead.  The solutions must still match a dense solve
+of the whole operator, for the model forcings and for the factor columns.
 """
 
 import numpy as np
@@ -94,7 +95,7 @@ def _kept_rows(lam, t, N):
 
 
 def _kept_a_rows(lam, t, N):
-    """The Schur size: the kept A rows, A+ and (for the annulus) A-."""
+    """The kept A rows, A+ and (for the annulus) A-."""
     return sum(_kept_rows(lam, t, N)[1:3])
 
 
@@ -104,39 +105,61 @@ def test_kept_counts_follow_the_rule(lam, t, N):
     assert _kept_counts(_row_weights(lam, t, N)) == _kept_rows(lam, t, N)
 
 
-def _lu_dimensions(monkeypatch, lam, t, rhs):
-    dims = []
-    solve_dense = models._solve_dense
+def _recorded_solve(monkeypatch, lam, t, rhs):
+    """The shapes of every LU and of every row block of X in one _solve_interleaved call."""
+    lus, rows_of_x = [], []
+    solve_dense, low_rank_rows = models._solve_dense, models._low_rank_rows
 
-    def recording(matrix, rhs):
-        dims.append(matrix.shape[0])
+    def recording_solve(matrix, rhs):
+        lus.append(matrix.shape)
         return solve_dense(matrix, rhs)
 
-    monkeypatch.setattr(models, "_solve_dense", recording)
+    def recording_rows(*args):
+        blocks = low_rank_rows(*args)
+        rows_of_x.extend(block.shape for block in blocks)
+        return blocks
+
+    monkeypatch.setattr(models, "_solve_dense", recording_solve)
+    monkeypatch.setattr(models, "_low_rank_rows", recording_rows)
     _solve_interleaved(lam, t, rhs)
-    return dims
+    return lus, rows_of_x
+
+
+def _capacitance_size(N, h):
+    """The sum of the factor ranks of the h Hankel windows."""
+    return sum(models._hankel_factor(N, j).shape[1] for j in range(h))
+
+
+def _assert_capacitance_and_kept_products(monkeypatch, lam, t, N, rhs):
+    # the one LU is the capacitance matrix, whatever the cut, and each A
+    # slot's row block of X (its kernel products) has its kept rows only
+    h = 1 if t is None else 2
+    size = _capacitance_size(N, h)
+    lus, rows_of_x = _recorded_solve(monkeypatch, lam, t, rhs)
+    assert lus == [(size, size)]
+    assert rows_of_x == [(rows, size) for rows in _kept_rows(lam, t, N)[1 : h + 1]]
 
 
 @pytest.mark.parametrize("lam,t,N,system", SHRINKING)
-def test_cut_shrinks_the_lu(monkeypatch, lam, t, N, system):
+def test_cut_shrinks_the_kernel_products(monkeypatch, lam, t, N, system):
     t = None if system.startswith("disc") else t
     h = 1 if t is None else 2
-    dims = _lu_dimensions(monkeypatch, lam, t, _rhs(lam, t, N, system))
-    assert dims == [_kept_a_rows(lam, t, N)]
-    assert dims[0] < h * N
+    _assert_capacitance_and_kept_products(monkeypatch, lam, t, N, _rhs(lam, t, N, system))
+    assert _kept_a_rows(lam, t, N) < h * N
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_normal_weights_keep_the_full_lu(monkeypatch, system):
+def test_normal_weights_keep_every_row_of_the_kernel_products(monkeypatch, system):
     lam, t, N = 0.99, 0.95, 240
     t = None if system.startswith("disc") else t
     h = 1 if t is None else 2
-    assert _lu_dimensions(monkeypatch, lam, t, _rhs(lam, t, N, system)) == [h * N]
+    _assert_capacitance_and_kept_products(monkeypatch, lam, t, N, _rhs(lam, t, N, system))
+    assert _kept_a_rows(lam, t, N) == h * N
 
 
 # (lam, t, system) with one A slot below the cut at every n: the disc A+ weights
 # lam**(2n+1) and, at t = 2e-306, the annulus A- weights t**(2n+1), so the
-# Schur solve keeps no row of that slot (and, for the disc, none at all).
+# solve keeps no row of that slot (and, for the disc, none at all).
 EMPTY_SLOT_CASES = [
     (1e-305, None, "disc"),
     (1e-305, None, "disc columns"),
@@ -151,7 +174,7 @@ def test_a_slot_cut_entirely_matches_dense_solve(monkeypatch, lam, t, system):
     rhs = _rhs(lam, t, N, system)
     _assert_matches_dense(lam, t, rhs)
     assert _kept_rows(lam, t, N)[1 if t is None else 2] == 0
-    assert _lu_dimensions(monkeypatch, lam, t, rhs) == [_kept_a_rows(lam, t, N)]
+    _assert_capacitance_and_kept_products(monkeypatch, lam, t, N, rhs)
 
 
 @pytest.mark.parametrize(

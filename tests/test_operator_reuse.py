@@ -257,3 +257,28 @@ def test_verification_builds_each_model_table_once(monkeypatch):
     # seed-row check builds its own small one; the second run builds none
     assert sorted(builds) == [(10, 4), (61, 120)]
     assert [c.to_dict() for c in first.checks] == [c.to_dict() for c in second.checks]
+
+
+def test_a_second_verification_builds_no_kernel_and_no_factor(monkeypatch):
+    builds = []
+    build_kernels = models._build_kernels
+
+    def counting(N):
+        builds.append(N)
+        return build_kernels(N)
+
+    monkeypatch.setattr(models, "_build_kernels", counting)
+    monkeypatch.setattr(models, "_kernel_table", [])
+    models._kernels.cache_clear()
+    models._hankel_factor.cache_clear()
+    try:
+        run_verification()
+        first = models._hankel_factor.cache_info()
+        run_verification()
+        second = models._hankel_factor.cache_info()
+    finally:
+        models._kernels.cache_clear()
+    # every N of the run (60, 40, 30, 20, 16, 10, 8) is a slice of one table,
+    # and the factor cache holds every (N, window) the run reads
+    assert builds == [60]
+    assert first.misses == 8 and second.misses == first.misses
