@@ -197,21 +197,16 @@ def stress_outer(
     return _result(p.theta1 * _hyp_column(_kept(p, c)[1], x2) * x2**1.5 / SQRT_PI, scalar)
 
 
-def sif_asymptotic(lam: float, n_terms: int = 5) -> float:
+def sif_asymptotic(lam: float) -> float:
     """Normalized intensity factor from the small-lambda expansion.
 
-    Returns theta1 * K_I / (sqrt(a) * delta0) summed to lambda**n_terms;
-    coefficients beyond the fifth power are not available.
+    Returns theta1 * K_I / (sqrt(a) * delta0) summed to lambda**5.
     """
-    if not 1 <= n_terms <= len(_ASYMPTOTIC_COEFFS):
-        raise ValueError(
-            f"n_terms must be in 1..{len(_ASYMPTOTIC_COEFFS)}, got {n_terms!r}"
-        )
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lam must lie in [0, 1), got {lam!r}")
     acc = 0.0
-    for j in range(n_terms - 1, -1, -1):
-        acc = acc * lam + _ASYMPTOTIC_COEFFS[j]
+    for coefficient in reversed(_ASYMPTOTIC_COEFFS):
+        acc = acc * lam + coefficient
     return (-4.0 / SQRT_PI) * lam * acc
 
 

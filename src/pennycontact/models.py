@@ -22,13 +22,12 @@ linear in delta_star.
 The forcing functions are built only as arrays, at the points s where the
 equations sample them.
 
-A geometry's set-up is paid once per solve.  Each reduction solve hands
-its forcing to system_residual with the coefficients (_hand_over), outside
-their dataclass fields; the residual reads it only for the problem and N it
-was built for.  The row weights and kept counts of each (lambda, t, N) come
-from one bounded cache (_geometry), the kernels of every N from slices of
-one table (_kernels), and the Hankel factors from one cache per (N, window)
-(_hankel_factor).
+A geometry's set-up is paid once per solve, each piece in one place keyed
+by its inputs: the forcing of each (problem, N) in one bounded cache per
+model, which a solve and its system_residual share; the row weights and
+kept counts of each (lambda, t, N) in another (_geometry); the kernels of
+every N in one table (_kernels); the Hankel factors in one cache per
+(N, window) (_hankel_factor).  The coefficient sets hold only their fields.
 """
 
 from __future__ import annotations
@@ -283,11 +282,6 @@ def _build_kernels(N: int) -> list[np.ndarray]:
     return [hankel, toeplitz]
 
 
-# Two entries of views: a solve and its residual share one N, and a sweep over
-# two N keeps both.  A view keeps the table it was cut from, so after the table
-# grows the cache holds at most two older, smaller tables; the N = 1000 cap's
-# table is 16 MB.
-@lru_cache(maxsize=2)
 def _kernels(N: int) -> tuple[np.ndarray, np.ndarray]:
     """The weight-free kernels of the shared operator, read-only, shape (N, N + 1).
 
@@ -569,22 +563,26 @@ def _power_sums(
 # ----------------------------------------------------------------------
 
 
+# Four entries, like _geometry: a sweep case reads one problem of each model,
+# so a pass over many problems never reuses an entry from an earlier pass.
+@lru_cache(maxsize=4)
 def _disc_forcing(p: DiscProblem, N: int) -> np.ndarray:
-    """Right-hand side, per n as (B-, A+), of the disc equations.
+    """Right-hand side, per n as (B-, A+), of the disc equations; read-only.
 
     The A+ row is -delta_star lam**(2n+1) / (pi (2n+1)), lam**(2n+1)/pi
     times the disc forcing omega_1^-(s) = -delta_star/s at s = 2n+1.
     """
     column = np.zeros((N, 2))
     column[:, 1] = -p.delta_star / (math.pi * (2.0 * np.arange(N) + 1.0))
-    return _weighted(p.lam, None, column)
+    forcing = _weighted(p.lam, None, column)
+    forcing.flags.writeable = False
+    return forcing
 
 
 def solve_disc_reduction(p: DiscProblem, N: int = DEFAULT_TRUNCATION) -> CoefficientSetDisc:
     """Solve the truncated 2N x 2N disc system through one capacitance LU for A+ (_solve_interleaved)."""
-    forcing = _disc_forcing(p, N)
-    x = _solve_model(p.lam, None, forcing)
-    return _hand_over(CoefficientSetDisc(**_families(x), truncation_N=N), p, forcing)
+    x = _solve_model(p.lam, None, _disc_forcing(p, N))
+    return CoefficientSetDisc(**_families(x), truncation_N=N)
 
 
 # Two entries: verification, and a sweep over two truncation orders, each
@@ -706,14 +704,17 @@ def _annulus_omegas(p: AnnulusProblem, N: int) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=4)  # sized as _disc_forcing
 def _annulus_forcings(p: AnnulusProblem, N: int) -> np.ndarray:
-    """Right-hand side, per n as (B-, A+, A-, B+), of the annulus equations.
+    """Right-hand side, per n as (B-, A+, A-, B+), of the annulus equations; read-only.
 
     Rows A+, A- and B+ are omega_1^-, omega_1^+ and 4 omega_2^- over pi.
     """
     column = np.zeros((N, 4))
     column[:, 1:] = _annulus_omegas(p, N) * [1.0, 1.0, 4.0] / math.pi
-    return _weighted(p.lam1, p.radius_ratio, column)
+    forcing = _weighted(p.lam1, p.radius_ratio, column)
+    forcing.flags.writeable = False
+    return forcing
 
 
 def solve_annulus_reduction(
@@ -724,29 +725,16 @@ def solve_annulus_reduction(
     At lam0 = 0 the A- and B+ rows reduce to the identity and the
     remaining block coincides with the disc system.
     """
-    forcing = _annulus_forcings(p, N)
-    x = _solve_model(p.lam1, p.radius_ratio, forcing)
-    return _hand_over(CoefficientSetAnnulus(**_families(x), truncation_N=N), p, forcing)
-
-
-def _hand_over(coefficients, problem, forcing: np.ndarray):
-    """The solved coefficients, carrying the problem and forcing their solve used.
-
-    system_residual reads the forcing from here instead of building it again.
-    It sits outside the dataclass fields, so equality, repr and the `solve`
-    JSON do not see it, and a dataclasses.replace copy does not carry it.
-    """
-    forcing.flags.writeable = False
-    object.__setattr__(coefficients, "_solved_from", (problem, forcing))
-    return coefficients
+    x = _solve_model(p.lam1, p.radius_ratio, _annulus_forcings(p, N))
+    return CoefficientSetAnnulus(**_families(x), truncation_N=N)
 
 
 def system_residual(problem, coefficients) -> float:
     """Max defect of the truncated (unhalved) model equations at either model's coefficients.
 
-    The forcing is the one the solve handed over when `problem` equals the
-    solved problem at the same N; otherwise (another problem, or coefficients
-    read back from a file) it is built here, as the solve would build it.
+    The forcing comes from the model's builder at (problem, N), whose cache
+    serves the forcing a solve of an equal problem at that N used, so a fresh
+    solve's residual builds none and a reloaded or replaced copy gets the same bits.
     """
     if isinstance(coefficients, CoefficientSetDisc):
         lam, t, forcings = problem.lam, None, _disc_forcing
@@ -754,11 +742,6 @@ def system_residual(problem, coefficients) -> float:
         lam, t, forcings = problem.lam1, problem.radius_ratio, _annulus_forcings
     else:
         raise TypeError(f"unsupported coefficient set {type(coefficients)!r}")
-    N = coefficients.truncation_N
-    solved = vars(coefficients).get("_solved_from")
-    if solved is not None and solved[0] == problem and len(solved[1]) == N:
-        forcing = solved[1]
-    else:
-        forcing = forcings(problem, N)
+    forcing = forcings(problem, coefficients.truncation_N)
     scale = _MODEL_SCALE[: forcing.shape[1]]
     return _residual(lam, t, _interleave(coefficients, len(scale)), forcing, scale)

@@ -57,7 +57,10 @@ def test_inner_radius_zero_leaves_no_correction_term():
 
 
 def test_forcing_has_no_hidden_cache():
+    # the forcing is cached, so a caller must not be able to corrupt a later call
     p = _problem(0.5)
     first = _annulus_forcings(p, N)
-    first[:] = math.nan
-    assert np.all(np.isfinite(_annulus_forcings(p, N)))
+    before = first.copy()
+    with pytest.raises(ValueError):
+        first[:] = math.nan
+    assert np.array_equal(_annulus_forcings(p, N), before)

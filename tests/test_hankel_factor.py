@@ -80,16 +80,11 @@ def test_a_solve_does_not_depend_on_what_was_solved_before(monkeypatch):
     # after an N = 240 solve, the N = 60 kernels are slices of the larger
     # table and its factors are built again: the bits must not move
     monkeypatch.setattr(models, "_kernel_table", [])
-    models._kernels.cache_clear()
     models._hankel_factor.cache_clear()
-    try:
-        before = _solves_at_60()
-        solve_annulus_reduction(AnnulusProblem(lam0=0.45, lam1=0.9, delta_star=0.7), 240)
-        assert len(models._kernel_table[0]) == 240
-        models._kernels.cache_clear()
-        models._hankel_factor.cache_clear()
-        after = _solves_at_60()
-    finally:
-        models._kernels.cache_clear()
+    before = _solves_at_60()
+    solve_annulus_reduction(AnnulusProblem(lam0=0.45, lam1=0.9, delta_star=0.7), 240)
+    assert len(models._kernel_table[0]) == 240
+    models._hankel_factor.cache_clear()
+    after = _solves_at_60()
     for first, second in zip(before, after):
         assert np.array_equal(first, second)

@@ -107,27 +107,20 @@ def test_every_operator_caller_shares_one_kernel_build(monkeypatch):
     N, lam0, lam1 = 24, 0.2, 0.5
     disc = DiscProblem(lam=lam1, delta_star=0.7)
     annulus = AnnulusProblem(lam0=lam0, lam1=lam1, delta_star=0.7)
-    served = []
-    cached = models._kernels
-
-    def recording(n):
-        served.append(cached(n))
-        return served[-1]
-
-    cached.cache_clear()
-    monkeypatch.setattr(models, "_kernels", recording)
-    try:
-        system_residual(disc, solve_disc_reduction(disc, N))
-        system_residual(annulus, solve_annulus_reduction(annulus, N))
-        for columns in (solve_factor_columns_disc(lam1, N), solve_factor_columns_annulus(lam0, lam1, N)):
-            for column in columns:
-                factor_system_residual(column)
-        info = cached.cache_info()
-    finally:
-        cached.cache_clear()
+    builds, served = [], []
+    build_kernels, kernels = models._build_kernels, models._kernels
+    monkeypatch.setattr(models, "_kernel_table", [])
+    monkeypatch.setattr(models, "_build_kernels", lambda n: builds.append(n) or build_kernels(n))
+    monkeypatch.setattr(models, "_kernels", lambda n: served.append(kernels(n)) or served[-1])
+    system_residual(disc, solve_disc_reduction(disc, N))
+    system_residual(annulus, solve_annulus_reduction(annulus, N))
+    for columns in (solve_factor_columns_disc(lam1, N), solve_factor_columns_annulus(lam0, lam1, N)):
+        for column in columns:
+            factor_system_residual(column)
     # two solves, their residuals, two column solves and five column residuals
-    assert len(served) == 11 and info.misses == 1
-    assert all(pair[0] is served[0][0] and pair[1] is served[0][1] for pair in served)
+    assert len(served) == 11 and builds == [N]
+    hankel, toeplitz = models._kernel_table
+    assert all(pair[0].base is hankel and pair[1].base is toeplitz for pair in served)
     assert not any(kernel.flags.writeable for kernel in served[0])
 
 
@@ -269,15 +262,11 @@ def test_a_second_verification_builds_no_kernel_and_no_factor(monkeypatch):
 
     monkeypatch.setattr(models, "_build_kernels", counting)
     monkeypatch.setattr(models, "_kernel_table", [])
-    models._kernels.cache_clear()
     models._hankel_factor.cache_clear()
-    try:
-        run_verification()
-        first = models._hankel_factor.cache_info()
-        run_verification()
-        second = models._hankel_factor.cache_info()
-    finally:
-        models._kernels.cache_clear()
+    run_verification()
+    first = models._hankel_factor.cache_info()
+    run_verification()
+    second = models._hankel_factor.cache_info()
     # every N of the run (60, 40, 30, 20, 16, 10, 8) is a slice of one table,
     # and the factor cache holds every (N, window) the run reads
     assert builds == [60]

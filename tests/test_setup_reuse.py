@@ -1,13 +1,13 @@
 """A solve pays its geometry's set-up once, and its residual reuses it.
 
-Each reduction solve hands its forcing to system_residual with the
-coefficients, outside their dataclass fields (models._hand_over).  The
-residual reads it only for the problem and N it was built for; for any
-other problem, and for coefficients read back from a file, it builds the
-forcing as before, so its value is the same bits as a residual that builds
-its own.  The row weights and kept counts of each (lambda, t, N) come from
-one cache of four entries (models._geometry), and the Gamma ratios from one
-keyed by N alone (specfun._gamma_ratios).
+The forcing of each (problem, N) comes from one cache of four entries per
+model (models._disc_forcing, models._annulus_forcings), which a solve and its
+system_residual share; another problem gets its own entry, and coefficients
+read back from a file get the same bits as a forcing built afresh.  The
+results carry nothing but their dataclass fields.  The row weights and kept
+counts of each (lambda, t, N) come from one cache of four entries
+(models._geometry), and the Gamma ratios from one keyed by N alone
+(specfun._gamma_ratios).
 """
 
 import dataclasses
@@ -45,30 +45,27 @@ SOLVES = {
 
 
 def _rebuilt_residual(problem, coefficients):
-    """system_residual as computed before the hand-off: the forcing built afresh."""
+    """system_residual with the forcing built afresh, past its cache."""
     if isinstance(coefficients, models.CoefficientSetDisc):
-        lam, t, forcing = problem.lam, None, _disc_forcing(problem, coefficients.truncation_N)
+        lam, t = problem.lam, None
+        forcing = _disc_forcing.__wrapped__(problem, coefficients.truncation_N)
     else:
         lam, t = problem.lam1, problem.radius_ratio
-        forcing = _annulus_forcings(problem, coefficients.truncation_N)
+        forcing = _annulus_forcings.__wrapped__(problem, coefficients.truncation_N)
     scale = _MODEL_SCALE[: forcing.shape[1]]
     return _residual(lam, t, _interleave(coefficients, len(scale)), forcing, scale)
 
 
 @pytest.mark.parametrize("model", SOLVES)
-def test_one_forcing_build_per_solve_and_its_residual(monkeypatch, model):
+def test_one_forcing_build_per_solve_and_its_residual(model):
     problem, solve, builder = SOLVES[model]
-    built = getattr(models, builder)
-    calls = []
-
-    def counting(p, n):
-        calls.append((p, n))
-        return built(p, n)
-
-    monkeypatch.setattr(models, builder, counting)
+    cached = getattr(models, builder)
+    cached.cache_clear()
     coefficients = solve(problem, N)
     residual = system_residual(problem, coefficients)
-    assert calls == [(problem, N)]
+    info = cached.cache_info()
+    # one build (a miss) by the solve, which its residual reads (a hit)
+    assert (info.misses, info.hits) == (1, 1)
     assert residual == _rebuilt_residual(problem, coefficients)
 
 
@@ -119,7 +116,8 @@ def test_the_hand_off_is_not_a_field():
         "model", "lambda0", "lambda1", "delta_star", "theta1", "a_radius", "truncation_N",
         "A_plus", "A_minus", "B_plus", "B_minus", "code_version",
     ]
-    assert not vars(annulus)["_solved_from"][1].flags.writeable
+    for result in (disc, annulus):
+        assert list(vars(result)) == [f.name for f in dataclasses.fields(result)]
 
 
 def test_geometry_cache_holds_four_read_only_entries():
@@ -129,6 +127,15 @@ def test_geometry_cache_holds_four_read_only_entries():
         assert not weights.flags.writeable
         assert np.array_equal(weights, _row_weights(lam, t, N))
         assert list(kept) == _kept_counts(_row_weights(lam, t, N))
+
+
+def test_forcing_caches_hold_four_read_only_entries():
+    for problem, _, builder in SOLVES.values():
+        cached = getattr(models, builder)
+        assert cached.cache_info().maxsize == 4
+        forcing = cached(problem, N)
+        assert not forcing.flags.writeable
+        assert np.array_equal(forcing, cached.__wrapped__(problem, N))
 
 
 def test_a_solve_and_its_residual_build_the_weights_once(monkeypatch):
