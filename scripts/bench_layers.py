@@ -1,23 +1,25 @@
 """Per-layer timings of the library, written to a BENCH_*.json file.
 
-    python scripts/bench_layers.py [--repeats 30] [--out BENCH_22.json]
+    python scripts/bench_layers.py --out BENCH_NEW.json [--repeats 30]
 
 Times, one call per sample after one warm-up call, each of: the scalar f_m,
 the one-point f_m seed, the f_m family on one point and on a grid, the disc
 and annulus solves at N = 60 and 240 and the annulus solve at N = 1000, the
 annulus solve at (lam1, t, N) = (0.864, 0.919, 240) and (0.99, 0.99, 1000)
-and the disc solve at (lam, N) = (0.99, 1000), where no row is cut, the
-disc and annulus system residuals at N = 240 and the annulus residual at
-N = 60 (each on the coefficients of a solve), the continuity defects, one
-stress and one displacement point, the SIF sweep at the default grid
-(N = 60) and at 2000 rows (N = 240) with its series coefficients cached,
-the uncached build of those coefficients for the default grid, and the
-uncached build of both Hankel-window factors at N = 1000.  BLAS is
-pinned to one thread before numpy is imported, so a timing does not depend
-on how many cores the host lends the process.  The library is imported from
-this checkout's ``src``.  Each entry holds the median and the quartiles of
-its samples in microseconds; the file also records the commit, whether the
-source differs from it, and the Python and numpy versions.
+and the disc solve at (lam, N) = (0.99, 1000), where no row is cut (each
+solve with both forcing caches cleared, so it builds its forcing as a fresh
+problem does), the disc and annulus system residuals at N = 240 and the
+annulus residual at N = 60 (each on the coefficients of a solve), the
+continuity defects, one stress and one displacement point, the SIF sweep
+at the default grid (N = 60) and at 2000 rows (N = 240) with its series
+coefficients cached, the uncached build of those coefficients for the
+default grid, and the uncached build of both Hankel-window factors at
+N = 1000.  BLAS is pinned to one thread before numpy is imported, so a
+timing does not depend on how many cores the host lends the process.  The
+library is imported from this checkout's ``src``.  Each entry holds the
+median and the quartiles of its samples in microseconds; the file also
+records the commit, whether the source differs from it, and the Python and
+numpy versions.
 """
 
 from __future__ import annotations
@@ -47,6 +49,17 @@ from pennycontact import cli, fields, models, specfun  # noqa: E402
 DELTA_STAR = 2.0 * 0.05 / math.sqrt(math.pi)
 
 
+def fresh(solve, problem, n: int):
+    """A solve that builds its forcing, as every fresh problem does, past the forcing caches."""
+
+    def call():
+        models._disc_forcing.cache_clear()
+        models._annulus_forcings.cache_clear()
+        solve(problem, n)
+
+    return call
+
+
 def cases() -> dict:
     """Name -> zero-argument callable, one per timing."""
     disc = {lam: models.DiscProblem(lam=lam, delta_star=DELTA_STAR) for lam in (0.5, 0.9)}
@@ -62,16 +75,16 @@ def cases() -> dict:
         "specfun._f_family count=241 points=200": lambda: specfun._f_family(241, grid),
     }
     for n in (60, 240):
-        timed[f"models.solve_disc_reduction N={n}"] = lambda n=n: models.solve_disc_reduction(disc[0.5], n)
-        timed[f"models.solve_annulus_reduction N={n}"] = lambda n=n: models.solve_annulus_reduction(annulus, n)
-    timed["models.solve_annulus_reduction N=1000"] = lambda: models.solve_annulus_reduction(annulus, 1000)
+        timed[f"models.solve_disc_reduction N={n}"] = fresh(models.solve_disc_reduction, disc[0.5], n)
+        timed[f"models.solve_annulus_reduction N={n}"] = fresh(models.solve_annulus_reduction, annulus, n)
+    timed["models.solve_annulus_reduction N=1000"] = fresh(models.solve_annulus_reduction, annulus, 1000)
     for lam1, t, n in ((0.864, 0.919, 240), (0.99, 0.99, 1000)):
         uncut = models.AnnulusProblem(lam0=t * lam1, lam1=lam1, delta_star=DELTA_STAR)
         timed[f"models.solve_annulus_reduction N={n} lam1={lam1} t={t}"] = (
-            lambda uncut=uncut, n=n: models.solve_annulus_reduction(uncut, n)
+            fresh(models.solve_annulus_reduction, uncut, n)
         )
     disc_uncut = models.DiscProblem(lam=0.99, delta_star=DELTA_STAR)
-    timed["models.solve_disc_reduction N=1000 lam=0.99"] = lambda: models.solve_disc_reduction(disc_uncut, 1000)
+    timed["models.solve_disc_reduction N=1000 lam=0.99"] = fresh(models.solve_disc_reduction, disc_uncut, 1000)
     annulus_solved = {n: models.solve_annulus_reduction(annulus, n) for n in (60, 240)}
     timed["models.system_residual disc N=240"] = lambda: models.system_residual(disc[0.5], solved[0.5])
     for n in (240, 60):
@@ -85,7 +98,7 @@ def cases() -> dict:
     timed["fields.stress_contact point N=60"] = lambda: fields.stress_contact(disc[0.5], at_60, 0.5)
     timed["fields.displacement point N=60"] = lambda: fields.displacement(disc[0.5], at_60, 0.75)
     for count, n in ((60, 60), (2000, 240)):
-        sweep = cli.load_config(None, {"truncation_N": n, "lambda_count": count})
+        sweep = cli.load_config("sif", None, {"truncation_N": n, "lambda_count": count})
         timed[f"cli.run_sif_sweep count={count} N={n}"] = lambda sweep=sweep: cli.run_sif_sweep(sweep)
     order = fields._series_order(cli.RunConfig().lambda_max)
 
@@ -142,7 +155,7 @@ def provenance() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=30, help="samples per timing (default 30)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_22.json"), help="JSON file to write")
+    parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")

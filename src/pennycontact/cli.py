@@ -51,19 +51,14 @@ __all__ = [
 
 _FLOAT_FMT = "%.17g"
 
-# Reference figure parameters: lambda = 0.5, delta/a = 0.05 for the
-# stress plot, three radius ratios for the displacement profiles.
+# The displacement profiles' radius ratios; the stress plot and the
+# intensity-factor sweep run at lambda = 0.5.
 _FIGURE_LAMBDAS = (0.3, 0.5, 0.7)
-_FIGURE_DELTA_OVER_A = 0.05
 
 # Field grids evaluate grid_points x truncation_N values at once; the SIF
 # sweep's lambda grid is held to the same cap.
 _MAX_GRID_POINTS = 100_000
 _MAX_TRUNCATION_N = 1_000
-# order_K is verify's recurrence order.  The recurrence table has at least
-# order_K/2 + 1 rows, so its size grows as order_K**2: 32 MB at the cap, and
-# models keeps at most two tables (64 MB).
-_MAX_ORDER_K = 2_000
 
 
 class ConfigError(ValueError):
@@ -82,7 +77,6 @@ class RunConfig:
     nu: float = 0.3
     shear_modulus: float | None = None
     truncation_N: int = 60
-    order_K: int = 120
     output_format: str = "csv"
     grid_points: int = 400
     r_max: float = 4.0
@@ -131,10 +125,6 @@ class RunConfig:
         if not 1 <= self.truncation_N <= _MAX_TRUNCATION_N:
             problems.append(
                 f"truncation_N: must lie in 1..{_MAX_TRUNCATION_N}, got {self.truncation_N!r}"
-            )
-        if not 1 <= self.order_K <= _MAX_ORDER_K:
-            problems.append(
-                f"order_K: must lie in 1..{_MAX_ORDER_K}, got {self.order_K!r}"
             )
         if self.output_format not in ("csv", "json"):
             problems.append(
@@ -218,8 +208,12 @@ def _has_kind(value, kind: type) -> bool:
         return False
 
 
-def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """Build a RunConfig from an optional JSON file plus flag overrides."""
+def load_config(command: str, path: str | None, overrides: dict) -> RunConfig:
+    """Build a RunConfig from an optional JSON file plus flag overrides.
+
+    The file may set only the keys of the flags registered on the command
+    (_READS); any other key is a configuration error.
+    """
     cfg = RunConfig()
     if path is not None:
         try:
@@ -228,9 +222,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"config: cannot read {path!r}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config: top-level JSON value must be an object")
-        unknown = sorted(set(raw) - set(_FIELD_NAMES))
-        if unknown:
-            raise ConfigError(f"config: unknown keys {unknown}")
+        refused = sorted(k for k in raw if _FIELD_NAMES.get(k) not in _READS[command])
+        if refused:
+            raise ConfigError(f"config: {command} does not read keys {refused}")
         cfg = replace(cfg, **{_FIELD_NAMES[k]: v for k, v in raw.items()})
     known = _FIELD_NAMES.values()
     cfg = replace(
@@ -479,25 +473,18 @@ def run_verify(cfg: RunConfig):
         lam1=cfg.lam1,
         delta_over_a=cfg.delta_over_a,
         n_trunc=cfg.truncation_N,
-        order_k=cfg.order_K,
     )
 
 
 def run_figures(cfg: RunConfig, out_dir: Path) -> list[Path]:
     """Emit the figure-ready tables at the reference parameters.
 
-    The geometry, the loading and the intensity factor's lambda grid are
-    fixed, whatever the config file says.
+    The tables read only the settings of the flags registered on figures
+    (_READS); the geometry, the loading and the intensity factor's lambda
+    grid are RunConfig's defaults.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = replace(
-        cfg,
-        model="disc",
-        delta_over_a=_FIGURE_DELTA_OVER_A,
-        lambda_min=RunConfig.lambda_min,
-        lambda_max=RunConfig.lambda_max,
-        lambda_count=RunConfig.lambda_count,
-    )
+    base = RunConfig(**{name: getattr(cfg, name) for name in _READS["figures"]})
     written = []
 
     def write(name: str, table: Table) -> None:
@@ -595,10 +582,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 # (flag, argparse keywords, the commands that read it), in --help order.  A
-# flag is registered only on its readers, so a misplaced one is a usage error;
-# config-file keys apply to every command.  figures runs at fixed reference
-# parameters, verify checks both models nondimensionally, the field commands
-# are disc-only, and solve always writes JSON.
+# flag is registered only on its readers, and a config-file key is read only
+# by the readers of its flag, so a misplaced one is a configuration error.
+# figures runs at fixed reference parameters, verify checks both models
+# nondimensionally, the field commands are disc-only, and solve always
+# writes JSON.
 _EVERY = tuple(_COMMANDS)
 _FIELDS = ("stress", "sif", "displacement")  # the disc-only field commands
 _FLAGS = (
@@ -613,13 +601,21 @@ _FLAGS = (
     ("--shear-modulus", dict(dest="shear_modulus", type=float), ("solve", *_FIELDS, "figures")),
     ("--n-trunc", dict(dest="truncation_N", type=int), _EVERY),
     ("--out", dict(help="output path (directory for figures)"), _EVERY),
-    ("--order-k", dict(dest="order_K", type=int, help="recurrence order K"), ("verify",)),
     ("--grid-points", dict(dest="grid_points", type=int), ("stress", "displacement", "figures")),
     ("--r-max", dict(dest="r_max", type=float), ("stress", "figures")),
     ("--lambda-min", dict(dest="lambda_min", type=float), ("sif",)),
     ("--lambda-max", dict(dest="lambda_max", type=float), ("sif",)),
     ("--lambda-count", dict(dest="lambda_count", type=int), ("sif",)),
 )
+# Command -> the RunConfig fields it reads: the destinations of its flags.
+_READS = {
+    name: {
+        keywords.get("dest", flag[2:].replace("-", "_"))
+        for flag, keywords, readers in _FLAGS
+        if name in readers
+    } & set(_FIELD_NAMES.values())
+    for name in _COMMANDS
+}
 
 
 @functools.lru_cache(maxsize=1)
@@ -639,9 +635,9 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = vars(_build_parser().parse_args(argv))
-        command = _COMMANDS[args.pop("command")][1]
+        name = args.pop("command")
         config, out = args.pop("config"), args.pop("out")
-        return command(load_config(config, args), out)
+        return _COMMANDS[name][1](load_config(name, config, args), out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -517,7 +517,7 @@ def _residual(
 
 
 def _power_table(
-    seed_a, seed_b, n_rows: int, order_K: int
+    seed_a, seed_b, n_rows: int, K: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lambda-power tables a[n, k], b[n, k] of the shared operator.
 
@@ -533,15 +533,15 @@ def _power_table(
     n_rows >= K // 2 + 1 nothing is clipped and the tables are the infinite
     system's rows n < n_rows, to order K.
     """
-    if n_rows < 1 or order_K < 1:
-        raise ValueError("n_rows and order_K must be >= 1")
-    a = np.zeros((n_rows, order_K))
-    b = np.zeros((n_rows, order_K))
+    if n_rows < 1 or K < 1:
+        raise ValueError("n_rows and K must be >= 1")
+    a = np.zeros((n_rows, K))
+    b = np.zeros((n_rows, K))
     a[:, 0] = seed_a
     b[:, 0] = seed_b
-    m = np.arange(min(order_K // 2 + 1, n_rows))
+    m = np.arange(min(K // 2 + 1, n_rows))
     inv = 1.0 / (math.pi * (m[:, None] + np.arange(n_rows) + 0.5))
-    for k in range(order_K):
+    for k in range(K):
         mb = m[: (k - 1) // 2 + 1]
         b[:, k] += a[mb, k - 2 * mb - 1] @ inv[: mb.size]
         ma = m[: k // 2 + 1]
@@ -586,11 +586,11 @@ def solve_disc_reduction(p: DiscProblem, N: int = DEFAULT_TRUNCATION) -> Coeffic
 
 
 # Two entries: verification, and a sweep over two truncation orders, each
-# solve the disc recurrence at two argument sets.  The order_K cap in the CLI
-# bounds one entry at 32 MB, so the cache holds at most 64 MB.  The SIF
-# series keeps its own cache (_sif_coefficients, K + 1 floats per entry).
+# solve the disc recurrence at two argument sets.  At N <= 1000 and verify's
+# K = 120 one entry is at most about 1.9 MB.  The SIF series keeps its own
+# cache (_sif_coefficients, K + 1 floats per entry).
 @lru_cache(maxsize=2)
-def _disc_table(delta_star: float, n_rows: int, order_K: int) -> tuple[np.ndarray, np.ndarray]:
+def _disc_table(delta_star: float, n_rows: int, K: int) -> tuple[np.ndarray, np.ndarray]:
     """The disc's triangular lambda-power tables a[n, k], b[n, k], read-only.
 
     A+_n = lam**(2n+1) sum_k a[n, k] lam**k and
@@ -602,7 +602,7 @@ def _disc_table(delta_star: float, n_rows: int, order_K: int) -> tuple[np.ndarra
     """
     half = np.arange(n_rows) + 0.5
     a, b_half = _power_table(
-        -delta_star / (2.0 * math.pi * half), 0.0, n_rows, order_K
+        -delta_star / (2.0 * math.pi * half), 0.0, n_rows, K
     )
     b = 2.0 * b_half
     a.flags.writeable = False
@@ -614,7 +614,7 @@ def _disc_table(delta_star: float, n_rows: int, order_K: int) -> tuple[np.ndarra
 # (N, K) pair, and each entry is K + 1 <= 1025 floats, so 8 entries hold at
 # most 66 KB.  Only fields' (3, 5) head is built before the first sweep.
 @lru_cache(maxsize=8)
-def _sif_coefficients(N: int, order_K: int) -> np.ndarray:
+def _sif_coefficients(N: int, K: int) -> np.ndarray:
     """C_q, q <= K, with sum_n A+_n = delta_star sum_q C_q lam**q at truncation N; read-only.
 
     A+_n = delta_star lam**(2n+1) sum_k a[n, k] lam**k, so
@@ -624,11 +624,11 @@ def _sif_coefficients(N: int, order_K: int) -> np.ndarray:
     solve_disc_reduction solves (_power_table).  The vector depends on
     neither lambda nor the loading.
     """
-    rows = min(N, order_K // 2 + 1)
-    a, _ = _power_table(-1.0 / (2.0 * math.pi * (np.arange(rows) + 0.5)), 0.0, rows, order_K)
-    coefficients = np.zeros(order_K + 1)
+    rows = min(N, K // 2 + 1)
+    a, _ = _power_table(-1.0 / (2.0 * math.pi * (np.arange(rows) + 0.5)), 0.0, rows, K)
+    coefficients = np.zeros(K + 1)
     for n in range(rows):
-        coefficients[2 * n + 1 :] += a[n, : order_K - 2 * n]
+        coefficients[2 * n + 1 :] += a[n, : K - 2 * n]
     coefficients.flags.writeable = False
     return coefficients
 

@@ -104,12 +104,10 @@ def _check_specfun(report: VerificationReport) -> None:
     report.add("specfun.arcsine_identity", arcsine, 1e-11)
 
 
-def _check_models(
-    report: VerificationReport, solved: dict, delta_star: float, n_trunc: int, order_k: int
-) -> None:
+def _check_models(report: VerificationReport, solved: dict, delta_star: float, n_trunc: int) -> None:
     agreement = 0.0
     for p, red in solved.values():
-        _, rec = models.solve_disc_recurrence(p, n_trunc, order_k)
+        _, rec = models.solve_disc_recurrence(p, n_trunc)
         agreement = max(agreement, np.abs(red.A_plus - rec.A_plus).max())
     report.add("models.disc_method_agreement", agreement, 1e-9)
 
@@ -309,7 +307,6 @@ def run_verification(
     lam1: float = 0.5,
     delta_over_a: float = 0.05,
     n_trunc: int = models.DEFAULT_TRUNCATION,
-    order_k: int = models.DEFAULT_ORDER,
 ) -> VerificationReport:
     """Run every invariant check and collect a structured report."""
     delta_star = 2.0 * delta_over_a / specfun.SQRT_PI
@@ -320,7 +317,7 @@ def run_verification(
     for lam_check in (0.1, 0.3, 0.5, 0.7):
         p = models.DiscProblem(lam=lam_check, delta_star=delta_star)
         solved[lam_check] = p, models.solve_disc_reduction(p, n_trunc)
-    _check_models(report, solved, delta_star, n_trunc, order_k)
+    _check_models(report, solved, delta_star, n_trunc)
     _check_fields(report, solved)
     _check_factorization(report, lam, lam0, lam1, n_trunc)
     return report

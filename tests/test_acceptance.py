@@ -204,7 +204,7 @@ def test_criterion_9_special_function_oracles():
 
 def test_criterion_10_figure_regeneration(tmp_path):
     with _Criterion(10, "figure tables at the reference parameters", 30.0):
-        cfg = load_config(None, {})
+        cfg = load_config("figures", None, {})
         written = run_figures(cfg, Path(tmp_path))
         names = sorted(p.name for p in written)
         assert names == [

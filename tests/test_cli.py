@@ -16,6 +16,7 @@ from pennycontact.cli import (
     load_config,
     main,
     run_displacement,
+    run_figures,
     run_sif_sweep,
     run_solve,
     run_stress,
@@ -38,22 +39,35 @@ _FLAG_READERS = {
     "--shear-modulus": ("solve", "stress", "sif", "displacement", "figures"),
     "--n-trunc": _COMMAND_NAMES,
     "--out": _COMMAND_NAMES,
-    "--order-k": ("verify",),
     "--grid-points": ("stress", "displacement", "figures"),
     "--r-max": ("stress", "figures"),
     "--lambda-min": ("sif",),
     "--lambda-max": ("sif",),
     "--lambda-count": ("sif",),
 }
+# The config-file key of each flag that sets one; a command reads the key
+# exactly when it reads the flag.  The removed keys have no reader.
+_FLAG_KEYS = {
+    "--model": "model", "--lambda": "lambda", "--lambda0": "lambda0", "--lambda1": "lambda1",
+    "--delta-over-a": "delta_over_a", "--format": "format", "--nu": "nu",
+    "--shear-modulus": "shear_modulus", "--n-trunc": "truncation_N",
+    "--grid-points": "grid_points", "--r-max": "r_max", "--lambda-min": "lambda_min",
+    "--lambda-max": "lambda_max", "--lambda-count": "lambda_count",
+}
+_KEY_READERS = {
+    **{key: _FLAG_READERS[flag] for flag, key in _FLAG_KEYS.items()},
+    "order_K": (),
+    "method": (),
+}
 # A value each flag parses; "5" for the numeric ones.
 _FLAG_VALUES = {"--format": "json", "--model": "disc"}
 # Small runs for the reader checks, and per flag a value that differs from
 # both this config and the defaults.
-_FAST_CONFIG = {"truncation_N": 8, "grid_points": 16, "lambda_count": 4, "order_K": 20}
+_FAST_CONFIG = {"truncation_N": 8, "grid_points": 16, "lambda_count": 4}
 _CHANGED_VALUES = {
     "--model": "annulus", "--lambda": "0.4", "--lambda0": "0.3", "--lambda1": "0.6",
     "--delta-over-a": "0.1", "--format": "json", "--nu": "0.2", "--shear-modulus": "2",
-    "--n-trunc": "10", "--out": "elsewhere", "--order-k": "60", "--grid-points": "20",
+    "--n-trunc": "10", "--out": "elsewhere", "--grid-points": "20",
     "--r-max": "3", "--lambda-min": "0.1", "--lambda-max": "0.5", "--lambda-count": "5",
 }
 # Settings that a flag changes only under another: the disc solve has no
@@ -63,6 +77,19 @@ _COMPANIONS = {
     ("solve", "--lambda1"): ["--model", "annulus"],
     ("solve", "--nu"): ["--shear-modulus", "1"],
 }
+
+
+def _fast_config(command):
+    """_FAST_CONFIG without the keys the command does not read."""
+    return {k: v for k, v in _FAST_CONFIG.items() if command in _KEY_READERS[k]}
+
+
+def _key_value(text):
+    """A flag's value as a config file writes it: a number, else the string."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
 
 
 def _subparser_flags(command):
@@ -124,8 +151,8 @@ class TestConfig:
         # a flag the parser accepts must change the command's standard
         # output, written files or exit code for some value
         fast, other = tmp_path / "fast.json", tmp_path / "other.json"
-        fast.write_text(json.dumps(_FAST_CONFIG))
-        other.write_text(json.dumps({**_FAST_CONFIG, "truncation_N": 9}))
+        fast.write_text(json.dumps(_fast_config(command)))
+        other.write_text(json.dumps({**_fast_config(command), "truncation_N": 9}))
         base = [command, *_COMPANIONS.get((command, flag), []), "--config", str(fast)]
         if flag == "--config":
             changed = base[:-1] + [str(other)]
@@ -135,38 +162,74 @@ class TestConfig:
         after = _observe(changed, tmp_path / "changed", capsys, monkeypatch)
         assert before != after
 
-    def test_config_keys_apply_to_every_command(self, tmp_path, capsys):
-        # the flags are placed per command, the config keys are not
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"order_K": 5, "grid_points": 7, "r_max": 9.0, "lambda_count": 3}))
-        assert main(["solve", "--n-trunc", "4", "--config", str(path)]) == 0
-        assert capsys.readouterr().err == ""
-        cfg = load_config(str(path), {})
-        assert (cfg.order_K, cfg.grid_points, cfg.r_max, cfg.lambda_count) == (5, 7, 9.0, 3)
+    @pytest.mark.parametrize(
+        "command,key",
+        [(c, k) for k, readers in _KEY_READERS.items() for c in _COMMAND_NAMES if c not in readers],
+    )
+    def test_config_key_on_a_command_that_does_not_read_it_is_config_error(
+        self, command, key, capsys, tmp_path, monkeypatch
+    ):
+        from pennycontact import cli as cli_module
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a refused config key reached a run")
+
+        for name in ("run_solve", "run_sif_sweep", "run_verification"):
+            monkeypatch.setattr(cli_module, name, must_not_run)
+        monkeypatch.chdir(tmp_path)  # figures would write into the working directory
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: 5}))
+        assert main([command, "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config: {command} does not read keys [{key!r}]\n"
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(c, f) for f, key in _FLAG_KEYS.items() for c in _FLAG_READERS[f]],
+    )
+    def test_every_accepted_config_key_changes_what_its_command_does(
+        self, command, flag, tmp_path, capsys, monkeypatch
+    ):
+        # the config-file twin of the flag check above: flags become keys
+        companions = _COMPANIONS.get((command, flag), [])
+        base = {
+            **_fast_config(command),
+            **{_FLAG_KEYS[f]: _key_value(v) for f, v in zip(companions[::2], companions[1::2])},
+        }
+        results = []
+        for name, config in (
+            ("base", base),
+            ("changed", {**base, _FLAG_KEYS[flag]: _key_value(_CHANGED_VALUES[flag])}),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            results.append(_observe([command, "--config", str(path)], tmp_path / name, capsys, monkeypatch))
+        assert results[0] != results[1]
 
     def test_defaults_validate(self):
         RunConfig().validate()
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ConfigError, match="lambda"):
-            load_config(None, {"lam": 1.5})
+            load_config("solve", None, {"lam": 1.5})
 
     def test_rejects_inverted_annulus(self):
         with pytest.raises(ConfigError, match="lambda0"):
-            load_config(None, {"model": "annulus", "lam0": 0.7, "lam1": 0.5})
+            load_config("solve", None, {"model": "annulus", "lam0": 0.7, "lam1": 0.5})
 
     def test_rejects_nonpositive_indentation(self):
         with pytest.raises(ConfigError, match="delta_over_a"):
-            load_config(None, {"delta_over_a": 0.0})
+            load_config("solve", None, {"delta_over_a": 0.0})
 
     def test_rejects_bad_poisson(self):
         with pytest.raises(ConfigError, match="nu"):
-            load_config(None, {"nu": 0.5})
+            load_config("solve", None, {"nu": 0.5})
 
     def test_file_plus_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"lambda": 0.4, "truncation_N": 12}))
-        cfg = load_config(str(path), {"delta_over_a": 0.1})
+        cfg = load_config("solve", str(path), {"delta_over_a": 0.1})
         assert cfg.lam == 0.4
         assert cfg.truncation_N == 12
         assert cfg.delta_over_a == 0.1
@@ -174,8 +237,8 @@ class TestConfig:
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"lambda_typo": 0.4}))
-        with pytest.raises(ConfigError, match="unknown keys"):
-            load_config(str(path), {})
+        with pytest.raises(ConfigError, match=r"solve does not read keys \['lambda_typo'\]"):
+            load_config("solve", str(path), {})
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_solve_method_is_gone(self, source, tmp_path, capsys):
@@ -198,7 +261,7 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(ConfigError, match="cannot read"):
-            load_config(str(path), {})
+            load_config("solve", str(path), {})
 
     def test_theta1_from_elastic_constants(self):
         cfg = RunConfig(nu=0.3, shear_modulus=2.0)
@@ -298,7 +361,7 @@ class TestExitCodes:
 
 class TestSolveArtifact:
     def test_roundtrip_is_bitwise(self, tmp_path):
-        cfg = load_config(None, {"lam": 0.55, "truncation_N": 24})
+        cfg = load_config("solve", None, {"lam": 0.55, "truncation_N": 24})
         problem, coeffs = run_solve(cfg)
         path = tmp_path / "coeffs.json"
         path.write_text(json.dumps(coefficients_to_json(problem, coeffs)))
@@ -309,7 +372,7 @@ class TestSolveArtifact:
 
     def test_annulus_roundtrip(self, tmp_path):
         cfg = load_config(
-            None, {"model": "annulus", "lam0": 0.2, "lam1": 0.5, "truncation_N": 16}
+            "solve", None, {"model": "annulus", "lam0": 0.2, "lam1": 0.5, "truncation_N": 16}
         )
         problem, coeffs = run_solve(cfg)
         path = tmp_path / "coeffs.json"
@@ -325,7 +388,7 @@ class TestSolveArtifact:
         ids=["disc", "annulus"],
     )
     def test_reloaded_artifact_satisfies_its_equations(self, overrides, tmp_path):
-        problem, coeffs = run_solve(load_config(None, overrides))
+        problem, coeffs = run_solve(load_config("solve", None, overrides))
         path = tmp_path / "coeffs.json"
         path.write_text(json.dumps(coefficients_to_json(problem, coeffs)))
         assert system_residual(*load_coefficients(path)) <= 1e-12
@@ -380,7 +443,7 @@ class TestEmission:
 
     def test_sif_zero_row(self):
         cfg = load_config(
-            None, {"truncation_N": 12, "lambda_min": 0.0, "lambda_max": 0.3, "lambda_count": 2}
+            "sif", None, {"truncation_N": 12, "lambda_min": 0.0, "lambda_max": 0.3, "lambda_count": 2}
         )
         table = run_sif_sweep(cfg)
         assert table.rows[0] == (0.0, 0.0, 0.0)
@@ -424,7 +487,7 @@ class TestEmission:
         out = tmp_path / "sif.csv"
         main(["sif", "--lambda-count", "3", "--n-trunc", "16", "--lambda-max", "0.5",
               "--out", str(out)])
-        cfg = load_config(None, {"truncation_N": 16, "lambda_max": 0.5, "lambda_count": 3})
+        cfg = load_config("sif", None, {"truncation_N": 16, "lambda_max": 0.5, "lambda_count": 3})
         table = run_sif_sweep(cfg)
         lines = [
             l for l in out.read_text().strip().splitlines()
@@ -451,22 +514,24 @@ class TestFigures:
             "fig3_displacement_lam070.csv",
         ]
 
-    def test_figures_ignores_a_config_lambda_grid(self, tmp_path):
+    def test_figures_reads_only_its_own_settings(self, tmp_path):
         # figures runs at fixed reference parameters, the fig2_sif.csv grid
-        # included; a config file's lambda grid used to shrink that table
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps({"lambda_count": 3, "lambda_max": 0.5}))
-        argv = ["figures", "--n-trunc", "24", "--grid-points", "32", "--out"]
-        assert main([*argv, str(tmp_path / "plain")]) == 0
-        assert main([*argv, str(tmp_path / "configured"), "--config", str(config)]) == 0
-        for table in (tmp_path / "plain").iterdir():
-            assert (tmp_path / "configured" / table.name).read_bytes() == table.read_bytes(), table.name
+        # included, whatever the settings its flags do not set
+        unread = RunConfig(
+            model="annulus", lam=0.9, delta_over_a=0.1, output_format="json",
+            lambda_max=0.5, lambda_count=3,
+        )
+        plain = run_figures(RunConfig(), tmp_path / "plain")
+        configured = run_figures(unread, tmp_path / "configured")
+        assert [p.name for p in configured] == [p.name for p in plain]
+        for ours, theirs in zip(configured, plain):
+            assert ours.read_bytes() == theirs.read_bytes(), ours.name
         rows = (tmp_path / "plain" / "fig2_sif.csv").read_text().splitlines()
         assert len([row for row in rows if row[:1].isdigit()]) == RunConfig.lambda_count
 
     def test_stress_rejects_annulus(self):
         # every field command is disc-only, the intensity-factor sweep included
-        cfg = load_config(None, {"model": "annulus", "lam0": 0.2, "lam1": 0.5})
+        cfg = load_config("solve", None, {"model": "annulus", "lam0": 0.2, "lam1": 0.5})
         for run in (run_stress, run_sif_sweep, run_displacement):
             with pytest.raises(ConfigError, match="model:"):
                 run(cfg)
@@ -518,21 +583,18 @@ class TestCaps:
     def test_values_at_the_caps_validate(self):
         RunConfig(grid_points=100_000, truncation_N=1_000).validate()
 
-    @pytest.mark.parametrize("order_k", ["0", "2001", "100000000"])
-    def test_order_k_out_of_range_is_config_error(self, order_k, capsys, monkeypatch):
+    def test_the_removed_order_k_flag_is_config_error(self, capsys, monkeypatch):
+        # verify's recurrence order is models.DEFAULT_ORDER, not a setting
         from pennycontact import cli as cli_module
 
         def must_not_run(*args, **kwargs):
-            raise AssertionError("an out-of-range order K reached verify")
+            raise AssertionError("a removed flag reached verify")
 
         monkeypatch.setattr(cli_module, "run_verify", must_not_run)
-        assert main(["verify", "--order-k", order_k]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: order_K") and err.count("\n") == 1, err
-        assert order_k in err
-
-    def test_order_k_at_the_cap_validates(self):
-        RunConfig(order_K=2_000).validate()
+        assert main(["verify", "--order-k", "60"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unrecognized arguments: --order-k 60\n"
 
     @pytest.mark.parametrize("count", ["1", "100001", "1000000000000"])
     def test_lambda_count_out_of_range_is_config_error(self, count, capsys, monkeypatch):
@@ -598,7 +660,7 @@ class TestVerifyRadii:
 
 class TestArtifactSchema:
     def artifact(self, tmp_path, **changes):
-        cfg = load_config(None, {"truncation_N": 6})
+        cfg = load_config("solve", None, {"truncation_N": 6})
         doc = coefficients_to_json(*run_solve(cfg))
         doc.update(changes)
         for key in [k for k, v in changes.items() if v is None]:

@@ -57,7 +57,7 @@ def test_stress_json_on_stdout_is_two_documents(capsys):
     argv = ["stress", "--format", "json", "--n-trunc", "12", "--grid-points", "16"]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    contact, outer = run_stress(load_config(None, {"truncation_N": 12, "grid_points": 16}))
+    contact, outer = run_stress(load_config("stress", None, {"truncation_N": 12, "grid_points": 16}))
     assert out == json_text(contact) + json_text(outer)
     decoder = json.JSONDecoder()
     first, end = decoder.raw_decode(out)
@@ -71,7 +71,7 @@ def test_displacement_json_to_file(tmp_path, capsys):
             "--grid-points", "20", "--out", str(path)]
     assert main(argv) == 0
     assert capsys.readouterr().out == ""
-    cfg = load_config(None, {"lam": 0.7, "truncation_N": 16, "grid_points": 20})
+    cfg = load_config("displacement", None, {"lam": 0.7, "truncation_N": 16, "grid_points": 20})
     assert path.read_text() == json_text(run_displacement(cfg))
 
 
@@ -80,7 +80,7 @@ def test_sif_csv_to_file(tmp_path, capsys):
     argv = ["sif", "--lambda-count", "4", "--n-trunc", "10", "--out", str(path)]
     assert main(argv) == 0
     assert capsys.readouterr().out == ""
-    cfg = load_config(None, {"lambda_count": 4, "truncation_N": 10})
+    cfg = load_config("sif", None, {"lambda_count": 4, "truncation_N": 10})
     assert path.read_text() == csv_text(run_sif_sweep(cfg))
 
 
@@ -89,7 +89,7 @@ def test_annulus_solve_on_stdout(capsys):
             "--n-trunc", "8"]
     assert main(argv) == 0
     cfg = load_config(
-        None, {"model": "annulus", "lam0": 0.3, "lam1": 0.6, "truncation_N": 8}
+        "solve", None, {"model": "annulus", "lam0": 0.3, "lam1": 0.6, "truncation_N": 8}
     )
     expected = json.dumps(coefficients_to_json(*run_solve(cfg)), indent=2) + "\n"
     assert capsys.readouterr().out == expected
@@ -99,7 +99,7 @@ def test_verify_text_to_file(tmp_path, capsys):
     path = tmp_path / "verify.txt"
     assert main(["verify", "--n-trunc", "40", "--out", str(path)]) == 0
     assert capsys.readouterr().out == ""
-    report = run_verify(load_config(None, {"truncation_N": 40}))
+    report = run_verify(load_config("verify", None, {"truncation_N": 40}))
     assert path.read_text() == verify_text(report)
 
 
@@ -109,7 +109,7 @@ def test_parser_carries_nothing_between_calls(capsys):
     assert main(["sif"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [l for l in lines if not l.startswith("#")][1:]
-    assert len(rows) == load_config(None, {}).lambda_count == 60
+    assert len(rows) == load_config("sif", None, {}).lambda_count == 60
     assert "# truncation_N=60" in lines
 
 
@@ -118,7 +118,7 @@ def test_stress_to_directory(tmp_path, fmt):
     argv = ["stress", "--format", fmt, "--n-trunc", "12", "--grid-points", "16",
             "--out", str(tmp_path)]
     assert main(argv) == 0
-    contact, outer = run_stress(load_config(None, {"truncation_N": 12, "grid_points": 16}))
+    contact, outer = run_stress(load_config("stress", None, {"truncation_N": 12, "grid_points": 16}))
     render = csv_text if fmt == "csv" else json_text
     assert (tmp_path / f"stress_contact.{fmt}").read_text() == render(contact)
     assert (tmp_path / f"stress_outer.{fmt}").read_text() == render(outer)

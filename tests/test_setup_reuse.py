@@ -88,20 +88,25 @@ def test_another_problem_gets_its_own_forcing(monkeypatch, model):
 
 
 @pytest.mark.parametrize("model", SOLVES)
-def test_a_reloaded_solve_builds_its_forcing(tmp_path, model):
-    problem, solve, _ = SOLVES[model]
+def test_a_reloaded_or_replaced_result_builds_no_forcing(tmp_path, model):
+    problem, solve, builder = SOLVES[model]
     coefficients = solve(problem, N)
     path = tmp_path / "solve.json"
     path.write_text(json.dumps(coefficients_to_json(problem, coefficients)))
     reloaded_problem, reloaded = load_coefficients(path)
-    assert "_solved_from" not in vars(reloaded)
-    assert system_residual(reloaded_problem, reloaded) == _rebuilt_residual(problem, coefficients)
-    assert system_residual(reloaded_problem, reloaded) == system_residual(problem, coefficients)
-    # a replaced copy may hold other coefficients, so it carries no forcing either
-    assert "_solved_from" not in vars(dataclasses.replace(coefficients))
+    cached = getattr(models, builder)
+    before = cached.cache_info()
+    residuals = [
+        system_residual(reloaded_problem, reloaded),
+        system_residual(problem, dataclasses.replace(coefficients)),
+    ]
+    after = cached.cache_info()
+    # an equal problem at the same N is the solve's cache entry, however it was made
+    assert (after.misses - before.misses, after.hits - before.hits) == (0, 2)
+    assert residuals == [_rebuilt_residual(problem, coefficients)] * 2
 
 
-def test_the_hand_off_is_not_a_field():
+def test_results_hold_only_their_dataclass_fields():
     disc = solve_disc_reduction(DISC, N)
     annulus = solve_annulus_reduction(ANNULUS, N)
     assert [f.name for f in dataclasses.fields(disc)] == ["A_plus", "B_minus", "truncation_N"]

@@ -41,7 +41,7 @@ def _refuse_solves(monkeypatch):
 
 @pytest.mark.parametrize("N", [1, 8, 60, 240])
 def test_series_rows_match_the_reduction(N, monkeypatch):
-    cfg = load_config(None, {"truncation_N": N, "lambda_count": 40})
+    cfg = load_config("sif", None, {"truncation_N": N, "lambda_count": 40})
     _refuse_solves(monkeypatch)  # every row up to lambda = 0.95 is a series row
     rows = run_sif_sweep(cfg).rows
     monkeypatch.undo()
@@ -52,7 +52,7 @@ def test_series_rows_match_the_reduction(N, monkeypatch):
 
 
 def test_lambda_and_asymptotic_columns_are_unchanged():
-    cfg = load_config(None, {"truncation_N": 60})
+    cfg = load_config("sif", None, {"truncation_N": 60})
     rows = run_sif_sweep(cfg).rows
     grid = np.linspace(0.0, 0.95, 60).tolist()
     assert [row[0] for row in rows] == grid
@@ -61,7 +61,7 @@ def test_lambda_and_asymptotic_columns_are_unchanged():
 
 
 def test_rows_past_the_series_bound_are_solved_bitwise():
-    cfg = load_config(None, {"truncation_N": 240, "lambda_max": 0.999, "lambda_count": 50})
+    cfg = load_config("sif", None, {"truncation_N": 240, "lambda_max": 0.999, "lambda_count": 50})
     rows = run_sif_sweep(cfg).rows
     lams = np.array([row[0] for row in rows])
     past = lams**fields._MAX_SERIES_ORDER > fields._SERIES_TOL * (1.0 - lams)
@@ -76,7 +76,7 @@ def test_rows_past_the_series_bound_are_solved_bitwise():
 
 @pytest.mark.parametrize("bad", [-0.1, 1.0, math.nan])
 def test_sweep_rejects_a_lambda_outside_the_unit_interval(bad):
-    p = load_config(None, {}).disc_problem()
+    p = load_config("sif", None, {}).disc_problem()
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
         fields.sif_sweep(p, np.array([0.0, 0.5, bad]), 8)
 
@@ -145,7 +145,7 @@ def test_two_sweeps_build_the_coefficients_once(monkeypatch):
     _sif_coefficients.cache_clear()
     monkeypatch.setattr(models, "_power_table", counting)
     try:
-        cfg = load_config(None, {"truncation_N": 24})
+        cfg = load_config("sif", None, {"truncation_N": 24})
         first = run_sif_sweep(cfg)
         second = run_sif_sweep(cfg)
         assert builds == [(24, 775)]

@@ -7,14 +7,14 @@ from pennycontact.verify import run_verification
 
 
 def test_default_verification_passes():
-    report = run_verification(n_trunc=40, order_k=80)
+    report = run_verification(n_trunc=40)
     failures = [c.name for c in report.checks if not c.passed]
     assert report.passed, failures
     assert len(report.checks) >= 30
 
 
 def test_report_serialization_schema():
-    report = run_verification(n_trunc=20, order_k=40)
+    report = run_verification(n_trunc=20)
     doc = report.to_dict()
     assert set(doc) == {"passed", "checks"}
     for entry in doc["checks"]:
@@ -75,5 +75,5 @@ def test_check_reads_the_library_path(monkeypatch, module, function, check):
     # a 1e-9 relative error in the code the library runs must fail the check
     original = getattr(module, function)
     monkeypatch.setattr(module, function, lambda *args: original(*args) * (1.0 + 1e-9))
-    report = run_verification(n_trunc=20, order_k=40)
+    report = run_verification(n_trunc=20)
     assert check in [c.name for c in report.checks if not c.passed]
