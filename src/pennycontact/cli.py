@@ -211,8 +211,9 @@ def _has_kind(value, kind: type) -> bool:
 def load_config(command: str, path: str | None, overrides: dict) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus flag overrides.
 
-    The file may set only the keys of the flags registered on the command
-    (_READS); any other key is a configuration error.
+    The file and the overrides may set only the keys, and the fields, of
+    the flags registered on the command (_READS); any other is a
+    configuration error.  An override of None is ignored.
     """
     cfg = RunConfig()
     if path is not None:
@@ -226,10 +227,11 @@ def load_config(command: str, path: str | None, overrides: dict) -> RunConfig:
         if refused:
             raise ConfigError(f"config: {command} does not read keys {refused}")
         cfg = replace(cfg, **{_FIELD_NAMES[k]: v for k, v in raw.items()})
-    known = _FIELD_NAMES.values()
-    cfg = replace(
-        cfg, **{k: v for k, v in overrides.items() if v is not None and k in known}
-    )
+    given = {k: v for k, v in overrides.items() if v is not None}
+    refused = sorted(set(given) - _READS[command])
+    if refused:
+        raise ConfigError(f"overrides: {command} does not read fields {refused}")
+    cfg = replace(cfg, **given)
     cfg.validate()
     return cfg
 
@@ -437,7 +439,7 @@ def run_sif_sweep(cfg: RunConfig) -> Table:
     return Table(
         header={**_base_header(cfg), "quantity": "normalized_k1"},
         columns=("lambda", "normalized_exact", "normalized_asymptotic"),
-        rows=sif_sweep(cfg.disc_problem(), lams, cfg.truncation_N),
+        rows=sif_sweep(lams, cfg.truncation_N),
     )
 
 

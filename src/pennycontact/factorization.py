@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import (
+    DEFAULT_TRUNCATION,
     _families,
     _interleave,
     _residual,
@@ -109,7 +110,7 @@ def _column_rhs(lam: float, t: float | None, N: int) -> np.ndarray:
 
 
 def solve_factor_columns_disc(
-    lam: float, N: int = 60
+    lam: float, N: int = DEFAULT_TRUNCATION
 ) -> tuple[DiscFactorColumn, DiscFactorColumn]:
     """Solve the two disc factor-column systems by reduction.
 
@@ -129,7 +130,7 @@ def solve_factor_columns_disc(
 
 
 def solve_factor_columns_annulus(
-    lam0: float, lam1: float, N: int = 60
+    lam0: float, lam1: float, N: int = DEFAULT_TRUNCATION
 ) -> tuple[AnnulusFactorColumn, AnnulusFactorColumn, AnnulusFactorColumn]:
     """Solve the three annulus factor-column systems by reduction.
 

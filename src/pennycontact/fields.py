@@ -26,7 +26,7 @@ column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -71,18 +71,15 @@ _SERIES_STEP = 32
 
 @dataclass(frozen=True)
 class SifResult:
-    """Crack-tip intensity factor in exact and small-lambda form.
+    """Crack-tip intensity factor, and its normalized exact and small-lambda forms.
 
     k1_exact follows the sign that makes the normalized value positive
-    for positive indentation; coefficient_sum records the raw signed sum
-    it was computed from.
+    for positive indentation.
     """
 
     k1_exact: float
-    k1_asymptotic: float
     normalized: float
     normalized_asymptotic: float
-    coefficient_sum: float
 
 
 @lru_cache(maxsize=8)
@@ -103,8 +100,8 @@ def _edge_poly(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """sum_m coeffs[m] sum_j T[m, j] u**j at every point of u."""
     count = len(coeffs)
     powers = u[np.newaxis, :] ** np.arange(count)[:, np.newaxis]
-    # einsum, not a BLAS matrix product: the same sums, without the BLAS
-    # workspace that raised the figures peak RSS by ~0.3 MiB
+    # einsum, not a BLAS matrix product: the same sums, without a BLAS
+    # workspace of ~0.3 MiB peak RSS in verify, the only caller
     return coeffs @ np.einsum("mj,jp->mp", _edge_weights(count), powers)
 
 
@@ -217,22 +214,16 @@ def sif_exact(p: DiscProblem, c: CoefficientSetDisc) -> SifResult:
     k1_exact = -2 sqrt(a) * sum comes out positive, matching the sign of
     the asymptotic expansion.
     """
-    coefficient_sum = float(np.sum(c.A_plus))
-    k1_exact = -2.0 * math.sqrt(p.a_radius) * coefficient_sum
+    k1_exact = -2.0 * math.sqrt(p.a_radius) * float(np.sum(c.A_plus))
     delta0 = p.delta_over_a
-    norm_asym = sif_asymptotic(p.lam)
     if delta0 == 0.0:
         normalized = 0.0
-        k1_asym = 0.0
     else:
         normalized = p.theta1 * k1_exact / (math.sqrt(p.a_radius) * delta0)
-        k1_asym = norm_asym * math.sqrt(p.a_radius) * delta0 / p.theta1
     return SifResult(
         k1_exact=k1_exact,
-        k1_asymptotic=k1_asym,
         normalized=normalized,
-        normalized_asymptotic=norm_asym,
-        coefficient_sum=coefficient_sum,
+        normalized_asymptotic=sif_asymptotic(p.lam),
     )
 
 
@@ -263,34 +254,32 @@ def _series_values(coefficients: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return values
 
 
-def sif_sweep(p: DiscProblem, lams: np.ndarray, N: int) -> list[tuple[float, float, float]]:
+def sif_sweep(lams: np.ndarray, N: int) -> list[tuple[float, float, float]]:
     """Rows (lam, normalized exact, normalized asymptotic) at each lam in [0, 1).
 
     The exact value is -4/sqrt(pi) sum_q C_q lam**q, with C the cached series
     of the N-truncated disc system (models._sif_coefficients), so it agrees
     with a solve at each lambda to rounding.  The series stops at an order K
     fixed by the top lambda (_series_order); a row whose tail bound
-    lam**K/(1 - lam) exceeds 2**-53 is solved at its lambda with the rest of
-    p instead, to sif_exact's bits.  The lambda = 0 row is all zeros.
+    lam**K/(1 - lam) exceeds 2**-53 is instead -4/sqrt(pi) sum_n A+_n of a
+    solve at its lambda and unit loading.  No row depends on the loading,
+    and the lambda = 0 row is all zeros.
     """
     if not np.all((0.0 <= lams) & (lams < 1.0)):
         raise ValueError("lams must lie in [0, 1)")
     order = _series_order(float(lams.max(initial=0.0)))
     served = lams**order <= _SERIES_TOL * (1.0 - lams)
-    exact = np.zeros(len(lams))
+    sums = np.zeros(len(lams))
     if served.any():
-        series = _series_values(_sif_coefficients(N, order), lams[served])
-        exact[served] = (-4.0 / SQRT_PI) * series
+        sums[served] = _series_values(_sif_coefficients(N, order), lams[served])
     rows = []
-    for lam, from_series, value in zip(lams.tolist(), served.tolist(), exact.tolist()):
+    for lam, from_series, total in zip(lams.tolist(), served.tolist(), sums.tolist()):
         if lam == 0.0:
             rows.append((0.0, 0.0, 0.0))
-        elif from_series:
-            rows.append((lam, value, sif_asymptotic(lam)))
-        else:
-            at = replace(p, lam=lam)
-            res = sif_exact(at, solve_disc_reduction(at, N))
-            rows.append((lam, res.normalized, res.normalized_asymptotic))
+            continue
+        if not from_series:
+            total = float(np.sum(solve_disc_reduction(DiscProblem(lam, 1.0), N).A_plus))
+        rows.append((lam, (-4.0 / SQRT_PI) * total, sif_asymptotic(lam)))
     return rows
 
 

@@ -17,7 +17,8 @@ coefficients come from the same recurrence (_sif_coefficients).
 
 The loading enters only through the indentation parameter
 delta_star = 2*delta / (a * theta1 * sqrt(pi)), so every coefficient is
-linear in delta_star.
+linear in delta_star: the lambda-power tables are built once at
+delta_star = 1 (_power_table), and a recurrence solve scales its sums.
 
 The forcing functions are built only as arrays, at the points s where the
 equations sample them.
@@ -516,17 +517,17 @@ def _residual(
     return float(np.abs(defect / scale).max())
 
 
-def _power_table(
-    seed_a, seed_b, n_rows: int, K: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda-power tables a[n, k], b[n, k] of the shared operator.
+def _power_table(n_rows: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The disc's lambda-power tables a[n, k], b[n, k] at delta_star = 1.
 
-    Matching powers of lambda, with b the halved B family, gives
+    A+_n = delta_star lam**(2n+1) sum_k a[n, k] lam**k and
+    B-_n = delta_star lam**(2n) sum_k b[n, k] lam**k.  Matching powers of
+    lambda, with h = b/2 the halved B family, gives
 
-        b[n, k] = seed_b [k = 0] + (1/pi) sum_{m <= (k-1)//2} a[m, k-2m-1] / (n+m+1/2)
-        a[n, k] = seed_a [k = 0] + (1/pi) sum_{m <= k//2}     b[m, k-2m]   / (n+m+1/2)
+        h[n, k] = (1/pi) sum_{m <= (k-1)//2} a[m, k-2m-1] / (n+m+1/2)
+        a[n, k] = -1/(2 pi (n+1/2)) [k = 0] + (1/pi) sum_{m <= k//2} h[m, k-2m] / (n+m+1/2)
 
-    filled order by order, the b column first, each sum as one matvec.
+    filled order by order, the h column first, each sum as one matvec.
     Order K reads rows m <= K // 2.  With fewer rows than that each sum is
     clipped to m < n_rows, which makes the tables exactly those of the
     system truncated to n_rows unknowns per family (_sif_coefficients); with
@@ -536,26 +537,16 @@ def _power_table(
     if n_rows < 1 or K < 1:
         raise ValueError("n_rows and K must be >= 1")
     a = np.zeros((n_rows, K))
-    b = np.zeros((n_rows, K))
-    a[:, 0] = seed_a
-    b[:, 0] = seed_b
+    h = np.zeros((n_rows, K))
+    a[:, 0] = -1.0 / (2.0 * math.pi * (np.arange(n_rows) + 0.5))
     m = np.arange(min(K // 2 + 1, n_rows))
     inv = 1.0 / (math.pi * (m[:, None] + np.arange(n_rows) + 0.5))
     for k in range(K):
         mb = m[: (k - 1) // 2 + 1]
-        b[:, k] += a[mb, k - 2 * mb - 1] @ inv[: mb.size]
+        h[:, k] += a[mb, k - 2 * mb - 1] @ inv[: mb.size]
         ma = m[: k // 2 + 1]
-        a[:, k] += b[ma, k - 2 * ma] @ inv[: ma.size]
-    return a, b
-
-
-def _power_sums(
-    lam: float, a: np.ndarray, b: np.ndarray, N: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """lam**(2n+1) sum_k a[n, k] lam**k and lam**(2n) sum_k b[n, k] lam**k, n < N."""
-    powers = lam ** np.arange(a.shape[1])
-    sums = _weighted(lam, None, np.stack([b[:N] @ powers, a[:N] @ powers], axis=1))
-    return sums[:, 1], sums[:, 0]
+        a[:, k] += h[ma, k - 2 * ma] @ inv[: ma.size]
+    return a, 2.0 * h
 
 
 # ----------------------------------------------------------------------
@@ -590,21 +581,13 @@ def solve_disc_reduction(p: DiscProblem, N: int = DEFAULT_TRUNCATION) -> Coeffic
 # K = 120 one entry is at most about 1.9 MB.  The SIF series keeps its own
 # cache (_sif_coefficients, K + 1 floats per entry).
 @lru_cache(maxsize=2)
-def _disc_table(delta_star: float, n_rows: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The disc's triangular lambda-power tables a[n, k], b[n, k], read-only.
+def _disc_table(n_rows: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """_power_table(n_rows, K), read-only.
 
-    A+_n = lam**(2n+1) sum_k a[n, k] lam**k and
-    B-_n = lam**(2n) sum_k b[n, k] lam**k, where a and b/2 follow the
-    shared recurrence of the halved system seeded by
-    a[n, 0] = -delta_star/(2 pi (n+1/2)) and b[n, 0] = 0.  The tables
-    depend on delta_star, the row count and the order but not on lambda,
-    so every solve at a new lambda reuses them.
+    The tables depend on neither lambda nor the loading, so every disc
+    recurrence solve with these row counts and order reuses them.
     """
-    half = np.arange(n_rows) + 0.5
-    a, b_half = _power_table(
-        -delta_star / (2.0 * math.pi * half), 0.0, n_rows, K
-    )
-    b = 2.0 * b_half
+    a, b = _power_table(n_rows, K)
     a.flags.writeable = False
     b.flags.writeable = False
     return a, b
@@ -617,15 +600,14 @@ def _disc_table(delta_star: float, n_rows: int, K: int) -> tuple[np.ndarray, np.
 def _sif_coefficients(N: int, K: int) -> np.ndarray:
     """C_q, q <= K, with sum_n A+_n = delta_star sum_q C_q lam**q at truncation N; read-only.
 
-    A+_n = delta_star lam**(2n+1) sum_k a[n, k] lam**k, so
-    C_q = sum_n a[n, q - 2n - 1] over the disc's delta_star = 1 table with
+    C_q = sum_n a[n, q - 2n - 1] over the disc's _power_table with
     min(N, K // 2 + 1) rows: the rows past K // 2 carry no power up to K, and
     fewer rows clip the recurrence to the N-truncated system that
-    solve_disc_reduction solves (_power_table).  The vector depends on
-    neither lambda nor the loading.
+    solve_disc_reduction solves.  The vector depends on neither lambda nor
+    the loading.
     """
     rows = min(N, K // 2 + 1)
-    a, _ = _power_table(-1.0 / (2.0 * math.pi * (np.arange(rows) + 0.5)), 0.0, rows, K)
+    a, _ = _power_table(rows, K)
     coefficients = np.zeros(K + 1)
     for n in range(rows):
         coefficients[2 * n + 1 :] += a[n, : K - 2 * n]
@@ -638,16 +620,19 @@ def solve_disc_recurrence(
 ) -> tuple[tuple[np.ndarray, np.ndarray], CoefficientSetDisc]:
     """Solve the disc system through the lambda-power recurrences.
 
-    Returns the read-only tables (a, b) of _disc_table and the coefficients.
-    The tables are truncated at order K, so the coefficients carry an
+    Returns the read-only unit-loading tables (a, b) of _disc_table and
+    the coefficients, the tables' power sums scaled by the loading.  The
+    tables are truncated at order K, so the coefficients carry an
     O(lam**K) tail error; rows beyond those requested are filled as far
     as the recurrences need them.
     """
     if N < 1 or K < 1:
         raise ValueError("N and K must be >= 1")
-    table = _disc_table(p.delta_star, max(N, K // 2 + 1), K)
-    A_plus, B_minus = _power_sums(p.lam, *table, N)
-    return table, CoefficientSetDisc(A_plus=A_plus, B_minus=B_minus, truncation_N=N)
+    a, b = table = _disc_table(max(N, K // 2 + 1), K)
+    powers = p.lam ** np.arange(K)
+    sums = p.delta_star * np.stack([b[:N] @ powers, a[:N] @ powers], axis=1)
+    x = _weighted(p.lam, None, sums)
+    return table, CoefficientSetDisc(A_plus=x[:, 1], B_minus=x[:, 0], truncation_N=N)
 
 
 # ----------------------------------------------------------------------

@@ -124,12 +124,9 @@ def _check_models(report: VerificationReport, solved: dict, delta_star: float, n
 
     report.add("models.disc_sign_pattern", float(c.A_plus.max()), 0.0)
 
-    a, b = models._disc_table(delta_star, 10, 4)
-    half = np.arange(10) + 0.5
-    seed_defect = np.abs(
-        a[:, 0] + delta_star / (2.0 * math.pi * half)
-    ).max() / abs(delta_star / (2.0 * math.pi * 9.5))
-    seed_defect = max(seed_defect, np.abs(b[:, 0]).max())
+    a, b = models._disc_table(10, 4)
+    seed = 1.0 / (2.0 * math.pi * (np.arange(10) + 0.5))
+    seed_defect = max(np.abs(a[:, 0] + seed).max() / seed[-1], np.abs(b[:, 0]).max())
     report.add("models.recurrence_seed_rows", seed_defect, 1e-15)
 
     pd, cd = solved[0.5]

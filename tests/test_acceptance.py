@@ -53,7 +53,7 @@ class _Criterion:
 
 def test_criterion_1_recurrence_seed_reproduction():
     with _Criterion(1, "recurrence seeds match the printed table", 1.0):
-        a, _ = models._disc_table(1.0, 3, 5)
+        a, _ = models._disc_table(3, 5)
         expected = {
             (0, 0): -1.0 / PI,
             (1, 0): -1.0 / (3.0 * PI),
@@ -72,7 +72,7 @@ def test_criterion_1_recurrence_seed_reproduction():
 
 def test_criterion_2_asymptotic_coefficient_reproduction():
     with _Criterion(2, "table sums give the five normalized coefficients", 1.0):
-        a, _ = models._disc_table(1.0, 3, 5)
+        a, _ = models._disc_table(3, 5)
         for q in range(5):
             total = sum(a[m, q - 2 * m] for m in range(q // 2 + 1))
             got = -PI * total

@@ -240,6 +240,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"solve does not read keys \['lambda_typo'\]"):
             load_config("solve", str(path), {})
 
+    def test_override_the_command_does_not_read(self):
+        with pytest.raises(ConfigError, match=r"figures does not read fields \['lam', 'lambda_count'\]"):
+            load_config("figures", None, {"lam": 0.9, "lambda_count": 3})
+        # an override of None is a flag left unset, as the parser passes it
+        assert load_config("figures", None, {"truncation_N": None}) == RunConfig()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_solve_method_is_gone(self, source, tmp_path, capsys):
         # the disc is solved by reduction only: the recurrence flag and the

@@ -60,22 +60,22 @@ class TestOmega1Disc:
 
 class TestRecurrenceTable:
     def test_seed_rows(self):
-        a, b = _disc_table(1.3, 12, 8)
+        a, b = _disc_table(12, 8)
         half = np.arange(12) + 0.5
-        assert np.allclose(a[:, 0], -1.3 / (2 * PI * half), rtol=1e-15)
+        assert np.allclose(a[:, 0], -1 / (2 * PI * half), rtol=1e-15)
         assert np.all(b[:, 0] == 0.0)
 
     def test_printed_low_order_values(self):
-        a, _ = _disc_table(1.0, 3, 5)
+        a, _ = _disc_table(3, 5)
         assert a[0, 0] == pytest.approx(-1 / PI, rel=1e-14)
         assert a[1, 0] == pytest.approx(-1 / (3 * PI), rel=1e-14)
         assert a[0, 1] == pytest.approx(-4 / PI**3, rel=1e-14)
 
     def test_linearity_in_load(self):
-        a1, b1 = _disc_table(1.0, 4, 6)
-        a2, b2 = _disc_table(2.5, 4, 6)
-        assert np.allclose(2.5 * a1, a2, rtol=1e-14)
-        assert np.allclose(2.5 * b1, b2, rtol=1e-14)
+        _, c1 = solve_disc_recurrence(DiscProblem(lam=0.5, delta_star=1.0), 4, 6)
+        _, c2 = solve_disc_recurrence(DiscProblem(lam=0.5, delta_star=2.5), 4, 6)
+        assert np.allclose(2.5 * c1.A_plus, c2.A_plus, rtol=1e-14)
+        assert np.allclose(2.5 * c1.B_minus, c2.B_minus, rtol=1e-14)
 
 
 class TestDiscSolvers:

@@ -2,8 +2,8 @@
 
 The weight-free Hankel and Toeplitz kernels are shared read-only per N by
 every solve and residual, the disc lambda-power table is shared read-only per
-argument set, and the residuals apply the operator block by block.  Each must
-give what the direct construction gives.
+row count and order, and the residuals apply the operator block by block.
+Each must give what the direct construction gives.
 """
 
 import dataclasses
@@ -214,30 +214,29 @@ def test_factor_residual_sees_a_perturbed_unknown():
 
 
 # ----------------------------------------------------------------------
-# the disc lambda-power table shared per argument set
+# the disc lambda-power table shared per row count and order
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("rows,order_K", [(10, 4), (61, 120), (240, 120)])
 def test_model_table_is_shared_read_only_and_fresh_valued(rows, order_K):
-    first = _disc_table(0.35, rows, order_K)
-    second = _disc_table(0.35, rows, order_K)
+    first = _disc_table(rows, order_K)
+    second = _disc_table(rows, order_K)
     assert second[0] is first[0] and second[1] is first[1]
     for array in first:
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
-    half = np.arange(rows) + 0.5
-    a, b_half = _power_table(-0.35 / (2.0 * math.pi * half), 0.0, rows, order_K)
-    assert np.all(first[0] == a) and np.all(first[1] == 2.0 * b_half)
+    a, b = _power_table(rows, order_K)
+    assert np.all(first[0] == a) and np.all(first[1] == b)
 
 
 def test_verification_builds_each_model_table_once(monkeypatch):
     builds = []
     power_table = models._power_table
 
-    def counting(seed_a, seed_b, n_rows, order_K):
+    def counting(n_rows, order_K):
         builds.append((n_rows, order_K))
-        return power_table(seed_a, seed_b, n_rows, order_K)
+        return power_table(n_rows, order_K)
 
     _disc_table.cache_clear()
     monkeypatch.setattr(models, "_power_table", counting)

@@ -2,8 +2,9 @@
 
 fields.sif_sweep sums -4/sqrt(pi) sum_q C_q lam**q, where C comes from the
 disc's lambda-power table clipped to the truncation N
-(models._sif_coefficients), and solves at lambda the rows past the series'
-tail bound; cli.run_sif_sweep emits its rows over the configured grid.
+(models._sif_coefficients), and solves at lambda and unit loading the rows
+past the series' tail bound; cli.run_sif_sweep emits its rows over the
+configured grid.
 These tests hold the series to the per-lambda reduction it replaces, and the
 clipped table to a loop oracle of the truncated recurrence.
 """
@@ -16,8 +17,13 @@ import pytest
 
 from pennycontact import fields, models
 from pennycontact.cli import load_config, run_sif_sweep
-from pennycontact.fields import sif_exact
-from pennycontact.models import _power_table, _sif_coefficients, solve_disc_reduction
+from pennycontact.fields import sif_asymptotic, sif_exact
+from pennycontact.models import (
+    DiscProblem,
+    _power_table,
+    _sif_coefficients,
+    solve_disc_reduction,
+)
 
 from oracles import SIF_SERIES_COEFFS, power_table_oracle
 
@@ -69,16 +75,26 @@ def test_rows_past_the_series_bound_are_solved_bitwise():
     reference = dict(zip(lams[1:].tolist(), _reduction_rows(cfg, lams[1:].tolist())))
     for row, is_past in zip(rows[1:], past[1:]):
         if is_past:
-            assert row == reference[row[0]]
+            total = float(np.sum(solve_disc_reduction(DiscProblem(row[0], 1.0), 240).A_plus))
+            assert row == (row[0], (-4.0 / math.sqrt(math.pi)) * total, sif_asymptotic(row[0]))
+            assert row[1] == pytest.approx(reference[row[0]][1], rel=1e-14, abs=0.0)
         else:
             assert row[1] == pytest.approx(reference[row[0]][1], rel=1e-13, abs=0.0)
 
 
+def test_sweep_rows_do_not_depend_on_the_loading():
+    grid = {"truncation_N": 240, "lambda_max": 0.999, "lambda_count": 50}
+    loaded = {"nu": 0.2, "shear_modulus": 2.0, "delta_over_a": 0.1}
+    default = run_sif_sweep(load_config("sif", None, grid)).rows
+    assert run_sif_sweep(load_config("sif", None, {**grid, **loaded})).rows == default
+    lams = np.array([row[0] for row in default])
+    assert (lams**fields._MAX_SERIES_ORDER > fields._SERIES_TOL * (1.0 - lams)).any()
+
+
 @pytest.mark.parametrize("bad", [-0.1, 1.0, math.nan])
 def test_sweep_rejects_a_lambda_outside_the_unit_interval(bad):
-    p = load_config("sif", None, {}).disc_problem()
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
-        fields.sif_sweep(p, np.array([0.0, 0.5, bad]), 8)
+        fields.sif_sweep(np.array([0.0, 0.5, bad]), 8)
 
 
 def test_series_order_meets_the_tail_bound_at_the_top_lambda():
@@ -104,10 +120,10 @@ def test_blocked_summation_does_not_depend_on_the_block_size(monkeypatch):
 def test_clipped_power_table_matches_truncated_loop_oracle(rows, order_K):
     assert rows < order_K // 2 + 1
     seed_a = -1.0 / (2.0 * math.pi * (np.arange(rows) + 0.5))
-    a, b = _power_table(seed_a, 0.0, rows, order_K)
+    a, b = _power_table(rows, order_K)
     a_ref, b_ref = power_table_oracle(seed_a, 0.0, rows, order_K)
     np.testing.assert_allclose(a, a_ref, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(b, b_ref, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(b, 2.0 * b_ref, rtol=1e-14, atol=0)
     # C_q = sum_n a[n, q - 2n - 1], term by term
     expected = np.zeros(order_K + 1)
     for q in range(order_K + 1):
@@ -138,9 +154,9 @@ def test_two_sweeps_build_the_coefficients_once(monkeypatch):
     builds = []
     power_table = models._power_table
 
-    def counting(seed_a, seed_b, n_rows, order_K):
+    def counting(n_rows, order_K):
         builds.append((n_rows, order_K))
-        return power_table(seed_a, seed_b, n_rows, order_K)
+        return power_table(n_rows, order_K)
 
     _sif_coefficients.cache_clear()
     monkeypatch.setattr(models, "_power_table", counting)
