@@ -261,6 +261,13 @@ def power_table_oracle(seed_a, seed_b, n_rows, order_K):
     return a, b
 
 
+def power_sums(lam, a, b, N):
+    """lam**(2n+1) sum_k a[n, k] lam**k and lam**(2n) sum_k b[n, k] lam**k, n < N."""
+    powers = lam ** np.arange(a.shape[1])
+    n = np.arange(N)
+    return lam ** (2 * n + 1) * (a[:N] @ powers), lam ** (2 * n) * (b[:N] @ powers)
+
+
 def exact_omegas(ratio: float, delta_star: float, count: int) -> np.ndarray:
     """The annulus forcing from its definitions, in 40-digit arithmetic.
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pennycontact.factorization import _column_rhs
+from pennycontact.factorization import _column_rhs, solve_factor_columns_disc
 from pennycontact.models import (
     _MODEL_SCALE,
     _SLOTS,
@@ -17,7 +17,7 @@ from pennycontact.models import (
     _solve_interleaved,
 )
 
-from oracles import power_table_oracle, system_matrix
+from oracles import power_sums, power_table_oracle, system_matrix
 
 # (lam, t, N): t = 0.05 at lam = 0.1 has subnormal weights lam**(2n+1) and
 # t**(2n+1) at N = 240; t = 0 is the lam0 = 0 degenerate annulus; the last two
@@ -79,3 +79,17 @@ def test_model_power_table_matches_loop_oracle(rows):
     a_ref, b_ref = power_table_oracle(seed_a, 0.0, rows, 120)
     np.testing.assert_allclose(a, a_ref, rtol=1e-14, atol=0)
     np.testing.assert_allclose(b, 2.0 * b_ref, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("rows", [61, 240])
+@pytest.mark.parametrize("column_index", [1, 2])
+def test_factor_power_table_matches_loop_oracle(rows, column_index):
+    # the factor columns solve the models' operator under the Kronecker
+    # forcings, so the loop oracle's tables seeded by them sum to the
+    # column's reduction solve at the same truncation
+    d1, d2 = float(column_index == 1), float(column_index == 2)
+    a, b = power_table_oracle(2.0 * d2 / math.pi, -2.0 * d1 / math.pi, rows, 120)
+    column = solve_factor_columns_disc(0.5, rows)[column_index - 1]
+    a_sum, b_sum = power_sums(0.5, a, b, rows)
+    np.testing.assert_allclose(column.A_plus, a_sum, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(column.B_minus, b_sum, rtol=1e-13, atol=0)

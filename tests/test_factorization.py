@@ -22,7 +22,7 @@ from pennycontact.factorization import (
 )
 from pennycontact.specfun import PoleError
 
-from oracles import annulus_column_defect, disc_column_defect, power_table_oracle
+from oracles import annulus_column_defect, disc_column_defect, power_sums, power_table_oracle
 
 PI = math.pi
 
@@ -42,13 +42,6 @@ def _column_power_table(j, rows, order_K):
     return power_table_oracle(_KRONECKER[1, j], _KRONECKER[0, j], rows, order_K)
 
 
-def _power_sums(lam, a, b, N):
-    """lam**(2n+1) sum_k a[n, k] lam**k and lam**(2n) sum_k b[n, k] lam**k, n < N."""
-    powers = lam ** np.arange(a.shape[1])
-    n = np.arange(N)
-    return lam ** (2 * n + 1) * (a[:N] @ powers), lam ** (2 * n) * (b[:N] @ powers)
-
-
 class TestDiscColumns:
     def test_reduction_matches_recurrence(self):
         # the column system is the models' operator, so the operator's
@@ -56,7 +49,7 @@ class TestDiscColumns:
         # an order-120 table reads its rows up to 120 // 2, so it needs 61
         red = solve_factor_columns_disc(0.5, 60)
         for j, c1 in enumerate(red):
-            a, b = _power_sums(0.5, *_column_power_table(j, 61, 120), 60)
+            a, b = power_sums(0.5, *_column_power_table(j, 61, 120), 60)
             assert np.abs(c1.A_plus - a).max() <= 1e-10
             assert np.abs(c1.B_minus - b).max() <= 1e-10
 
