@@ -13,13 +13,14 @@ annulus residual at N = 60 (each on the coefficients of a solve), the
 continuity defects, one stress and one displacement point, the SIF sweep
 at the default grid (N = 60) and at 2000 rows (N = 240) with its series
 coefficients cached, the uncached build of those coefficients for the
-default grid, and the uncached build of both Hankel-window factors at
-N = 1000.  BLAS is pinned to one thread before numpy is imported, so a
-timing does not depend on how many cores the host lends the process.  The
-library is imported from this checkout's ``src``.  Each entry holds the
-median and the quartiles of its samples in microseconds; the file also
-records the commit, whether the source differs from it, and the Python and
-numpy versions.
+default grid and at (N, K) = (513, 1024) and (1025, 2048), the largest
+table a command builds and one at twice its order, and the uncached build
+of both Hankel-window factors at N = 1000.  BLAS is pinned to one thread
+before numpy is imported, so a timing does not depend on how many cores
+the host lends the process.  The library is imported from this checkout's
+``src``.  Each entry holds the median and the quartiles of its samples in
+microseconds; the file also records the commit, whether the source differs
+from it, and the Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -102,11 +103,10 @@ def cases() -> dict:
         timed[f"cli.run_sif_sweep count={count} N={n}"] = lambda sweep=sweep: cli.run_sif_sweep(sweep)
     order = fields._series_order(cli.RunConfig().lambda_max)
 
-    def uncached_build():
-        models._sif_coefficients.cache_clear()
-        models._sif_coefficients(60, order)
-
-    timed[f"models._sif_coefficients N=60 K={order} uncached"] = uncached_build
+    for n, k in ((60, order), (513, 1024), (1025, 2048)):
+        timed[f"models._sif_coefficients N={n} K={k} uncached"] = (
+            lambda n=n, k=k: models._sif_coefficients.__wrapped__(n, k)
+        )
 
     def uncached_factors():
         for window in (0, 1):

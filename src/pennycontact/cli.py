@@ -446,6 +446,8 @@ def run_sif_sweep(cfg: RunConfig) -> Table:
 def run_displacement(cfg: RunConfig) -> Table:
     """Crack-face displacement profile u_z/a on (lam, 1)."""
     _require_disc(cfg, "displacement curves")
+    if cfg.grid_points < 8:  # fewer lose the rows at offset 1e-8 from lambda or 1
+        raise ConfigError(f"grid_points: displacement needs at least 8, got {cfg.grid_points!r}")
     grid = _displacement_grid(cfg.lam, cfg.grid_points)
     # near lam = 1 the end offsets, times the span 1 - lam, round onto lam or 1
     if not (cfg.lam < grid[0] and grid[-1] < 1.0):
@@ -485,22 +487,21 @@ def run_figures(cfg: RunConfig, out_dir: Path) -> list[Path]:
     (_READS); the geometry, the loading and the intensity factor's lambda
     grid are RunConfig's defaults.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     base = RunConfig(**{name: getattr(cfg, name) for name in _READS["figures"]})
-    written = []
-
-    def write(name: str, table: Table) -> None:
-        written.append(out_dir / name)
-        _deliver(table.render("csv"), written[-1])
-
     contact, outer = run_stress(replace(base, lam=0.5))
-    write("fig1_contact.csv", contact)
-    write("fig1_outer.csv", outer)
-    write("fig2_sif.csv", run_sif_sweep(replace(base, lam=0.5)))
+    tables = {
+        "fig1_contact.csv": contact,
+        "fig1_outer.csv": outer,
+        "fig2_sif.csv": run_sif_sweep(replace(base, lam=0.5)),
+    }
     for lam in _FIGURE_LAMBDAS:
         name = f"fig3_displacement_lam{int(round(lam * 100)):03d}.csv"
-        write(name, run_displacement(replace(base, lam=lam)))
-    return written
+        tables[name] = run_displacement(replace(base, lam=lam))
+    # every table is built before the first is written, so an error leaves no file
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, table in tables.items():
+        _deliver(table.render("csv"), out_dir / name)
+    return [out_dir / name for name in tables]
 
 
 # ----------------------------------------------------------------------

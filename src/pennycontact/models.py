@@ -13,7 +13,8 @@ For the disc, solve_disc_recurrence also solves them by exact recurrence
 relations in powers of lambda = b/a; `verify` and the tests use it as an
 independent cross-check of the reduction, and no command solves by it.  The
 `sif` sweep sums the intensity factor as one power series in lambda whose
-coefficients come from the same recurrence (_sif_coefficients).
+coefficients are column sums of the same recurrence's tables, which are
+stored by total power of lambda (_power_table, _sif_coefficients).
 
 The loading enters only through the indentation parameter
 delta_star = 2*delta / (a * theta1 * sqrt(pi)), so every coefficient is
@@ -518,34 +519,33 @@ def _residual(
 
 
 def _power_table(n_rows: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The disc's lambda-power tables a[n, k], b[n, k] at delta_star = 1.
+    """The disc's tables A[n, q], B[n, q] of powers q <= K of lambda, at delta_star = 1.
 
-    A+_n = delta_star lam**(2n+1) sum_k a[n, k] lam**k and
-    B-_n = delta_star lam**(2n) sum_k b[n, k] lam**k.  Matching powers of
-    lambda, with h = b/2 the halved B family, gives
-
-        h[n, k] = (1/pi) sum_{m <= (k-1)//2} a[m, k-2m-1] / (n+m+1/2)
-        a[n, k] = -1/(2 pi (n+1/2)) [k = 0] + (1/pi) sum_{m <= k//2} h[m, k-2m] / (n+m+1/2)
-
-    filled order by order, the h column first, each sum as one matvec.
-    Order K reads rows m <= K // 2.  With fewer rows than that each sum is
-    clipped to m < n_rows, which makes the tables exactly those of the
-    system truncated to n_rows unknowns per family (_sif_coefficients); with
-    n_rows >= K // 2 + 1 nothing is clipped and the tables are the infinite
-    system's rows n < n_rows, to order K.
+    A+_n = delta_star sum_q A[n, q] lam**q, B-_n likewise with B.  With
+    H = B/2 and W[n, m] = 1/(pi (n+m+1/2)) window 0 of _kernels, matching
+    powers gives H[n, 2n + k] = sum_m A[m, k] W[m, n] and
+    A[n, 2n + 1 + k] = -W[n, 0]/2 [k = 0] + sum_m H[m, k] W[m, n], filled one
+    order k at a time: column k times W, written along the diagonal that
+    steps one row down and two powers right (flat stride K + 3).  Row n
+    starts at power 2n + 1, so the tables have min(n_rows, (K + 1) // 2)
+    rows.  Fewer rows than that clip each sum to m < n_rows, which gives the
+    system truncated to n_rows unknowns per family (_sif_coefficients);
+    otherwise the tables are the infinite system's, to power K.
     """
     if n_rows < 1 or K < 1:
         raise ValueError("n_rows and K must be >= 1")
-    a = np.zeros((n_rows, K))
-    h = np.zeros((n_rows, K))
-    a[:, 0] = -1.0 / (2.0 * math.pi * (np.arange(n_rows) + 0.5))
-    m = np.arange(min(K // 2 + 1, n_rows))
-    inv = 1.0 / (math.pi * (m[:, None] + np.arange(n_rows) + 0.5))
-    for k in range(K):
-        mb = m[: (k - 1) // 2 + 1]
-        h[:, k] += a[mb, k - 2 * mb - 1] @ inv[: mb.size]
-        ma = m[: k // 2 + 1]
-        a[:, k] += h[ma, k - 2 * ma] @ inv[: ma.size]
+    rows = min(n_rows, (K + 1) // 2)
+    window = _kernels(rows)[0]
+    a = np.zeros((rows, K + 1))
+    h = np.zeros((rows, K + 1))
+    flat_a, flat_h, step = a.reshape(-1), h.reshape(-1), K + 3
+    flat_a[1 :: step] = -0.5 * window[:, 0]
+    for k in range(1, K + 1):
+        m = min(rows, (k + 1) // 2)  # the columns' nonzero rows, 2m + 1 <= k
+        count = min(rows, (K - k) // 2 + 1)
+        flat_h[k : k + step * count : step] = a[:m, k] @ window[:m, :count]
+        count = min(rows, (K - k + 1) // 2)
+        flat_a[k + 1 : k + 1 + step * count : step] = h[:m, k] @ window[:m, :count]
     return a, 2.0 * h
 
 
@@ -576,16 +576,15 @@ def solve_disc_reduction(p: DiscProblem, N: int = DEFAULT_TRUNCATION) -> Coeffic
     return CoefficientSetDisc(**_families(x), truncation_N=N)
 
 
-# Two entries: verification, and a sweep over two truncation orders, each
-# solve the disc recurrence at two argument sets.  At N <= 1000 and verify's
-# K = 120 one entry is at most about 1.9 MB.  The SIF series keeps its own
-# cache (_sif_coefficients, K + 1 floats per entry).
+# Two entries: the recurrence solves' table of one order K, whatever their
+# N, and verify's seed-row table.  At K = 120 one entry is 116 KB.  The SIF
+# series keeps its own cache (_sif_coefficients, K + 1 floats per entry).
 @lru_cache(maxsize=2)
 def _disc_table(n_rows: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """_power_table(n_rows, K), read-only.
+    """_power_table(n_rows, K), read-only, with min(n_rows, (K + 1) // 2) rows.
 
     The tables depend on neither lambda nor the loading, so every disc
-    recurrence solve with these row counts and order reuses them.
+    recurrence solve at this order reuses them.
     """
     a, b = _power_table(n_rows, K)
     a.flags.writeable = False
@@ -600,17 +599,11 @@ def _disc_table(n_rows: int, K: int) -> tuple[np.ndarray, np.ndarray]:
 def _sif_coefficients(N: int, K: int) -> np.ndarray:
     """C_q, q <= K, with sum_n A+_n = delta_star sum_q C_q lam**q at truncation N; read-only.
 
-    C_q = sum_n a[n, q - 2n - 1] over the disc's _power_table with
-    min(N, K // 2 + 1) rows: the rows past K // 2 carry no power up to K, and
-    fewer rows clip the recurrence to the N-truncated system that
-    solve_disc_reduction solves.  The vector depends on neither lambda nor
-    the loading.
+    C_q is column q's sum of _power_table(N, K)'s A table, clipped to the
+    N-truncated system that solve_disc_reduction solves.  The vector depends
+    on neither lambda nor the loading.
     """
-    rows = min(N, K // 2 + 1)
-    a, _ = _power_table(rows, K)
-    coefficients = np.zeros(K + 1)
-    for n in range(rows):
-        coefficients[2 * n + 1 :] += a[n, : K - 2 * n]
+    coefficients = _power_table(N, K)[0].sum(axis=0)
     coefficients.flags.writeable = False
     return coefficients
 
@@ -620,19 +613,18 @@ def solve_disc_recurrence(
 ) -> tuple[tuple[np.ndarray, np.ndarray], CoefficientSetDisc]:
     """Solve the disc system through the lambda-power recurrences.
 
-    Returns the read-only unit-loading tables (a, b) of _disc_table and
-    the coefficients, the tables' power sums scaled by the loading.  The
-    tables are truncated at order K, so the coefficients carry an
-    O(lam**K) tail error; rows beyond those requested are filled as far
-    as the recurrences need them.
+    Returns the read-only unit-loading tables (A, B) of _disc_table and the
+    coefficients, the tables' power sums scaled by the loading.  The sums
+    stop at power K: each carries an O(lam**(K+1)) absolute tail, and the
+    rows from (K + 1) // 2 on, which reach no power up to K, are zero.
     """
     if N < 1 or K < 1:
         raise ValueError("N and K must be >= 1")
-    a, b = table = _disc_table(max(N, K // 2 + 1), K)
-    powers = p.lam ** np.arange(K)
-    sums = p.delta_star * np.stack([b[:N] @ powers, a[:N] @ powers], axis=1)
-    x = _weighted(p.lam, None, sums)
-    return table, CoefficientSetDisc(A_plus=x[:, 1], B_minus=x[:, 0], truncation_N=N)
+    a, b = table = _disc_table((K + 1) // 2, K)
+    powers = p.lam ** np.arange(K + 1)
+    sums = np.zeros((2, max(N, len(a))))
+    sums[:, : len(a)] = p.delta_star * np.stack([b @ powers, a @ powers])
+    return table, CoefficientSetDisc(A_plus=sums[1, :N], B_minus=sums[0, :N], truncation_N=N)
 
 
 # ----------------------------------------------------------------------

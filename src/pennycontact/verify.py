@@ -124,9 +124,10 @@ def _check_models(report: VerificationReport, solved: dict, delta_star: float, n
 
     report.add("models.disc_sign_pattern", float(c.A_plus.max()), 0.0)
 
-    a, b = models._disc_table(10, 4)
-    seed = 1.0 / (2.0 * math.pi * (np.arange(10) + 0.5))
-    seed_defect = max(np.abs(a[:, 0] + seed).max() / seed[-1], np.abs(b[:, 0]).max())
+    a, b = models._disc_table(10, 19)  # row n leads with A[n, 2n + 1], B[n, 2n]
+    n = np.arange(10)
+    seed = 1.0 / (2.0 * math.pi * (n + 0.5))
+    seed_defect = max(np.abs(a[n, 2 * n + 1] + seed).max() / seed[-1], np.abs(b[n, 2 * n]).max())
     report.add("models.recurrence_seed_rows", seed_defect, 1e-15)
 
     pd, cd = solved[0.5]

@@ -261,6 +261,53 @@ def power_table_oracle(seed_a, seed_b, n_rows, order_K):
     return a, b
 
 
+def dense_power_table(n_rows, order_K):
+    """The disc's tables of power_table_oracle, one matvec per order, b unhalved.
+
+    a[n, k] and b[n, k] are the coefficients of lam**(2n+1+k) in A+_n and of
+    lam**(2n+k) in B-_n at delta_star = 1, k < order_K: the layout by order
+    relative to each row's leading power, with the dense window
+    1/(pi (n+m+1/2)) and index gathers, as the library built it before it
+    stored the tables by total power.
+    """
+    a = np.zeros((n_rows, order_K))
+    h = np.zeros((n_rows, order_K))
+    a[:, 0] = -1.0 / (2.0 * math.pi * (np.arange(n_rows) + 0.5))
+    m = np.arange(min(order_K // 2 + 1, n_rows))
+    inv = 1.0 / (math.pi * (m[:, None] + np.arange(n_rows) + 0.5))
+    for k in range(order_K):
+        mb = m[: (k - 1) // 2 + 1]
+        h[:, k] += a[mb, k - 2 * mb - 1] @ inv[: mb.size]
+        ma = m[: k // 2 + 1]
+        a[:, k] += h[ma, k - 2 * ma] @ inv[: ma.size]
+    return a, 2.0 * h
+
+
+def dense_sif_coefficients(N, order_K):
+    """C_q = sum_n a[n, q - 2n - 1], q <= order_K, over dense_power_table clipped to N rows."""
+    rows = min(N, order_K // 2 + 1)
+    a, _ = dense_power_table(rows, order_K)
+    coefficients = np.zeros(order_K + 1)
+    for n in range(rows):
+        coefficients[2 * n + 1 :] += a[n, : order_K - 2 * n]
+    return coefficients
+
+
+def by_total_power(a, b, K):
+    """Relative-order tables as A[n, 2n+1+k] = a[n, k] and B[n, 2n+k] = b[n, k], q <= K.
+
+    The layout of models._power_table: rows n with 2n + 1 <= K, zero below
+    each row's leading power.  a needs K columns and b needs K + 1.
+    """
+    rows = min(len(a), (K + 1) // 2)
+    A = np.zeros((rows, K + 1))
+    B = np.zeros((rows, K + 1))
+    for n in range(rows):
+        A[n, 2 * n + 1 :] = a[n, : K - 2 * n]
+        B[n, 2 * n :] = b[n, : K + 1 - 2 * n]
+    return A, B
+
+
 def power_sums(lam, a, b, N):
     """lam**(2n+1) sum_k a[n, k] lam**k and lam**(2n) sum_k b[n, k] lam**k, n < N."""
     powers = lam ** np.arange(a.shape[1])

@@ -66,7 +66,7 @@ def test_criterion_1_recurrence_seed_reproduction():
             (0, 4): -(64.0 / PI**5) * (4.0 / PI**4 + 1.0 / 9.0),
         }
         for (n, k), want in expected.items():
-            got = a[n, k]
+            got = a[n, 2 * n + 1 + k]  # lam**(2n+1+k) in A+_n
             assert abs(got - want) <= 1e-13 * abs(want), (n, k, got, want)
 
 
@@ -74,7 +74,7 @@ def test_criterion_2_asymptotic_coefficient_reproduction():
     with _Criterion(2, "table sums give the five normalized coefficients", 1.0):
         a, _ = models._disc_table(3, 5)
         for q in range(5):
-            total = sum(a[m, q - 2 * m] for m in range(q // 2 + 1))
+            total = a[:, q + 1].sum()  # C_{q+1}, the lam**(q+1) column
             got = -PI * total
             want = SIF_SERIES_COEFFS[q]
             assert abs(got - want) <= 1e-12 * abs(want), (q, got, want)

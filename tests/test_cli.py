@@ -312,6 +312,26 @@ class TestExitCodes:
             assert err.startswith("error: lambda") and err.count("\n") == 1, err
             assert lam in err
 
+    def test_displacement_grid_below_eight_points_is_config_error(self, capsys, tmp_path):
+        # below 8 points a log-spaced part of the grid has at most one point,
+        # and the row at offset 1e-8 from lambda or 1 is lost
+        out = tmp_path / "figures"
+        for argv in (
+            ["displacement", "--grid-points", "7"],
+            ["displacement", "--grid-points", "2"],
+            ["figures", "--grid-points", "4", "--out", str(out)],
+        ):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: grid_points") and err.count("\n") == 1, err
+            assert argv[2] in err
+        assert not out.exists()  # no table is written before the error
+        cfg = load_config("displacement", None, {"grid_points": 8, "truncation_N": 8})
+        r = np.array([row[0] for row in run_displacement(cfg).rows])
+        np.testing.assert_allclose([r[0] - 0.5, 1.0 - r[-1]], [0.5e-8, 0.5e-8], rtol=1e-6)
+        assert main(["stress", "--grid-points", "2", "--n-trunc", "8"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_verify_passes_with_defaults(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = main(

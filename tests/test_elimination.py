@@ -17,7 +17,7 @@ from pennycontact.models import (
     _solve_interleaved,
 )
 
-from oracles import power_sums, power_table_oracle, system_matrix
+from oracles import by_total_power, power_sums, power_table_oracle, system_matrix
 
 # (lam, t, N): t = 0.05 at lam = 0.1 has subnormal weights lam**(2n+1) and
 # t**(2n+1) at N = 240; t = 0 is the lam0 = 0 degenerate annulus; the last two
@@ -76,9 +76,11 @@ def test_every_coupling_joins_a_B_slot_to_an_A_slot(t):
 def test_model_power_table_matches_loop_oracle(rows):
     seed_a = -1.0 / (2.0 * math.pi * (np.arange(rows) + 0.5))
     a, b = _power_table(rows, 120)
-    a_ref, b_ref = power_table_oracle(seed_a, 0.0, rows, 120)
+    a_ref, b_ref = power_table_oracle(seed_a, 0.0, rows, 121)
+    a_ref, b_ref = by_total_power(a_ref, 2.0 * b_ref, 120)
+    assert a.shape == b.shape == (60, 121)
     np.testing.assert_allclose(a, a_ref, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(b, 2.0 * b_ref, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(b, b_ref, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("rows", [61, 240])

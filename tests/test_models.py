@@ -59,17 +59,19 @@ class TestOmega1Disc:
 
 
 class TestRecurrenceTable:
+    # the tables hold the coefficient of lam**q at column q: row n leads
+    # with A[n, 2n + 1] and B[n, 2n]
     def test_seed_rows(self):
-        a, b = _disc_table(12, 8)
-        half = np.arange(12) + 0.5
-        assert np.allclose(a[:, 0], -1 / (2 * PI * half), rtol=1e-15)
-        assert np.all(b[:, 0] == 0.0)
+        a, b = _disc_table(12, 23)
+        n = np.arange(12)
+        assert np.allclose(a[n, 2 * n + 1], -1 / (2 * PI * (n + 0.5)), rtol=1e-15)
+        assert np.all(b[n, 2 * n] == 0.0)
 
     def test_printed_low_order_values(self):
         a, _ = _disc_table(3, 5)
-        assert a[0, 0] == pytest.approx(-1 / PI, rel=1e-14)
-        assert a[1, 0] == pytest.approx(-1 / (3 * PI), rel=1e-14)
-        assert a[0, 1] == pytest.approx(-4 / PI**3, rel=1e-14)
+        assert a[0, 1] == pytest.approx(-1 / PI, rel=1e-14)
+        assert a[1, 3] == pytest.approx(-1 / (3 * PI), rel=1e-14)
+        assert a[0, 2] == pytest.approx(-4 / PI**3, rel=1e-14)
 
     def test_linearity_in_load(self):
         _, c1 = solve_disc_recurrence(DiscProblem(lam=0.5, delta_star=1.0), 4, 6)
@@ -84,6 +86,17 @@ class TestDiscSolvers:
         red = solve_disc_reduction(p, 40)
         _, rec = solve_disc_recurrence(p, 40, 60)
         assert abs(red.A_plus[0] - rec.A_plus[0]) < 1e-10
+
+    def test_recurrence_stops_at_total_power_K(self):
+        # rows n with 2n + 1 > K reach no power up to K, so they are zero; the
+        # rest carry a tail of order lam**(K+1) against the reduction
+        for lam in (0.9, 0.95):
+            p = DiscProblem(lam=lam, delta_star=1.0)
+            _, rec = solve_disc_recurrence(p, 240, 120)
+            assert np.all(rec.A_plus[60:] == 0.0) and np.all(rec.B_minus[60:] == 0.0)
+            red = solve_disc_reduction(p, 240)
+            for got, want in ((rec.A_plus, red.A_plus), (rec.B_minus, red.B_minus)):
+                assert np.abs(got - want).max() <= lam**120 * np.abs(want).max()
 
     def test_method_agreement_across_lambda(self):
         for lam in (0.1, 0.3, 0.5, 0.7):

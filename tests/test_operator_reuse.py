@@ -223,6 +223,8 @@ def test_model_table_is_shared_read_only_and_fresh_valued(rows, order_K):
     first = _disc_table(rows, order_K)
     second = _disc_table(rows, order_K)
     assert second[0] is first[0] and second[1] is first[1]
+    # the rows n with 2n + 1 <= K, one column per power of lambda up to K
+    assert first[0].shape == first[1].shape == (min(rows, (order_K + 1) // 2), order_K + 1)
     for array in first:
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
@@ -247,7 +249,7 @@ def test_verification_builds_each_model_table_once(monkeypatch):
         _disc_table.cache_clear()
     # the disc recurrence at four lambdas shares one table, and the
     # seed-row check builds its own small one; the second run builds none
-    assert sorted(builds) == [(10, 4), (61, 120)]
+    assert sorted(builds) == [(10, 19), (60, 120)]
     assert [c.to_dict() for c in first.checks] == [c.to_dict() for c in second.checks]
 
 

@@ -5,8 +5,9 @@ disc's lambda-power table clipped to the truncation N
 (models._sif_coefficients), and solves at lambda and unit loading the rows
 past the series' tail bound; cli.run_sif_sweep emits its rows over the
 configured grid.
-These tests hold the series to the per-lambda reduction it replaces, and the
-clipped table to a loop oracle of the truncated recurrence.
+These tests hold the series to the per-lambda reduction it replaces, the
+clipped table to a loop oracle of the truncated recurrence, and C to a dense
+oracle of the table by order relative to each row's leading power.
 """
 
 import math
@@ -25,7 +26,7 @@ from pennycontact.models import (
     solve_disc_reduction,
 )
 
-from oracles import SIF_SERIES_COEFFS, power_table_oracle
+from oracles import SIF_SERIES_COEFFS, by_total_power, dense_sif_coefficients, power_table_oracle
 
 
 def _reduction_rows(cfg, lams):
@@ -45,7 +46,7 @@ def _refuse_solves(monkeypatch):
     monkeypatch.setattr(fields, "solve_disc_reduction", must_not_solve)
 
 
-@pytest.mark.parametrize("N", [1, 8, 60, 240])
+@pytest.mark.parametrize("N", [1, 8, 60, 240, 1000])
 def test_series_rows_match_the_reduction(N, monkeypatch):
     cfg = load_config("sif", None, {"truncation_N": N, "lambda_count": 40})
     _refuse_solves(monkeypatch)  # every row up to lambda = 0.95 is a series row
@@ -118,12 +119,13 @@ def test_blocked_summation_does_not_depend_on_the_block_size(monkeypatch):
 
 @pytest.mark.parametrize("rows,order_K", [(1, 50), (8, 120), (60, 300)])
 def test_clipped_power_table_matches_truncated_loop_oracle(rows, order_K):
-    assert rows < order_K // 2 + 1
+    assert rows < (order_K + 1) // 2
     seed_a = -1.0 / (2.0 * math.pi * (np.arange(rows) + 0.5))
     a, b = _power_table(rows, order_K)
-    a_ref, b_ref = power_table_oracle(seed_a, 0.0, rows, order_K)
-    np.testing.assert_allclose(a, a_ref, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(b, 2.0 * b_ref, rtol=1e-14, atol=0)
+    a_ref, b_ref = power_table_oracle(seed_a, 0.0, rows, order_K + 1)
+    a_total, b_total = by_total_power(a_ref, 2.0 * b_ref, order_K)
+    np.testing.assert_allclose(a, a_total, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(b, b_total, rtol=1e-14, atol=0)
     # C_q = sum_n a[n, q - 2n - 1], term by term
     expected = np.zeros(order_K + 1)
     for q in range(order_K + 1):
@@ -131,6 +133,18 @@ def test_clipped_power_table_matches_truncated_loop_oracle(rows, order_K):
             if 0 <= q - 2 * n - 1 < order_K:
                 expected[q] += a_ref[n, q - 2 * n - 1]
     np.testing.assert_allclose(_sif_coefficients(rows, order_K), expected, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize(
+    "rows,order_K", [(1, 50), (8, 120), (60, 775), (257, 512), (513, 1024), (1025, 2048)]
+)
+def test_column_sums_match_the_dense_oracle(rows, order_K):
+    # clipped (N < K // 2) and infinite-system tables, up to the orders the
+    # factored series needs; the oracle sums rows of the relative-order layout
+    expected = dense_sif_coefficients(rows, order_K)
+    np.testing.assert_allclose(
+        _sif_coefficients.__wrapped__(rows, order_K), expected, rtol=1e-14, atol=0
+    )
 
 
 @pytest.mark.parametrize("N", [1, 60, 240, 1000])
