@@ -59,6 +59,9 @@ _FIGURE_LAMBDAS = (0.3, 0.5, 0.7)
 # sweep's lambda grid is held to the same cap.
 _MAX_GRID_POINTS = 100_000
 _MAX_TRUNCATION_N = 1_000
+# The outer stress grid squares r/a (fields.stress_outer), which overflows
+# past about 1.34e154.
+_MAX_R_MAX = 1e150
 
 
 class ConfigError(ValueError):
@@ -74,8 +77,6 @@ class RunConfig:
     lam0: float = 0.2
     lam1: float = 0.5
     delta_over_a: float = 0.05
-    nu: float = 0.3
-    shear_modulus: float | None = None
     truncation_N: int = 60
     output_format: str = "csv"
     grid_points: int = 400
@@ -87,10 +88,7 @@ class RunConfig:
     def validate(self) -> None:
         mistyped = []
         for f in dataclass_fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.default is None:
-                continue  # shear_modulus left unset
-            kind = float if f.default is None else type(f.default)
+            value, kind = getattr(self, f.name), type(f.default)
             if not _has_kind(value, kind):
                 mistyped.append(
                     f"{_key(f.name)}: must be {_KIND_NAMES[kind]}, got {value!r}"
@@ -116,12 +114,6 @@ class RunConfig:
             problems.append(
                 f"delta_over_a: must be positive, got {self.delta_over_a!r}"
             )
-        if not 0.0 < self.nu < 0.5:
-            problems.append(f"nu: must lie in (0, 0.5), got {self.nu!r}")
-        if self.shear_modulus is not None and self.shear_modulus <= 0.0:
-            problems.append(
-                f"shear_modulus: must be positive, got {self.shear_modulus!r}"
-            )
         if not 1 <= self.truncation_N <= _MAX_TRUNCATION_N:
             problems.append(
                 f"truncation_N: must lie in 1..{_MAX_TRUNCATION_N}, got {self.truncation_N!r}"
@@ -134,8 +126,8 @@ class RunConfig:
             problems.append(
                 f"grid_points: must lie in 2..{_MAX_GRID_POINTS}, got {self.grid_points!r}"
             )
-        if self.r_max <= 1.0:
-            problems.append(f"r_max: must exceed 1, got {self.r_max!r}")
+        if not 1.0 < self.r_max <= _MAX_R_MAX:
+            problems.append(f"r_max: must lie in (1, {_MAX_R_MAX:g}], got {self.r_max!r}")
         if not 0.0 <= self.lambda_min < self.lambda_max < 1.0:
             problems.append(
                 "lambda_min/lambda_max: need 0 <= min < max < 1, got "
@@ -147,40 +139,22 @@ class RunConfig:
             )
         if problems:
             raise ConfigError("; ".join(problems))
-        # Derived loading parameters: a valid shear modulus or delta/a can
-        # still overflow theta1 or delta_star, or underflow delta_star to 0.
-        if not math.isfinite(self.theta1):
+        # A finite delta/a above about 8.99e307 still overflows delta_star.
+        if not math.isfinite(self.delta_star):
             raise ConfigError(
-                f"nu/shear_modulus: theta1 = (1 - nu)/shear_modulus must be finite, got {self.theta1!r}"
+                f"delta_over_a: delta_star = 2 delta_over_a/sqrt(pi) must be finite, "
+                f"got {self.delta_star!r}"
             )
-        if not 0.0 < self.delta_star < math.inf:
-            keys = "delta_over_a" if self.shear_modulus is None else "delta_over_a/nu/shear_modulus"
-            raise ConfigError(
-                f"{keys}: delta_star = 2 delta_over_a/(theta1 sqrt(pi)) must be finite and "
-                f"positive, got {self.delta_star!r}"
-            )
-
-    @property
-    def theta1(self) -> float:
-        """(1 - nu)/G when a shear modulus is given, else 1 (nondimensional)."""
-        if self.shear_modulus is None:
-            return 1.0
-        return (1.0 - self.nu) / self.shear_modulus
 
     @property
     def delta_star(self) -> float:
-        return 2.0 * self.delta_over_a / (self.theta1 * SQRT_PI)
+        return 2.0 * self.delta_over_a / SQRT_PI
 
     def disc_problem(self) -> DiscProblem:
-        return DiscProblem(lam=self.lam, delta_star=self.delta_star, theta1=self.theta1)
+        return DiscProblem(lam=self.lam, delta_star=self.delta_star)
 
     def annulus_problem(self) -> AnnulusProblem:
-        return AnnulusProblem(
-            lam0=self.lam0,
-            lam1=self.lam1,
-            delta_star=self.delta_star,
-            theta1=self.theta1,
-        )
+        return AnnulusProblem(lam0=self.lam0, lam1=self.lam1, delta_star=self.delta_star)
 
 
 # External names (config keys, artifact keys, messages) that differ from
@@ -286,14 +260,10 @@ def _base_header(cfg: RunConfig) -> dict:
         "code_version": __version__,
         "model": cfg.model,
         "delta_over_a": cfg.delta_over_a,
-        "nu": cfg.nu,
         "truncation_N": cfg.truncation_N,
     }
     for name in ("lam",) if cfg.model == "disc" else ("lam0", "lam1"):
         header[_key(name)] = getattr(cfg, name)
-    if cfg.shear_modulus is not None:
-        header["shear_modulus"] = cfg.shear_modulus
-        header["theta1"] = cfg.theta1
     return header
 
 
@@ -365,8 +335,9 @@ def load_coefficients(path):
     """Reload a serialized coefficient artifact into problem + coefficients.
 
     Keys, types and array lengths are checked against the dataclass fields;
-    a missing, unreadable or malformed artifact raises a one-line ValueError
-    naming the file.
+    a missing, unreadable or malformed artifact, or one with a key that is
+    not a field, the model or the code version, raises a one-line
+    ValueError naming the file.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -376,6 +347,12 @@ def load_coefficients(path):
     if model not in _ARTIFACT_TYPES:
         raise ValueError(f"{path}: model must be 'disc' or 'annulus', got {model!r}")
     problem_type, coeffs_type = _ARTIFACT_TYPES[model]
+    known = {"model", "code_version"} | {
+        _key(f.name) for kind in (problem_type, coeffs_type) for f in dataclass_fields(kind)
+    }
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {unknown}")
 
     def read(name: str, kind: type):
         key = _key(name)
@@ -600,8 +577,6 @@ _FLAGS = (
     ("--lambda1", dict(dest="lam1", type=float, help="outer ratio b/a"), ("solve", "verify")),
     ("--delta-over-a", dict(dest="delta_over_a", type=float), ("solve", *_FIELDS, "verify")),
     ("--format", dict(dest="output_format", choices=("csv", "json")), (*_FIELDS, "verify")),
-    ("--nu", dict(type=float, help="Poisson ratio"), ("solve", *_FIELDS, "figures")),
-    ("--shear-modulus", dict(dest="shear_modulus", type=float), ("solve", *_FIELDS, "figures")),
     ("--n-trunc", dict(dest="truncation_N", type=int), _EVERY),
     ("--out", dict(help="output path (directory for figures)"), _EVERY),
     ("--grid-points", dict(dest="grid_points", type=int), ("stress", "displacement", "figures")),

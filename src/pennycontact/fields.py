@@ -1,9 +1,9 @@
 """Field evaluators for the disc model: stress, intensity factor, displacement.
 
 All positions are nondimensional (r scaled by the crack radius a or the
-inclusion radius b); stress values are reported as theta1 * sigma_z and
-displacements as u_z / a, so with the default theta1 = 1, a_radius = 1
-of DiscProblem everything is a pure number.  Each stress has two
+inclusion radius b); stress values are reported as theta1 * sigma_z, with
+theta1 = (1 - nu)/G, and displacements as u_z / a.  These are pure numbers
+that depend on lambda and delta/a alone, not on nu or G.  Each stress has two
 series representations: stress_contact and stress_outer sum the stable
 K column of _hyp_column at every point, and the *_edge forms make the
 square-root edge behavior explicit, for cross-checking.  Every sum over
@@ -73,8 +73,8 @@ _SERIES_STEP = 32
 class SifResult:
     """Crack-tip intensity factor, and its normalized exact and small-lambda forms.
 
-    k1_exact follows the sign that makes the normalized value positive
-    for positive indentation.
+    k1_exact is theta1 K_I / sqrt(a), with the sign that makes it positive
+    for positive indentation; the normalized forms divide it by delta/a.
     """
 
     k1_exact: float
@@ -145,7 +145,7 @@ def stress_contact_edge(
     _check_unit_interval(r)
     u = 1.0 - r * r
     poly = _edge_poly(c.B_minus, u)
-    value = p.theta1 * (-p.delta_star + poly) / (p.lam * np.sqrt(math.pi * u))
+    value = (-p.delta_star + poly) / (p.lam * np.sqrt(math.pi * u))
     return _result(value, scalar)
 
 
@@ -164,7 +164,7 @@ def stress_contact(
     x2 = r * r
     lead = -p.delta_star / (p.lam * np.sqrt(math.pi * (1.0 - x2)))
     tail = -_hyp_column(_kept(p, c)[0], x2) / (2.0 * p.lam * SQRT_PI)
-    return _result(p.theta1 * (lead + tail), scalar)
+    return _result(lead + tail, scalar)
 
 
 def stress_outer_edge(
@@ -176,7 +176,7 @@ def stress_outer_edge(
     x2 = 1.0 / (r * r)
     u = 1.0 - x2
     poly = _edge_poly(c.A_plus, u)
-    return _result(-2.0 * p.theta1 * x2**1.5 * poly / np.sqrt(math.pi * u), scalar)
+    return _result(-2.0 * x2**1.5 * poly / np.sqrt(math.pi * u), scalar)
 
 
 def stress_outer(
@@ -191,13 +191,14 @@ def stress_outer(
     r, scalar = _points(r_over_a)
     _check_outside_crack(r)
     x2 = 1.0 / (r * r)
-    return _result(p.theta1 * _hyp_column(_kept(p, c)[1], x2) * x2**1.5 / SQRT_PI, scalar)
+    return _result(_hyp_column(_kept(p, c)[1], x2) * x2**1.5 / SQRT_PI, scalar)
 
 
 def sif_asymptotic(lam: float) -> float:
     """Normalized intensity factor from the small-lambda expansion.
 
-    Returns theta1 * K_I / (sqrt(a) * delta0) summed to lambda**5.
+    Returns theta1 K_I / (sqrt(a) delta/a), the same for every nu and G,
+    summed to lambda**5.
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lam must lie in [0, 1), got {lam!r}")
@@ -211,15 +212,12 @@ def sif_exact(p: DiscProblem, c: CoefficientSetDisc) -> SifResult:
     """Crack-tip intensity factor from the solved coefficients.
 
     The raw coefficient sum is negative for positive indentation, so
-    k1_exact = -2 sqrt(a) * sum comes out positive, matching the sign of
-    the asymptotic expansion.
+    k1_exact = -2 * sum comes out positive, matching the sign of the
+    asymptotic expansion.
     """
-    k1_exact = -2.0 * math.sqrt(p.a_radius) * float(np.sum(c.A_plus))
+    k1_exact = -2.0 * float(np.sum(c.A_plus))
     delta0 = p.delta_over_a
-    if delta0 == 0.0:
-        normalized = 0.0
-    else:
-        normalized = p.theta1 * k1_exact / (math.sqrt(p.a_radius) * delta0)
+    normalized = 0.0 if delta0 == 0.0 else k1_exact / delta0
     return SifResult(
         k1_exact=k1_exact,
         normalized=normalized,
@@ -306,7 +304,7 @@ def displacement(
         - (lam / (SQRT_PI * r)) * g_b
         + (2.0 / SQRT_PI) * g_a
     )
-    return _result(p.theta1 * value, scalar)
+    return _result(value, scalar)
 
 
 def continuity_defects(p: DiscProblem, c: CoefficientSetDisc) -> tuple[float, float]:
@@ -331,18 +329,18 @@ def continuity_defects(p: DiscProblem, c: CoefficientSetDisc) -> tuple[float, fl
 
     delta0 = p.delta_over_a
     chi_b = (
-        -delta0 / p.theta1
+        -delta0
         + 0.5 * float(B_minus @ gam)
         - (2.0 / SQRT_PI) * float(A_plus @ (f_lam / two_m1))
     )
-    defect_b = abs(p.theta1 * chi_b + delta0)
+    defect_b = abs(chi_b + delta0)
 
     chi_a = (
         -(p.delta_star / SQRT_PI) * math.asin(lam)
         + (lam / SQRT_PI) * float(B_minus @ (f_lam / two_m1))
         - float(A_plus @ gam)
     )
-    defect_a = abs(p.theta1 * chi_a)
+    defect_a = abs(chi_a)
     return defect_b, defect_a
 
 

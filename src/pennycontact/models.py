@@ -17,7 +17,7 @@ coefficients are column sums of the same recurrence's tables, which are
 stored by total power of lambda (_power_table, _sif_coefficients).
 
 The loading enters only through the indentation parameter
-delta_star = 2*delta / (a * theta1 * sqrt(pi)), so every coefficient is
+delta_star = 2*delta / (a * sqrt(pi)), so every coefficient is
 linear in delta_star: the lambda-power tables are built once at
 delta_star = 1 (_power_table), and a recurrence solve scales its sums.
 
@@ -78,28 +78,22 @@ class DiscProblem:
     """Flat disc inclusion in a penny-shaped crack.
 
     lam is the radius ratio b/a in (0, 1); delta_star the nondimensional
-    indentation 2*delta/(a*theta1*sqrt(pi)).  theta1 = (1 - nu)/G and the
-    crack radius are carried only so the field evaluators can
-    redimensionalize; the defaults give fully nondimensional output.
+    indentation 2*delta/(a*sqrt(pi)).
     """
 
     lam: float
     delta_star: float
-    theta1: float = 1.0
-    a_radius: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"lam must lie in (0, 1), got {self.lam!r}")
         if self.delta_star < 0.0:
             raise ValueError(f"delta_star must be >= 0, got {self.delta_star!r}")
-        if self.theta1 <= 0.0 or self.a_radius <= 0.0:
-            raise ValueError("theta1 and a_radius must be positive")
 
     @property
     def delta_over_a(self) -> float:
-        """delta/a implied by delta_star and theta1."""
-        return 0.5 * self.delta_star * self.theta1 * SQRT_PI
+        """delta/a implied by delta_star."""
+        return 0.5 * self.delta_star * SQRT_PI
 
 
 @dataclass(frozen=True)
@@ -112,8 +106,6 @@ class AnnulusProblem:
     lam0: float
     lam1: float
     delta_star: float
-    theta1: float = 1.0
-    a_radius: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.lam0 < 1.0:
@@ -126,8 +118,6 @@ class AnnulusProblem:
             )
         if self.delta_star < 0.0:
             raise ValueError(f"delta_star must be >= 0, got {self.delta_star!r}")
-        if self.theta1 <= 0.0 or self.a_radius <= 0.0:
-            raise ValueError("theta1 and a_radius must be positive")
 
     @property
     def radius_ratio(self) -> float:
@@ -660,7 +650,7 @@ def _annulus_omegas(p: AnnulusProblem, N: int) -> np.ndarray:
 
     Columns: omega_1^- at s = 2k+1, where 1/L+ vanishes; omega_1^+ at
     s = -(2k+1) and omega_2^- at s = 2k+2, whose kernel factors are both
-    Gamma(k+3/2)/Gamma(k+1).  In units of delta/(a theta1), with t = lam0/lam1:
+    Gamma(k+3/2)/Gamma(k+1).  In units of delta/a, with t = lam0/lam1:
         omega_1^+(s) = (2/s) (1/L+(s) - 1/sqrt(pi)) - wt+(s)
         omega_1^-(s) = (2/s) (t**s / L+(s) - 1/sqrt(pi)) - wt+(s)
         omega_2^-(s) = L-(s)/s - wt-(s)
@@ -670,7 +660,7 @@ def _annulus_omegas(p: AnnulusProblem, N: int) -> np.ndarray:
     s = 2.0 * np.arange(N) + 1.0
     g = _gamma_ratios(N)
     wt = _omega_tilde_columns(p.radius_ratio, N)
-    scale = 0.5 * p.delta_star * SQRT_PI  # delta / (a theta1)
+    scale = 0.5 * p.delta_star * SQRT_PI  # delta / a
     return scale * np.stack(
         [
             -2.0 / (s * SQRT_PI) - wt[:, 0],

@@ -1,6 +1,7 @@
 """CLI: configuration, emission schemas, determinism, round-trips, exit codes."""
 
 import argparse
+import dataclasses
 import json
 import math
 
@@ -26,7 +27,8 @@ from pennycontact.specfun import ConvergenceError, PoleError
 
 
 _COMMAND_NAMES = ("solve", "stress", "sif", "displacement", "verify", "figures")
-# Every flag and the commands that read it, in --help order.
+# Every flag and the commands that read it, in --help order; the removed
+# flags have no reader.
 _FLAG_READERS = {
     "--config": _COMMAND_NAMES,
     "--model": ("solve", "stress", "sif", "displacement"),
@@ -35,8 +37,6 @@ _FLAG_READERS = {
     "--lambda1": ("solve", "verify"),
     "--delta-over-a": ("solve", "stress", "sif", "displacement", "verify"),
     "--format": ("stress", "sif", "displacement", "verify"),
-    "--nu": ("solve", "stress", "sif", "displacement", "figures"),
-    "--shear-modulus": ("solve", "stress", "sif", "displacement", "figures"),
     "--n-trunc": _COMMAND_NAMES,
     "--out": _COMMAND_NAMES,
     "--grid-points": ("stress", "displacement", "figures"),
@@ -44,13 +44,14 @@ _FLAG_READERS = {
     "--lambda-min": ("sif",),
     "--lambda-max": ("sif",),
     "--lambda-count": ("sif",),
+    "--nu": (),
+    "--shear-modulus": (),
 }
 # The config-file key of each flag that sets one; a command reads the key
 # exactly when it reads the flag.  The removed keys have no reader.
 _FLAG_KEYS = {
     "--model": "model", "--lambda": "lambda", "--lambda0": "lambda0", "--lambda1": "lambda1",
-    "--delta-over-a": "delta_over_a", "--format": "format", "--nu": "nu",
-    "--shear-modulus": "shear_modulus", "--n-trunc": "truncation_N",
+    "--delta-over-a": "delta_over_a", "--format": "format", "--n-trunc": "truncation_N",
     "--grid-points": "grid_points", "--r-max": "r_max", "--lambda-min": "lambda_min",
     "--lambda-max": "lambda_max", "--lambda-count": "lambda_count",
 }
@@ -58,6 +59,8 @@ _KEY_READERS = {
     **{key: _FLAG_READERS[flag] for flag, key in _FLAG_KEYS.items()},
     "order_K": (),
     "method": (),
+    "nu": (),
+    "shear_modulus": (),
 }
 # A value each flag parses; "5" for the numeric ones.
 _FLAG_VALUES = {"--format": "json", "--model": "disc"}
@@ -66,16 +69,15 @@ _FLAG_VALUES = {"--format": "json", "--model": "disc"}
 _FAST_CONFIG = {"truncation_N": 8, "grid_points": 16, "lambda_count": 4}
 _CHANGED_VALUES = {
     "--model": "annulus", "--lambda": "0.4", "--lambda0": "0.3", "--lambda1": "0.6",
-    "--delta-over-a": "0.1", "--format": "json", "--nu": "0.2", "--shear-modulus": "2",
-    "--n-trunc": "10", "--out": "elsewhere", "--grid-points": "20",
-    "--r-max": "3", "--lambda-min": "0.1", "--lambda-max": "0.5", "--lambda-count": "5",
+    "--delta-over-a": "0.1", "--format": "json", "--n-trunc": "10", "--out": "elsewhere",
+    "--grid-points": "20", "--r-max": "3", "--lambda-min": "0.1", "--lambda-max": "0.5",
+    "--lambda-count": "5",
 }
 # Settings that a flag changes only under another: the disc solve has no
-# inner ratio, and nu enters theta1 only with a shear modulus.
+# inner ratio.
 _COMPANIONS = {
     ("solve", "--lambda0"): ["--model", "annulus"],
     ("solve", "--lambda1"): ["--model", "annulus"],
-    ("solve", "--nu"): ["--shear-modulus", "1"],
 }
 
 
@@ -222,9 +224,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="delta_over_a"):
             load_config("solve", None, {"delta_over_a": 0.0})
 
-    def test_rejects_bad_poisson(self):
-        with pytest.raises(ConfigError, match="nu"):
-            load_config("solve", None, {"nu": 0.5})
+    def test_every_setting_has_a_flag(self):
+        # a RunConfig field that no flag sets could be changed only by
+        # editing the code
+        from pennycontact import cli as cli_module
+
+        dests = {
+            keywords.get("dest", flag[2:].replace("-", "_"))
+            for flag, keywords, _ in cli_module._FLAGS
+        }
+        assert {f.name for f in dataclasses.fields(RunConfig)} <= dests
 
     def test_file_plus_override(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -269,12 +278,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("solve", str(path), {})
 
-    def test_theta1_from_elastic_constants(self):
-        cfg = RunConfig(nu=0.3, shear_modulus=2.0)
-        assert cfg.theta1 == pytest.approx(0.35)
-        assert cfg.delta_star == pytest.approx(
-            2 * cfg.delta_over_a / (0.35 * math.sqrt(math.pi))
-        )
+    def test_delta_star_from_delta_over_a(self):
+        cfg = RunConfig(delta_over_a=0.1)
+        assert cfg.delta_star == 2 * 0.1 / math.sqrt(math.pi)
+        assert RunConfig(delta_over_a=5e-324).delta_star == 5e-324
 
 
 class TestExitCodes:
@@ -592,6 +599,7 @@ class TestCaps:
             ["displacement", "--grid-points", "100001"],
             ["stress", "--n-trunc", "1001"],
             ["solve", "--n-trunc", "1001"],
+            ["stress", "--r-max", "1e+308"],  # repr spells floats this large with "e+"
         ],
     )
     def test_value_just_over_a_cap_is_config_error(self, argv, capsys, monkeypatch):
@@ -607,7 +615,7 @@ class TestCaps:
         assert argv[-1] in err
 
     def test_values_at_the_caps_validate(self):
-        RunConfig(grid_points=100_000, truncation_N=1_000).validate()
+        RunConfig(grid_points=100_000, truncation_N=1_000, r_max=1e150).validate()
 
     def test_the_removed_order_k_flag_is_config_error(self, capsys, monkeypatch):
         # verify's recurrence order is models.DEFAULT_ORDER, not a setting
@@ -640,15 +648,8 @@ class TestCaps:
 
     @pytest.mark.parametrize(
         "flags,message",
-        [
-            (["--shear-modulus", "1e-320"], "nu/shear_modulus: theta1"),
-            (["--delta-over-a", "1e308"], "delta_over_a: delta_star"),
-            (
-                ["--delta-over-a", "1e-300", "--shear-modulus", "1e-30"],
-                "delta_over_a/nu/shear_modulus: delta_star",
-            ),
-        ],
-        ids=["theta1-overflows", "delta-star-overflows", "delta-star-underflows"],
+        [(["--delta-over-a", "1e308"], "delta_over_a: delta_star")],
+        ids=["delta-star-overflows"],
     )
     def test_nonfinite_or_zero_loading_is_config_error(self, flags, message, capsys, monkeypatch):
         from pennycontact import cli as cli_module
@@ -712,6 +713,11 @@ class TestArtifactSchema:
     def test_short_family(self, tmp_path):
         path = self.artifact(tmp_path, B_minus=[0.0] * 5)
         self.assert_rejected(path, "B_minus: must be a list of 6 finite numbers")
+
+    def test_unknown_key(self, tmp_path):
+        # an artifact that carries theta1 was solved under another scaling
+        path = self.artifact(tmp_path, theta1=0.35)
+        self.assert_rejected(path, r"unknown keys \['theta1'\]")
 
     def test_out_of_range_problem(self, tmp_path):
         path = self.artifact(tmp_path, **{"lambda": 1.5})

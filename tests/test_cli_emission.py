@@ -105,7 +105,7 @@ def test_verify_text_to_file(tmp_path, capsys):
 
 def test_parser_carries_nothing_between_calls(capsys):
     assert main(["sif", "--lambda-count", "3", "--n-trunc", "8"]) == 0
-    assert capsys.readouterr().out.count("\n") == 8 + 3  # 7 header lines + columns
+    assert capsys.readouterr().out.count("\n") == 7 + 3  # 6 header lines + columns
     assert main(["sif"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [l for l in lines if not l.startswith("#")][1:]

@@ -90,7 +90,7 @@ def _continuity_mp(p, B_minus, A_plus):
     lam = mpmath.mpf(p.lam)
     x = mpmath.mpf(p.lam * p.lam)
     root_pi = mpmath.sqrt(mpmath.pi)
-    theta1, delta0 = mpmath.mpf(p.theta1), mpmath.mpf(p.delta_over_a)
+    delta0 = mpmath.mpf(p.delta_over_a)
     gam_b = gam_a = f_b = f_a = mpmath.mpf(0)
     for m in range(len(A_plus)):
         gam = mpmath.gamma(m + mpmath.mpf(0.5)) / mpmath.factorial(m)
@@ -100,9 +100,9 @@ def _continuity_mp(p, B_minus, A_plus):
         gam_a += a * gam
         f_b += b * f
         f_a += a * f
-    chi_b = -delta0 / theta1 + gam_b / 2 - 2 / root_pi * f_a
+    chi_b = -delta0 + gam_b / 2 - 2 / root_pi * f_a
     chi_a = -mpmath.mpf(p.delta_star) / root_pi * mpmath.asin(lam) + lam / root_pi * f_b - gam_a
-    return abs(theta1 * chi_b + delta0), abs(theta1 * chi_a)
+    return abs(chi_b + delta0), abs(chi_a)
 
 
 @pytest.mark.parametrize("N", [60, 240])

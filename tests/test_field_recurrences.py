@@ -94,7 +94,7 @@ def _mp_displacement(p, c, r):
         - mpmath.mpf(p.lam) / (root_pi * mpmath.mpf(float(r))) * g_b
         + 2 / root_pi * g_a
     )
-    return float(mpmath.mpf(p.theta1) * value)
+    return float(value)
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.6, 0.9])

@@ -53,7 +53,7 @@ class TestStressContact:
         # with the B series removed only the leading edge term survives
         p = DiscProblem(lam=0.2, delta_star=DSTAR)
         c = zero_coefficients()
-        want = -p.theta1 * p.delta_star / (p.lam * math.sqrt(PI))
+        want = -p.delta_star / (p.lam * math.sqrt(PI))
         assert stress_contact(p, c, 0.0) == pytest.approx(want, rel=1e-14)
 
     def test_compressive_on_contact_zone(self):
