@@ -4,6 +4,8 @@ import argparse
 import dataclasses
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +236,21 @@ class TestConfig:
             for flag, keywords, _ in cli_module._FLAGS
         }
         assert {f.name for f in dataclasses.fields(RunConfig)} <= dests
+
+    @pytest.mark.parametrize("command", _COMMAND_NAMES)
+    def test_no_output_names_an_elastic_constant(self, command, tmp_path, capsys, monkeypatch):
+        # every value is reported as theta1*sigma_z or u_z/a, the same for
+        # every nu and G, so no header line, artifact key or check names one
+        fast = tmp_path / "fast.json"
+        fast.write_text(json.dumps(_fast_config(command)))
+        code, out, files = _observe(
+            [command, "--config", str(fast)], tmp_path / "run", capsys, monkeypatch
+        )
+        assert code in (0, 2), code  # verify at a small N may fail a check
+        texts = [out] + [data.decode() for data in files.values()]
+        assert any(texts), command
+        for text in texts:
+            assert not re.search(r"\b(nu|shear_modulus|theta1|a_radius)\b", text), text
 
     def test_file_plus_override(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -600,6 +617,8 @@ class TestCaps:
             ["stress", "--n-trunc", "1001"],
             ["solve", "--n-trunc", "1001"],
             ["stress", "--r-max", "1e+308"],  # repr spells floats this large with "e+"
+            ["stress", "--r-max", "1.0000000000000002e+150"],  # the next float past the cap
+            ["figures", "--r-max", "1e+308"],
         ],
     )
     def test_value_just_over_a_cap_is_config_error(self, argv, capsys, monkeypatch):
@@ -616,6 +635,21 @@ class TestCaps:
 
     def test_values_at_the_caps_validate(self):
         RunConfig(grid_points=100_000, truncation_N=1_000, r_max=1e150).validate()
+
+    @pytest.mark.parametrize("command", ["stress", "figures"])
+    def test_outer_radius_at_the_cap_runs_clean(self, command, tmp_path):
+        # the outer branch squares r/a, which stays finite up to the cap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                [command, "--r-max", "1e150", "--grid-points", "8", "--n-trunc", "8",
+                 "--out", str(tmp_path)]
+            )
+        assert code == 0
+        outer = next(tmp_path.glob("*outer.csv")).read_text().splitlines()
+        rows = [tuple(map(float, l.split(","))) for l in outer if l[:1].isdigit()]
+        assert rows[-1][0] == pytest.approx(1e150, rel=1e-15)
+        assert all(math.isfinite(v) and v >= 0 for _, v in rows)
 
     def test_the_removed_order_k_flag_is_config_error(self, capsys, monkeypatch):
         # verify's recurrence order is models.DEFAULT_ORDER, not a setting
@@ -718,6 +752,10 @@ class TestArtifactSchema:
         # an artifact that carries theta1 was solved under another scaling
         path = self.artifact(tmp_path, theta1=0.35)
         self.assert_rejected(path, r"unknown keys \['theta1'\]")
+
+    def test_unknown_keys_are_all_named(self, tmp_path):
+        path = self.artifact(tmp_path, theta1=0.35, a_radius=1.0)
+        self.assert_rejected(path, r"unknown keys \['a_radius', 'theta1'\]")
 
     def test_out_of_range_problem(self, tmp_path):
         path = self.artifact(tmp_path, **{"lambda": 1.5})
