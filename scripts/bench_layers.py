@@ -14,11 +14,12 @@ continuity defects, one stress and one displacement point, the SIF sweep
 at the default grid (N = 60) and at 2000 rows (N = 240) with its series
 coefficients cached, the uncached build of those coefficients for the
 default grid and at (N, K) = (513, 1024) and (1025, 2048), the largest
-table a command builds and one at twice its order, and the uncached build
-of both Hankel-window factors at N = 1000.  BLAS is pinned to one thread
-before numpy is imported, so a timing does not depend on how many cores
-the host lends the process.  The library is imported from this checkout's
-``src``.  Each entry holds the median and the quartiles of its samples in
+table a command builds and one at twice its order, the uncached build of
+both Hankel-window factors at N = 1000, and `verify`: one run_verification
+at its defaults and its factorization checks alone at (lam, lam0, lam1, N) =
+(0.5, 0.2, 0.5, 60).  BLAS is pinned to one thread before numpy is
+imported, so a timing does not depend on how many cores the host lends the
+process.  The library is imported from this checkout's ``src``.  Each entry holds the median and the quartiles of its samples in
 microseconds; the file also records the commit, whether the source differs
 from it, and the Python and numpy versions.
 """
@@ -45,7 +46,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from pennycontact import cli, fields, models, specfun  # noqa: E402
+from pennycontact import cli, fields, models, specfun, verify  # noqa: E402
 
 DELTA_STAR = 2.0 * 0.05 / math.sqrt(math.pi)
 
@@ -113,6 +114,10 @@ def cases() -> dict:
             models._hankel_factor.__wrapped__(1000, window)
 
     timed["models._hankel_factor N=1000 windows=0,1 uncached"] = uncached_factors
+    timed["verify.run_verification (defaults)"] = verify.run_verification
+    timed["verify._check_factorization lam=0.5 lam0=0.2 lam1=0.5 N=60"] = (
+        lambda: verify._check_factorization(verify.VerificationReport(), 0.5, 0.2, 0.5, 60)
+    )
     return timed
 
 

@@ -59,8 +59,9 @@ _FIGURE_LAMBDAS = (0.3, 0.5, 0.7)
 # sweep's lambda grid is held to the same cap.
 _MAX_GRID_POINTS = 100_000
 _MAX_TRUNCATION_N = 1_000
-# The outer stress grid squares r/a (fields.stress_outer), which overflows
-# past about 1.34e154.
+# The outer stress grid starts at r/a = 1 + 1e-4 (_outer_grid) and squares r/a
+# (fields.stress_outer), which overflows past about 1.34e154.
+_MIN_R_MAX = 1.0001
 _MAX_R_MAX = 1e150
 
 
@@ -126,8 +127,8 @@ class RunConfig:
             problems.append(
                 f"grid_points: must lie in 2..{_MAX_GRID_POINTS}, got {self.grid_points!r}"
             )
-        if not 1.0 < self.r_max <= _MAX_R_MAX:
-            problems.append(f"r_max: must lie in (1, {_MAX_R_MAX:g}], got {self.r_max!r}")
+        if not _MIN_R_MAX < self.r_max <= _MAX_R_MAX:
+            problems.append(f"r_max: must lie in ({_MIN_R_MAX:g}, {_MAX_R_MAX:g}], got {self.r_max!r}")
         if not 0.0 <= self.lambda_min < self.lambda_max < 1.0:
             problems.append(
                 "lambda_min/lambda_max: need 0 <= min < max < 1, got "
@@ -281,7 +282,7 @@ def _contact_grid(lam: float, n: int) -> np.ndarray:
 
 
 def _outer_grid(n: int, r_max: float) -> np.ndarray:
-    """r/a values in (1, r_max], refined toward the crack tip r = a+."""
+    """r/a values from 1 + 1e-4 to r_max, refined toward the crack tip r = a+."""
     return 1.0 + np.logspace(-4, math.log10(r_max - 1.0), n)
 
 

@@ -1,17 +1,16 @@
 """Canonical factorization of the boundary matrix coefficients.
 
-The 2x2 (disc) and 3x3 (annulus) triangular boundary matrices G0(s)
-admit piecewise-analytic factorizations X+(s) = G0(s) X-(s) whose
-columns are built from rational pole-removal series.  The column
-coefficients solve the models' own operator with Kronecker forcings;
-this module solves them by reduction, evaluates the factor matrices,
-checks the boundary relation and the constant-determinant identities,
-and estimates the partial indices from the column orders at infinity.
+The 2x2 (disc) and 3x3 (annulus) triangular boundary matrices G0(s) admit
+piecewise-analytic factorizations X+(s) = G0(s) X-(s) whose columns are
+built from rational pole-removal series.  The column coefficients solve the
+models' own operator with Kronecker forcings; this module solves them by
+reduction, evaluates the factor matrices, checks the boundary relation and
+estimates the partial indices from the column orders at infinity.
 
-Each check reads the geometry from the columns it is given, so one
-function serves both factorizations.  The Kronecker forcings are
-weight-free columns times the row weights, applied by models._weighted,
-the helper that builds every right-hand side from models._row_weights.
+Each check reads the geometry from the columns it is given, so one function
+serves both factorizations, and order_fit takes X+ or X- already evaluated at
+order_fit_points(side).  The Kronecker forcings are weight-free columns times
+the row weights, applied by models._weighted (from models._row_weights).
 
 Note: with the column coefficients eliminated through their own
 equations, X+ - G0 X- cancels algebraically for any truncation order,
@@ -51,14 +50,15 @@ __all__ = [
     "factor_system_residual",
     "OrderFit",
     "order_fit",
+    "order_fit_points",
     "contour_samples",
 ]
 
 _POLE_TOL = 1e-9
 
-# |s| window and sample count for the order-at-infinity fits.
-_ORDER_FIT_RANGE = (1.0e2, 1.0e4)
-_ORDER_FIT_POINTS = 12
+# Order-at-infinity fits: 12 radii log-spaced over [1e2, 1e4], over 50 apart, snapped
+# to distinct half-odd values, where tan and cot stay on the unit circle; the slack.
+_ORDER_FIT_RADII = 2.0 * np.floor(np.logspace(2.0, 4.0, 12) / 2.0) + 0.5
 _ORDER_FIT_SLACK = 0.2
 
 # Contour line Re s and the Im s range that contour_samples spans.
@@ -305,14 +305,19 @@ def _geometry(column):
     raise TypeError(f"unsupported column type {type(column)!r}")
 
 
+def _boundary_defect(columns, s: np.ndarray, X_plus: np.ndarray, X_minus: np.ndarray) -> float:
+    """max_s || X+(s) - G0(s) X-(s) ||_max from X+ and X- evaluated at the points s."""
+    _, _, _, g0 = _geometry(columns[0])
+    return float(np.abs(X_plus - g0(s) @ X_minus).max())
+
+
 def boundary_residual(columns, samples) -> float:
-    """max_s || X+(s) - G0(s) X-(s) ||_max over the contour samples."""
+    """max_s || X+(s) - G0(s) X-(s) ||_max over the samples, evaluating X+ and X- there."""
     s = np.asarray(samples, dtype=complex)
     if s.size == 0:
         return 0.0
-    _, _, evaluate, g0 = _geometry(columns[0])
-    X_plus, X_minus = evaluate("plus", s, columns), evaluate("minus", s, columns)
-    return float(np.abs(X_plus - g0(s) @ X_minus).max())
+    _, _, evaluate, _ = _geometry(columns[0])
+    return _boundary_defect(columns, s, evaluate("plus", s, columns), evaluate("minus", s, columns))
 
 
 # ----------------------------------------------------------------------
@@ -320,12 +325,10 @@ def boundary_residual(columns, samples) -> float:
 # ----------------------------------------------------------------------
 
 
-def _order_fit_abscissae() -> np.ndarray:
-    """Half-odd sample radii where tan and cot stay on the unit circle."""
-    lo, hi = _ORDER_FIT_RANGE
-    raw = np.logspace(math.log10(lo), math.log10(hi), _ORDER_FIT_POINTS)
-    snapped = 2.0 * np.floor(raw / 2.0) + 0.5
-    return np.unique(snapped)
+def order_fit_points(side: str) -> np.ndarray:
+    """The points order_fit reads X at: the fit radii, negated for X+, in the side's half-plane."""
+    _check_side(side)
+    return (-1.0 if side == "plus" else 1.0) * _ORDER_FIT_RADII + 0j
 
 
 @dataclass(frozen=True)
@@ -364,21 +367,15 @@ class OrderFit:
         return [int(np.nanmin(column)) for column in nearest.T]
 
 
-def order_fit(side: str, columns) -> OrderFit:
+def order_fit(values) -> OrderFit:
     """Fit the order at infinity of every factor-matrix entry.
 
-    Samples the factor matrix along the real axis inside its half-plane
-    of analyticity, all radii in one evaluation, and fits the log-log
-    slope of each entry.
+    values is X+ or X- evaluated at order_fit_points(side), one matrix per
+    point; the fit is the log-log slope of each entry against the radius.
     """
-    _check_side(side)
-    _, _, evaluate, _ = _geometry(columns[0])
-    radii = _order_fit_abscissae()
-    sign = -1.0 if side == "plus" else 1.0
-    values = evaluate(side, sign * radii + 0j, columns)
-    log_t = np.log(radii)
-    dim = values.shape[1]
-    mags = np.abs(values).reshape(len(radii), dim * dim)
+    log_t = np.log(_ORDER_FIT_RADII)
+    dim = values.shape[-1]
+    mags = np.abs(values).reshape(len(log_t), dim * dim)
     keep = mags > 0.0
     slopes = np.full(dim * dim, np.nan)
     # entries nonzero at every radius share one least-squares solve

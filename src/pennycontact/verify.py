@@ -75,6 +75,13 @@ def _strip_samples(count=100, seed=7121) -> np.ndarray:
     return re + 1j * im
 
 
+# The factorization checks' contour samples, built once and read-only.  The
+# random point sets are drawn per call: a module-level generator would import
+# numpy.random with every command.
+_CONTOUR = np.array(fz.contour_samples(20))
+_CONTOUR.flags.writeable = False
+
+
 def _check_specfun(report: VerificationReport) -> None:
     s = _strip_samples()
     kernel = specfun.kernel_L(s)
@@ -229,39 +236,58 @@ def _check_fields(report: VerificationReport, solved: dict) -> None:
     )
 
 
+def _sides(evaluate, columns, draws=()):
+    """X+ and X- of a column set, one evaluation per side, each inside its own half-plane.
+
+    X+ is evaluated at the contour samples, the draws and the plus order-fit
+    points, X- at the samples and the minus points.  Returns X+ and X- at the
+    samples, X+ at the draws, and the order-fit values by side.
+    """
+    n, d = len(_CONTOUR), len(draws)
+    plus = evaluate("plus", np.concatenate([_CONTOUR, draws, fz.order_fit_points("plus")]), columns)
+    minus = evaluate("minus", np.concatenate([_CONTOUR, fz.order_fit_points("minus")]), columns)
+    return plus[:n], minus[:n], plus[n : n + d], {"plus": plus[n + d :], "minus": minus[n:]}
+
+
 def _check_factorization(
     report: VerificationReport, lam: float, lam0: float, lam1: float, n_trunc: int
 ) -> None:
-    samples = np.array(fz.contour_samples(20))
+    # 50 points in -0.4 < Re s < 0.49, |Im s| < 30, each drawn re first, then im
+    draws = np.random.default_rng(314).uniform((-0.4, -30.0), (0.49, 30.0), (50, 2))
     disc_cols = fz.solve_factor_columns_disc(lam, n_trunc)
-    det_p = np.linalg.det(fz.eval_X_disc("plus", samples, disc_cols))
-    det_m = np.linalg.det(fz.eval_X_disc("minus", samples, disc_cols))
+    X_plus, X_minus, at_draws, disc_fits = _sides(
+        fz.eval_X_disc, disc_cols, draws[:, 0] + 1j * draws[:, 1]
+    )
+    det_p = np.linalg.det(X_plus)
+    det_m = np.linalg.det(X_minus)
     report.add("factorization.disc_det_plus", np.max(np.abs(det_p + 0.5)), 1e-9)
     report.add(
         "factorization.disc_det_minus", np.max(np.abs(det_m - 1.0 / (2.0 * lam))), 1e-9
     )
 
-    # 50 points in -0.4 < Re s < 0.49, |Im s| < 30, each drawn re first, then im
-    draws = np.random.default_rng(314).uniform((-0.4, -30.0), (0.49, 30.0), (50, 2))
-    points = draws[:, 0] + 1j * draws[:, 1]
-    dets = np.abs(np.linalg.det(fz.eval_X_disc("plus", points, disc_cols)))
+    dets = np.abs(np.linalg.det(at_draws))
     report.add(
         "factorization.disc_det_constancy",
         float(np.var(dets) / np.mean(dets) ** 2),
         1e-16,
     )
 
-    for n, cols_n in ((30, fz.solve_factor_columns_disc(lam, 30)), (n_trunc, disc_cols)):
+    residuals = (
+        (30, fz.boundary_residual(fz.solve_factor_columns_disc(lam, 30), _CONTOUR)),
+        (n_trunc, fz._boundary_defect(disc_cols, _CONTOUR, X_plus, X_minus)),
+    )
+    for n, residual in residuals:
         report.add(
             f"factorization.disc_boundary_residual_N{n}",
-            fz.boundary_residual(cols_n, samples),
+            residual,
             1e-8,
             "identically satisfied; measures rounding only",
         )
 
     ann_cols = fz.solve_factor_columns_annulus(lam0, lam1, n_trunc)
-    det_p = np.linalg.det(fz.eval_X_annulus("plus", samples, ann_cols))
-    det_m = np.linalg.det(fz.eval_X_annulus("minus", samples, ann_cols))
+    X_plus, X_minus, _, ann_fits = _sides(fz.eval_X_annulus, ann_cols)
+    det_p = np.linalg.det(X_plus)
+    det_m = np.linalg.det(X_minus)
     report.add(
         "factorization.annulus_det_plus", np.max(np.abs(det_p - 1.0 / (2.0 * lam0))), 1e-8
     )
@@ -270,7 +296,7 @@ def _check_factorization(
     )
     report.add(
         "factorization.annulus_boundary_residual",
-        fz.boundary_residual(ann_cols, samples),
+        fz._boundary_defect(ann_cols, _CONTOUR, X_plus, X_minus),
         1e-7,
     )
 
@@ -279,8 +305,8 @@ def _check_factorization(
     fit_defect = 0.0
     fit_failure = ""
     for side in ("plus", "minus"):
-        for name, cols in (("disc", disc_cols), ("annulus", ann_cols)):
-            fit = fz.order_fit(side, cols)
+        for name, fits in (("disc", disc_fits), ("annulus", ann_fits)):
+            fit = fz.order_fit(fits[side])
             fit_defect = max(fit_defect, fit.distance)
             try:
                 indices = fit.partial_indices()

@@ -157,10 +157,18 @@ def test_criterion_7_partial_indices():
         disc_cols = fz.solve_factor_columns_disc(0.5, 60)
         ann_cols = fz.solve_factor_columns_annulus(0.2, 0.5, 60)
         for side in ("plus", "minus"):
-            assert fz.order_fit(side, disc_cols).partial_indices() == [0, 0]
-            assert fz.order_fit(side, ann_cols).partial_indices() == [0, 0, 0]
-            assert fz.order_fit(side, disc_cols).distance <= 0.1
-            assert fz.order_fit(side, ann_cols).distance <= 0.1
+            assert fz.order_fit(
+                fz.eval_X_disc(side, fz.order_fit_points(side), disc_cols)
+            ).partial_indices() == [0, 0]
+            assert fz.order_fit(
+                fz.eval_X_annulus(side, fz.order_fit_points(side), ann_cols)
+            ).partial_indices() == [0, 0, 0]
+            assert fz.order_fit(
+                fz.eval_X_disc(side, fz.order_fit_points(side), disc_cols)
+            ).distance <= 0.1
+            assert fz.order_fit(
+                fz.eval_X_annulus(side, fz.order_fit_points(side), ann_cols)
+            ).distance <= 0.1
 
 
 def test_criterion_8_dual_method_equivalence():

@@ -619,6 +619,8 @@ class TestCaps:
             ["stress", "--r-max", "1e+308"],  # repr spells floats this large with "e+"
             ["stress", "--r-max", "1.0000000000000002e+150"],  # the next float past the cap
             ["figures", "--r-max", "1e+308"],
+            ["stress", "--r-max", "1.00001"],  # below the outer grid's first row
+            ["figures", "--r-max", "1.0001"],  # on it
         ],
     )
     def test_value_just_over_a_cap_is_config_error(self, argv, capsys, monkeypatch):

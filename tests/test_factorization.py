@@ -17,6 +17,7 @@ from pennycontact.factorization import (
     g0_annulus,
     g0_disc,
     order_fit,
+    order_fit_points,
     solve_factor_columns_annulus,
     solve_factor_columns_disc,
 )
@@ -120,12 +121,20 @@ class TestDiscMatrices:
         assert res <= 1e-8
 
     def test_partial_indices_zero(self, disc_columns):
-        assert order_fit("plus", disc_columns).partial_indices() == [0, 0]
-        assert order_fit("minus", disc_columns).partial_indices() == [0, 0]
+        assert order_fit(
+            eval_X_disc("plus", order_fit_points("plus"), disc_columns)
+        ).partial_indices() == [0, 0]
+        assert order_fit(
+            eval_X_disc("minus", order_fit_points("minus"), disc_columns)
+        ).partial_indices() == [0, 0]
 
     def test_fit_distance_small(self, disc_columns):
-        assert order_fit("plus", disc_columns).distance <= 0.1
-        assert order_fit("minus", disc_columns).distance <= 0.1
+        assert order_fit(
+            eval_X_disc("plus", order_fit_points("plus"), disc_columns)
+        ).distance <= 0.1
+        assert order_fit(
+            eval_X_disc("minus", order_fit_points("minus"), disc_columns)
+        ).distance <= 0.1
 
     def test_pole_guard(self, disc_columns):
         with pytest.raises(PoleError):
@@ -168,12 +177,20 @@ class TestAnnulusMatrices:
         assert res <= 1e-7
 
     def test_partial_indices_zero(self, annulus_columns):
-        assert order_fit("plus", annulus_columns).partial_indices() == [0, 0, 0]
-        assert order_fit("minus", annulus_columns).partial_indices() == [0, 0, 0]
+        assert order_fit(
+            eval_X_annulus("plus", order_fit_points("plus"), annulus_columns)
+        ).partial_indices() == [0, 0, 0]
+        assert order_fit(
+            eval_X_annulus("minus", order_fit_points("minus"), annulus_columns)
+        ).partial_indices() == [0, 0, 0]
 
     def test_fit_distance_small(self, annulus_columns):
-        assert order_fit("plus", annulus_columns).distance <= 0.1
-        assert order_fit("minus", annulus_columns).distance <= 0.1
+        assert order_fit(
+            eval_X_annulus("plus", order_fit_points("plus"), annulus_columns)
+        ).distance <= 0.1
+        assert order_fit(
+            eval_X_annulus("minus", order_fit_points("minus"), annulus_columns)
+        ).distance <= 0.1
 
     def test_back_substitution_residual(self, annulus_columns):
         for col in annulus_columns:
@@ -224,7 +241,7 @@ def test_validation_errors():
     with pytest.raises(TypeError):
         factor_system_residual(object())
     with pytest.raises(ValueError):
-        order_fit("sideways", solve_factor_columns_disc(0.5, 5))
+        order_fit_points("sideways")
 
 
 def test_disc_columns_satisfy_elementwise_equations():
