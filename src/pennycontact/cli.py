@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -240,8 +241,8 @@ class Table:
         ]
         lines.append(",".join(self.columns))
         row_fmt = ",".join([_FLOAT_FMT] * len(self.columns))
-        lines += [row_fmt % row for row in self.rows]
-        return "\n".join(lines) + "\n"
+        body = ((row_fmt + "\n") * len(self.rows)) % tuple(itertools.chain.from_iterable(self.rows))
+        return "\n".join(lines) + "\n" + body
 
 
 def _json_text(doc) -> str:
@@ -296,7 +297,10 @@ def _displacement_grid(lam: float, n: int) -> np.ndarray:
             1.0 - np.logspace(-2, -8, n // 4),
         ]
     )
-    return lam + span * np.unique(offsets)
+    # sorted, equal neighbours dropped: np.unique's values, without the
+    # numpy.ma import it brings into a fresh process
+    offsets.sort()
+    return lam + span * offsets[np.concatenate([[True], offsets[1:] != offsets[:-1]])]
 
 
 # ----------------------------------------------------------------------

@@ -12,15 +12,17 @@ The stress and displacement evaluators take a float or an array of
 positions and return the same kind; an array is evaluated with one
 recurrence over the series index for all its points, and a float with
 the same recurrence on Python floats (specfun._recurrence).  The
-recurrence gives a point the same bits on either path, but a value need
-not have them: the sum over the series index is one matrix product over
-all the points, and the displacement's f_m seeds are summed in blocks
-whose width depends on how many points are live (specfun._series_blocks).
-On the figures' displacement grids (lambda = 0.3, 0.5 and 0.7) an array
-and per-point calls differ in 168, 202 and 279 of 398 rows (one BLAS
-thread), by at most 2.8e-17 absolute; the stresses differ by a few ulps
-as well.  The only scalar f_m call is the one that seeds the continuity
-column.
+displacement evaluates one f_m family over both of its arguments,
+(lam/r)**2 and r**2, so a float takes the two-point paths, which give each
+point the bits of its one-point call.  The recurrence gives a point the
+same bits on either path, but a value need not have them: the sum over the
+series index is one matrix product over all the points, and the
+displacement's f_m seeds are summed in blocks whose width depends on how
+many points are live (specfun._series_blocks).  On the figures'
+displacement grids (lambda = 0.3, 0.5 and 0.7) an array and per-point
+calls differ in 168, 218 and 274 of 398 rows (one BLAS thread), by at most
+2.8e-17 absolute; the stresses differ by a few ulps as well.  The only
+scalar f_m call is the one that seeds the continuity column.
 """
 
 from __future__ import annotations
@@ -286,7 +288,10 @@ def displacement(
 ) -> float | np.ndarray:
     """Crack-face displacement u_z/a on the open annulus lam < r/a < 1.
 
-    Accepts a float or an array of r/a and returns the same kind.
+    The B- sum meets f_m at (lam/r)**2 and the A+ sum f_m at r**2, both cut
+    at the same row (_kept), so one f_m family over both sets of arguments,
+    with one seed series and one recurrence, serves both.  Accepts a float
+    or an array of r/a and returns the same kind.
     """
     r, scalar = _points(r_over_a)
     outside = ~((p.lam < r) & (r < 1.0))
@@ -297,8 +302,12 @@ def displacement(
     lam = p.lam
     B_minus, A_plus = _kept(p, c)
     two_m1 = 2.0 * np.arange(len(A_plus)) + 1.0
-    g_b = (B_minus / two_m1) @ _f_family(len(B_minus), (lam / r) ** 2)
-    g_a = (A_plus / two_m1) @ _f_family(len(A_plus), r * r)
+    # One family over both arguments.  Each half is copied out contiguous:
+    # a product over a strided half sums in another order, and a lone point
+    # would lose the bits of its separate family calls.
+    F = _f_family(len(A_plus), np.concatenate([(lam / r) ** 2, r * r]))
+    g_b = (B_minus / two_m1) @ np.ascontiguousarray(F[:, : len(r)])
+    g_a = (A_plus / two_m1) @ np.ascontiguousarray(F[:, len(r) :])
     value = (
         (p.delta_star / SQRT_PI) * np.arcsin(lam / r)
         - (lam / (SQRT_PI * r)) * g_b

@@ -12,9 +12,11 @@ The complex functions (the kernel and its factors, tan_half_pi,
 cot_half_pi) take a complex number or an array of them; the real ones
 take scalars.  Everything here is a pure function of its arguments; there
 is no shared mutable state: the one cache, _gamma_ratios', holds read-only
-arrays keyed by N alone.  The f_m seed series of one point runs on 1-D
-arrays (_series_point), to the bits that the block path (_series_blocks)
-gives a one-point array.
+arrays keyed by N alone.  Small point sets take per-point paths: the f_m
+seed series of up to _SERIES_POINTS points runs on 1-D arrays per point
+(_series_point), to the bits that the block path (_series_blocks) gives a
+one-point array, and a column recurrence of up to _FLOAT_POINTS points runs
+on Python floats per point.
 """
 
 from __future__ import annotations
@@ -49,6 +51,12 @@ _POLE_TOL = 1e-9
 _FAMILY_RTOL = 1e-17
 _SERIES_MAX_TERMS = 100_000
 _FAMILY_BLOCK = 1 << 12
+# Point sets up to these sizes take the per-point paths: a seed series on
+# 1-D arrays (_series_point) and a column recurrence on Python floats
+# (_recurrence).  Larger sets run on numpy blocks and rows: the blocks break
+# even at about three seed points, the rows at about 20 recurrence points.
+_SERIES_POINTS = 2
+_FLOAT_POINTS = 16
 
 # exp(i*pi*s) scaling kicks in for tan/cot once the naive evaluation
 # would overflow double precision.
@@ -234,10 +242,11 @@ def _positive_series(ratio, z: np.ndarray) -> np.ndarray:
     tolerance times (1 - z) times its sum.  In the raw f_m series the term
     ratio stays below z, so that bounds the tail; in the edge series the
     term ratio has fallen below 2/3 by the time terms are that small.
-    One point takes _series_point, more take _series_blocks.
+    Up to _SERIES_POINTS points take _series_point one by one, so each has
+    the bits of its one-point call; more take _series_blocks.
     """
-    if len(z) == 1:
-        return np.array([_series_point(ratio, z[0])])
+    if len(z) <= _SERIES_POINTS:
+        return np.array([_series_point(ratio, point) for point in z.tolist()])
     return _series_blocks(ratio, z)
 
 
@@ -296,29 +305,42 @@ def _series_point(ratio, x: float) -> float:
 def _recurrence(first, steps: np.ndarray, x: np.ndarray, downward: bool = False) -> np.ndarray:
     """y_0 = first, y_{k+1} = 1 + (x steps[k]) y_k at every point of x.
 
-    Shape (len(steps) + 1, len(x)): row k holds y_k, or, downward, row -1-k
-    does, so a family recurred down from its last index comes out in index
-    order.  Each step is a Python-level loop iteration, so one point runs on
-    floats, where a step costs a tenth of one on a numpy row of size 1; more
-    points run on numpy rows.  Both paths take the same IEEE operations in
-    the same order, (x * steps[k]) * y_k and then 1 + that, so a point gives
-    the same bits either way.
+    Shape (len(steps) + 1, len(x)), C-contiguous: row k holds y_k, or,
+    downward, row -1-k does, so a family recurred down from its last index
+    comes out in index order.  Each step is a Python-level loop iteration,
+    so one point runs on floats, where a step costs a tenth of one on a
+    numpy row of size 1, and so does each of up to _FLOAT_POINTS points;
+    more points run on numpy rows.  Both paths take the same IEEE operations
+    in the same order, (x * steps[k]) * y_k and then 1 + that, so a point
+    gives the same bits either way, alone or beside any other points.
     """
     if len(x) == 1:
-        point, y = float(x[0]), float(np.ravel(first)[0])
-        column = [y]
-        for c in steps.tolist():
-            y = 1.0 + point * c * y
-            column.append(y)
-        if downward:
-            column.reverse()
+        column = _float_column(float(x[0]), float(np.ravel(first)[0]), steps.tolist(), downward)
         return np.array(column).reshape(-1, 1)
+    if len(x) <= _FLOAT_POINTS:
+        factors = steps.tolist()
+        firsts = np.ravel(first).tolist()
+        if len(firsts) == 1:
+            firsts *= len(x)
+        columns = [_float_column(point, y, factors, downward) for point, y in zip(x.tolist(), firsts)]
+        return np.array(columns).T.copy()
     Y = np.empty((len(steps) + 1, len(x)))
     rows = range(len(steps), -1, -1) if downward else range(len(steps) + 1)
     Y[rows[0]] = first
     for prev, row, c in zip(rows, rows[1:], steps.tolist()):
         Y[row] = 1.0 + x * c * Y[prev]
     return Y
+
+
+def _float_column(point: float, y: float, factors: list, downward: bool) -> list:
+    """_recurrence at one point, on Python floats: the column as a list."""
+    column = [y]
+    for c in factors:
+        y = 1.0 + point * c * y
+        column.append(y)
+    if downward:
+        column.reverse()
+    return column
 
 
 def _f_seed(top: int, x: np.ndarray) -> np.ndarray:
@@ -369,12 +391,13 @@ def _f_family(count: int, x: np.ndarray) -> np.ndarray:
     """F[m, i] = f_m(x[i]) = 2F1(1/2, m+1/2; m+3/2; x[i]) for m < count.
 
     The downward recurrence of _f_from_seed, seeded at m = count-1 by
-    _f_seed.  One point costs one seed series and count float steps.  A
-    point's column has the bits of its one-point call wherever its seed
-    does; the seed can differ by an ulp or two once more than 64 points are
-    still summing after the first block (_series_blocks), as in 21, 39 and
-    58 of the 398 A+ seeds of the figures' displacement grids at lambda =
-    0.3, 0.5 and 0.7.
+    _f_seed.  One point costs one seed series and count float steps, and
+    so does each point of a set up to the per-point sizes (_SERIES_POINTS
+    seeds, _FLOAT_POINTS recurrence columns).  A point's column has the bits
+    of its one-point call wherever its seed does; the seed can differ by an
+    ulp or two once more than 64 points are still summing after the first
+    block (_series_blocks), as in 29, 49 and 110 of the 796 seeds of the
+    figures' displacement families at lambda = 0.3, 0.5 and 0.7.
     """
     return _f_from_seed(_f_seed(count - 1, x), count, x)
 
@@ -477,11 +500,15 @@ def _half_pi_ratio(s, sign: float):
     """tan(pi s / 2) (sign +1) or cot(pi s / 2) (sign -1) at every point of s.
 
     Past |Im s| = _TRIG_SCALE_IM both are written in q = exp(+-i pi s), with
-    the sign of Im s chosen so that |q| < 1, and cannot overflow.
+    the sign of Im s chosen so that |q| < 1, and cannot overflow.  When no
+    point is that far out, the tangent is taken over the whole array at once.
     """
     s, shape = _complex_points(s)
-    out = np.empty_like(s)
     near = np.abs(s.imag) <= _TRIG_SCALE_IM
+    if near.all():
+        tan = np.tan(math.pi * s / 2.0)
+        return _complex_result(tan if sign > 0 else 1.0 / tan, shape)
+    out = np.empty_like(s)
     tan = np.tan(math.pi * s[near] / 2.0)
     out[near] = tan if sign > 0 else 1.0 / tan
     side = np.where(s.imag[~near] > 0, 1.0, -1.0)

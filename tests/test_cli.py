@@ -13,6 +13,7 @@ import pytest
 from pennycontact.cli import (
     ConfigError,
     _build_parser,
+    _displacement_grid,
     RunConfig,
     coefficients_to_json,
     load_coefficients,
@@ -549,6 +550,21 @@ class TestEmission:
 
 
 class TestFigures:
+    @pytest.mark.parametrize("n", [8, 9, 400, 1001])
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 0.7])
+    def test_displacement_grid_is_the_sorted_distinct_offsets(self, lam, n):
+        # the grid drops repeated offsets by sorting, without np.unique
+        offsets = np.concatenate(
+            [
+                np.logspace(-8, -2, n // 4),
+                np.linspace(0.01, 0.99, n - n // 2),
+                1.0 - np.logspace(-2, -8, n // 4),
+            ]
+        )
+        want = lam + (1.0 - lam) * np.unique(offsets)
+        grid = _displacement_grid(lam, n)
+        assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()
+
     def test_figures_command(self, tmp_path, capsys):
         code = main(
             ["figures", "--n-trunc", "24", "--grid-points", "32", "--out", str(tmp_path)]

@@ -143,3 +143,26 @@ def test_parser_is_built_once_and_not_at_import(tmp_path):
     misses = cli._build_parser.cache_info().misses
     assert main(["solve", "--n-trunc", "3", "--out", out]) == 0
     assert cli._build_parser.cache_info().misses == misses
+
+
+def test_displacement_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma, about 0.6 MiB of a fresh process
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from pennycontact import cli
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = (
+        "import contextlib, io, sys\n"
+        "from pennycontact.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['displacement', '--n-trunc', '12'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert fresh.stdout == "0 False\n"

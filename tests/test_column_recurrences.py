@@ -1,12 +1,13 @@
 """The f_m family and the K column from one recurrence, and the scalar f_m.
 
 specfun._recurrence runs every column recurrence of the package: on Python
-floats for one point and on numpy rows for more, with the same operations
-in the same order, so a point gives the same bits on either path.  The
-public f_m evaluates the family's seed series, and the continuity column
-is that one f_m call at the last kept row, recurred down.  A lone point's
-seed series runs on 1-D arrays to the bits of the block path; a point of an
-array can get other bits, where many points are summing beside it.
+floats point by point for up to _FLOAT_POINTS points and on numpy rows for
+more, with the same operations in the same order, so a point gives the same
+bits on either path.  The public f_m evaluates the family's seed series, and
+the continuity column is that one f_m call at the last kept row, recurred
+down.  One or two points sum their seed series each on 1-D arrays, to the
+bits of the block path for a lone point; a point of a larger array can get
+other bits, where many points are summing beside it.
 """
 
 import math
@@ -83,6 +84,29 @@ def test_one_point_equals_its_column_of_two(family, points, count):
         assert one.shape == (count, 1) and two.shape == (count, 2)
         assert np.all(np.isfinite(one))
         assert np.array_equal(one[:, 0], two[:, 0]), (count, x)
+
+
+@pytest.mark.parametrize("downward", [False, True], ids=["up", "down"])
+@pytest.mark.parametrize("first", ["array", "scalar"])
+@pytest.mark.parametrize(
+    "count",
+    [2, 3, specfun._FLOAT_POINTS, specfun._FLOAT_POINTS + 1, 40],
+    ids=lambda n: f"points{n}",
+)
+def test_one_point_equals_its_column_of_many(count, first, downward):
+    # Up to _FLOAT_POINTS points run one by one on floats, more on numpy
+    # rows; either way each point keeps the bits of its one-point call.
+    rng = np.random.default_rng(count)
+    x = np.concatenate([[0.0, 1.0 - 1e-12], rng.random(count)])[:count]
+    m = np.arange(59.0)
+    steps = (m + 1.0) / (m + 1.5)
+    firsts = 1.0 + rng.random(count) if first == "array" else np.ones(count)
+    many = specfun._recurrence(firsts if first == "array" else 1.0, steps, x, downward)
+    assert many.shape == (len(steps) + 1, count) and many.flags.c_contiguous
+    for i in range(count):
+        given = firsts[i : i + 1] if first == "array" else 1.0
+        one = specfun._recurrence(given, steps, x[i : i + 1], downward)
+        assert np.array_equal(one[:, 0], many[:, i]), (count, i)
 
 
 def _continuity_mp(p, B_minus, A_plus):
@@ -170,12 +194,64 @@ def test_one_point_seed_equals_the_block_path(monkeypatch):
     assert all(type(v) is np.float64 for v in floats)
 
 
+def test_two_point_seed_equals_two_one_point_calls():
+    # Two points are summed one by one on 1-D arrays.  On the block path a
+    # second live point halves the block width once the terms run past 4064,
+    # which moved the sum at 0.9975.
+    ratio = _far_ratio(999)
+    z = np.array([0.998, 0.9975])
+    ends = []
+    specfun._series_point(lambda k: ends.append(k[-1]) or ratio(k), z[1])
+    assert ends[-1] > 4064
+    two = specfun._positive_series(ratio, z)
+    assert two.tolist() == [specfun._positive_series(ratio, z[i : i + 1])[0] for i in range(2)]
+
+
+def test_array_displacement_sums_one_seed(monkeypatch):
+    # B- at (lam/r)**2 and A+ at r**2 are cut at the same row, so one family
+    # over both arguments serves both sums: one seed series per call.
+    p, c = run_solve(RunConfig(lam=0.5))
+    grid = _displacement_grid(0.5, RunConfig.grid_points)
+    seeded = []
+    seed = specfun._f_seed
+
+    def counted(top, x):
+        seeded.append((top, len(x)))
+        return seed(top, x)
+
+    monkeypatch.setattr(specfun, "_f_seed", counted)
+    fields.displacement(p, c, grid)
+    fields.displacement(p, c, 0.75)
+    top = len(fields._kept(p, c)[1]) - 1
+    assert seeded == [(top, 2 * len(grid)), (top, 2)]
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.9])
+def test_one_point_displacement_keeps_the_bits_of_two_families(lam):
+    # A lone point's two-argument family takes the one-point paths at both
+    # arguments, so its value is that of two separate one-point families.
+    p, c = run_solve(RunConfig(lam=lam, truncation_N=240))
+    B_minus, A_plus = fields._kept(p, c)
+    two_m1 = 2.0 * np.arange(len(A_plus)) + 1.0
+    for r in (lam + 1e-8 * (1.0 - lam), 0.5 * (1.0 + lam), 1.0 - 1e-8 * (1.0 - lam)):
+        x = np.array([r])
+        g_b = (B_minus / two_m1) @ _f_family(len(B_minus), (lam / x) ** 2)
+        g_a = (A_plus / two_m1) @ _f_family(len(A_plus), x * x)
+        want = (
+            (p.delta_star / specfun.SQRT_PI) * np.arcsin(lam / x)
+            - (lam / (specfun.SQRT_PI * x)) * g_b
+            + (2.0 / specfun.SQRT_PI) * g_a
+        )
+        assert fields.displacement(p, c, r) == float(want[0]), r
+
+
 FIGURE_LAMBDAS = (0.3, 0.5, 0.7)
 # Seeds of the figures' displacement grids that differ between the array
-# and one-point calls, per lambda: (B- family at (lam/r)**2, A+ family at r**2).
-# More than 64 points are still live after the first block, so the array's
-# next blocks are narrower than a lone point's.
-SEEDS_THAT_DIFFER = {0.3: (0, 21), 0.5: (16, 39), 0.7: (47, 58)}
+# and one-point calls, per lambda: (B- arguments (lam/r)**2, A+ arguments
+# r**2) of the one family over both.  More than 64 points are still live
+# after the first block, so the array's next blocks are narrower than a lone
+# point's.
+SEEDS_THAT_DIFFER = {0.3: (8, 21), 0.5: (18, 31), 0.7: (54, 56)}
 
 
 @pytest.mark.parametrize("lam", FIGURE_LAMBDAS)
@@ -183,11 +259,12 @@ def test_array_and_point_calls_on_the_figure_grids(lam):
     p, c = run_solve(RunConfig(lam=lam))
     grid = _displacement_grid(lam, RunConfig.grid_points)
     top = len(fields._kept(p, c)[0]) - 1
-    for x, differ in zip(((lam / grid) ** 2, grid * grid), SEEDS_THAT_DIFFER[lam]):
-        array = specfun._f_seed(top, x)
-        points = np.array([specfun._f_seed(top, np.array([v]))[0] for v in x])
-        assert np.count_nonzero(array != points) == differ
-        assert np.all(np.abs(array - points) <= 4.5e-16 * points)
+    x = np.concatenate([(lam / grid) ** 2, grid * grid])
+    array = specfun._f_seed(top, x)
+    points = np.array([specfun._f_seed(top, np.array([v]))[0] for v in x])
+    differ = array != points
+    assert (differ[: len(grid)].sum(), differ[len(grid) :].sum()) == SEEDS_THAT_DIFFER[lam]
+    assert np.all(np.abs(array - points) <= 4.5e-16 * points)
     array = fields.displacement(p, c, grid)
     points = np.array([fields.displacement(p, c, float(r)) for r in grid])
     assert np.any(array != points)
