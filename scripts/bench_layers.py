@@ -3,22 +3,23 @@
     python scripts/bench_layers.py --out BENCH_NEW.json [--repeats 30]
 
 Times, one call per sample after one warm-up call, each of: the scalar f_m,
-the one-point f_m seed, the f_m family on one point and on a grid, one
-column recurrence over 6 points and 59 steps (the per-point float path), the
-disc and annulus solves at N = 60 and 240 and the annulus solve at N = 1000,
+the one-point f_m seed, the f_m family on one point and on a grid, the disc
+and annulus solves at N = 60 and 240 and the annulus solve at N = 1000,
 the annulus solve at (lam1, t, N) = (0.864, 0.919, 240) and (0.99, 0.99,
 1000) and the disc solve at (lam, N) = (0.99, 1000), where no row is cut
 (each solve with both forcing caches cleared, so it builds its forcing as a
 fresh problem does), the disc and annulus system residuals at N = 240 and
 the annulus residual at N = 60 (each on the coefficients of a solve), the
 continuity defects, one stress and one displacement point, the displacement
-on the figures' grid at lam = 0.5 (N = 60), a whole in-process
-`displacement` command at lam = 0.5 with its standard output captured, the
-SIF sweep at the default grid (N = 60) and at 2000 rows (N = 240) with its
-series coefficients cached, the uncached build of those coefficients for the
-default grid and at (N, K) = (513, 1024) and (1025, 2048), the largest table
-a command builds and one at twice its order, the uncached build of both
-Hankel-window factors at N = 1000, and `verify`: one run_verification at its
+on the figures' grid at lam = 0.5 (N = 60), whole in-process commands at
+lam = 0.5 with their standard output captured (`displacement` at its
+defaults, and `stress` and `displacement` at --grid-points 8, whose
+recurrences run 8 and 16 points on floats), the SIF sweep at the default
+grid (N = 60) and at 2000 rows (N = 240) with its series coefficients
+cached, the uncached build of those coefficients for the default grid and
+at (N, K) = (513, 1024) and (1025, 2048), the largest table a command
+builds and one at twice its order, the uncached build of both Hankel-window
+factors at N = 1000, and `verify`: one run_verification at its
 defaults and its factorization checks alone at (lam, lam0, lam1, N) = (0.5,
 0.2, 0.5, 60). BLAS is pinned to one thread before numpy is imported, so a
 timing does not depend on how many cores the host lends the process. The
@@ -75,13 +76,14 @@ def cases() -> dict:
     solved = {lam: models.solve_disc_reduction(p, 240) for lam, p in disc.items()}
     at_60 = models.solve_disc_reduction(disc[0.5], 60)
     grid = np.linspace(0.0, 0.99, 200)
-    m = np.arange(58.0, -1.0, -1.0)
-    six = np.linspace(0.1, 0.9, 6)
     figure_grid = cli._displacement_grid(0.5, cli.RunConfig.grid_points)
 
-    def displacement_command():
-        with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(["displacement", "--lambda", "0.5"])
+    def command(*args):
+        def call():
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main([*args, "--lambda", "0.5"])
+
+        return call
 
     timed = {
         "specfun.f_m m=240 x=0.25": lambda: specfun.f_m(240, 0.25),
@@ -89,9 +91,6 @@ def cases() -> dict:
         "specfun._f_seed top=60 x=0.25 points=1": lambda: specfun._f_seed(60, np.array([0.25])),
         "specfun._f_family count=241 points=1": lambda: specfun._f_family(241, np.array([0.81])),
         "specfun._f_family count=241 points=200": lambda: specfun._f_family(241, grid),
-        "specfun._recurrence points=6 steps=59": (
-            lambda: specfun._recurrence(1.0 + six, (m + 1.0) / (m + 1.5), six, downward=True)
-        ),
     }
     for n in (60, 240):
         timed[f"models.solve_disc_reduction N={n}"] = fresh(models.solve_disc_reduction, disc[0.5], n)
@@ -119,7 +118,9 @@ def cases() -> dict:
     timed["fields.displacement lam=0.5 figures grid N=60"] = (
         lambda: fields.displacement(disc[0.5], at_60, figure_grid)
     )
-    timed["cli.main displacement lam=0.5"] = displacement_command
+    timed["cli.main displacement lam=0.5"] = command("displacement")
+    timed["cli.main stress lam=0.5 grid_points=8"] = command("stress", "--grid-points", "8")
+    timed["cli.main displacement lam=0.5 grid_points=8"] = command("displacement", "--grid-points", "8")
     for count, n in ((60, 60), (2000, 240)):
         sweep = cli.load_config("sif", None, {"truncation_N": n, "lambda_count": count})
         timed[f"cli.run_sif_sweep count={count} N={n}"] = lambda sweep=sweep: cli.run_sif_sweep(sweep)

@@ -308,22 +308,21 @@ def _recurrence(first, steps: np.ndarray, x: np.ndarray, downward: bool = False)
     Shape (len(steps) + 1, len(x)), C-contiguous: row k holds y_k, or,
     downward, row -1-k does, so a family recurred down from its last index
     comes out in index order.  Each step is a Python-level loop iteration,
-    so one point runs on floats, where a step costs a tenth of one on a
-    numpy row of size 1, and so does each of up to _FLOAT_POINTS points;
-    more points run on numpy rows.  Both paths take the same IEEE operations
-    in the same order, (x * steps[k]) * y_k and then 1 + that, so a point
-    gives the same bits either way, alone or beside any other points.
+    so up to _FLOAT_POINTS points run one by one on floats, where a step
+    costs a tenth of one on a numpy row of size 1; more points run on numpy
+    rows.  Both paths take the same IEEE operations in the same order,
+    (x * steps[k]) * y_k and then 1 + that, so a point gives the same bits
+    either way, alone or beside any other points.
     """
-    if len(x) == 1:
-        column = _float_column(float(x[0]), float(np.ravel(first)[0]), steps.tolist(), downward)
-        return np.array(column).reshape(-1, 1)
     if len(x) <= _FLOAT_POINTS:
         factors = steps.tolist()
         firsts = np.ravel(first).tolist()
         if len(firsts) == 1:
             firsts *= len(x)
-        columns = [_float_column(point, y, factors, downward) for point, y in zip(x.tolist(), firsts)]
-        return np.array(columns).T.copy()
+        values = []
+        for point, y in zip(x.tolist(), firsts):
+            values += _float_column(point, y, factors, downward)
+        return np.ascontiguousarray(np.array(values).reshape(len(x), len(steps) + 1).T)
     Y = np.empty((len(steps) + 1, len(x)))
     rows = range(len(steps), -1, -1) if downward else range(len(steps) + 1)
     Y[rows[0]] = first
@@ -500,15 +499,11 @@ def _half_pi_ratio(s, sign: float):
     """tan(pi s / 2) (sign +1) or cot(pi s / 2) (sign -1) at every point of s.
 
     Past |Im s| = _TRIG_SCALE_IM both are written in q = exp(+-i pi s), with
-    the sign of Im s chosen so that |q| < 1, and cannot overflow.  When no
-    point is that far out, the tangent is taken over the whole array at once.
+    the sign of Im s chosen so that |q| < 1, and cannot overflow.
     """
     s, shape = _complex_points(s)
-    near = np.abs(s.imag) <= _TRIG_SCALE_IM
-    if near.all():
-        tan = np.tan(math.pi * s / 2.0)
-        return _complex_result(tan if sign > 0 else 1.0 / tan, shape)
     out = np.empty_like(s)
+    near = np.abs(s.imag) <= _TRIG_SCALE_IM
     tan = np.tan(math.pi * s[near] / 2.0)
     out[near] = tan if sign > 0 else 1.0 / tan
     side = np.where(s.imag[~near] > 0, 1.0, -1.0)

@@ -192,6 +192,13 @@ class TestDisplacement:
             displacement(p, c, 1.0)
 
 
+@pytest.mark.parametrize("field", [stress_contact, stress_outer, displacement])
+def test_empty_array_gives_empty_array(field):
+    p, c = solved(0.5)
+    value = field(p, c, np.array([]))
+    assert isinstance(value, np.ndarray) and value.shape == (0,)
+
+
 class TestContinuityDefects:
     def test_thresholds_at_default_truncation(self):
         for lam in (0.3, 0.5, 0.7):
