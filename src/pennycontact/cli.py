@@ -4,9 +4,9 @@ Configuration comes from an optional JSON file plus flag overrides; all
 emission is deterministic for a fixed configuration and version (fixed
 grids, floats at 17 significant digits, no timestamps).
 
-Exit codes: 0 success, 1 configuration error, 2 numerical-verification
-failure, 3 numerical failure (a singular truncated system, a series that
-did not converge, or an argument on a pole).
+Exit codes: 0 success, 1 configuration error or an unwritable --out, 2
+numerical-verification failure, 3 numerical failure (a singular truncated
+system, a series that did not converge, or an argument on a pole).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .fields import displacement, sif_sweep, stress_contact, stress_outer
 from .models import (
+    DEFAULT_TRUNCATION,
     AnnulusProblem,
-    CoefficientSetAnnulus,
     CoefficientSetDisc,
     DiscProblem,
     SingularSystemError,
@@ -47,7 +47,6 @@ __all__ = [
     "run_displacement",
     "run_verify",
     "run_figures",
-    "load_coefficients",
 ]
 
 _FLOAT_FMT = "%.17g"
@@ -79,7 +78,7 @@ class RunConfig:
     lam0: float = 0.2
     lam1: float = 0.5
     delta_over_a: float = 0.05
-    truncation_N: int = 60
+    truncation_N: int = DEFAULT_TRUNCATION
     output_format: str = "csv"
     grid_points: int = 400
     r_max: float = 4.0
@@ -169,11 +168,11 @@ def _key(name: str) -> str:
 
 
 _FIELD_NAMES = {_key(f.name): f.name for f in dataclass_fields(RunConfig)}
-_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number", list: "a list"}
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
 
 
 def _has_kind(value, kind: type) -> bool:
-    """Whether a config or artifact value has the given type; floats must be finite."""
+    """Whether a config value has the given type; floats must be finite."""
     if isinstance(value, bool):
         return False
     if kind is not float:
@@ -249,12 +248,19 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _deliver(text: str, out) -> None:
-    """Write text to the --out path when one is given, else to stdout."""
+def _deliver(text: str, out, name: str | None = None) -> None:
+    """Write text to stdout, the file out, or out/name; an unwritable out is a ConfigError."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+        return
+    path = Path(out)
+    try:
+        if name is not None:
+            path.mkdir(parents=True, exist_ok=True)
+            path /= name
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"out: {exc}") from exc
 
 
 def _base_header(cfg: RunConfig) -> dict:
@@ -317,12 +323,6 @@ def run_solve(cfg: RunConfig):
     return p, solve_annulus_reduction(p, cfg.truncation_N)
 
 
-_ARTIFACT_TYPES = {
-    "disc": (DiscProblem, CoefficientSetDisc),
-    "annulus": (AnnulusProblem, CoefficientSetAnnulus),
-}
-
-
 def coefficients_to_json(problem, coeffs) -> dict:
     """Serialize a solved coefficient set; floats round-trip bitwise."""
     doc = {"model": "disc" if isinstance(coeffs, CoefficientSetDisc) else "annulus"}
@@ -334,53 +334,6 @@ def coefficients_to_json(problem, coeffs) -> dict:
             doc[f.name] = getattr(coeffs, f.name).tolist()
     doc["code_version"] = __version__
     return doc
-
-
-def load_coefficients(path):
-    """Reload a serialized coefficient artifact into problem + coefficients.
-
-    Keys, types and array lengths are checked against the dataclass fields;
-    a missing, unreadable or malformed artifact, or one with a key that is
-    not a field, the model or the code version, raises a one-line
-    ValueError naming the file.
-    """
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: cannot read: {exc}") from exc
-    model = raw.get("model") if isinstance(raw, dict) else None
-    if model not in _ARTIFACT_TYPES:
-        raise ValueError(f"{path}: model must be 'disc' or 'annulus', got {model!r}")
-    problem_type, coeffs_type = _ARTIFACT_TYPES[model]
-    known = {"model", "code_version"} | {
-        _key(f.name) for kind in (problem_type, coeffs_type) for f in dataclass_fields(kind)
-    }
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ValueError(f"{path}: unknown keys {unknown}")
-
-    def read(name: str, kind: type):
-        key = _key(name)
-        if key not in raw:
-            raise ValueError(f"{path}: missing key {key!r}")
-        if not _has_kind(raw[key], kind):
-            raise ValueError(f"{path}: {key}: must be {_KIND_NAMES[kind]}, got {raw[key]!r}")
-        return raw[key]
-
-    n = read("truncation_N", int)
-    families = {}
-    for f in dataclass_fields(coeffs_type):
-        if f.name != "truncation_N":
-            values = read(f.name, list)
-            if len(values) != n or not all(_has_kind(v, float) for v in values):
-                raise ValueError(f"{path}: {f.name}: must be a list of {n} finite numbers")
-            families[f.name] = np.asarray(values, dtype=float)
-    params = {f.name: read(f.name, float) for f in dataclass_fields(problem_type)}
-    try:
-        problem = problem_type(**params)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return problem, coeffs_type(**families, truncation_N=n)
 
 
 def _curve(header: dict, r_over_a: np.ndarray, values: np.ndarray) -> Table:
@@ -480,9 +433,8 @@ def run_figures(cfg: RunConfig, out_dir: Path) -> list[Path]:
         name = f"fig3_displacement_lam{int(round(lam * 100)):03d}.csv"
         tables[name] = run_displacement(replace(base, lam=lam))
     # every table is built before the first is written, so an error leaves no file
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, table in tables.items():
-        _deliver(table.render("csv"), out_dir / name)
+        _deliver(table.render("csv"), out_dir, name)
     return [out_dir / name for name in tables]
 
 
@@ -503,9 +455,8 @@ def _stress_command(cfg: RunConfig, out) -> int:
     if out is None:
         _deliver(contact.render(fmt) + outer.render(fmt), None)
     else:
-        Path(out).mkdir(parents=True, exist_ok=True)
-        _deliver(contact.render(fmt), Path(out) / f"stress_contact.{fmt}")
-        _deliver(outer.render(fmt), Path(out) / f"stress_outer.{fmt}")
+        _deliver(contact.render(fmt), out, f"stress_contact.{fmt}")
+        _deliver(outer.render(fmt), out, f"stress_outer.{fmt}")
     return 0
 
 

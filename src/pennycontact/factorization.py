@@ -34,7 +34,7 @@ from .models import (
     _solve_interleaved,
     _weighted,
 )
-from .specfun import PoleError, _complex_points, cot_half_pi, tan_half_pi
+from .specfun import _POLE_TOL, PoleError, _complex_points, cot_half_pi, tan_half_pi
 
 __all__ = [
     "FitAmbiguityError",
@@ -53,8 +53,6 @@ __all__ = [
     "order_fit_points",
     "contour_samples",
 ]
-
-_POLE_TOL = 1e-9
 
 # Order-at-infinity fits: 12 radii log-spaced over [1e2, 1e4], over 50 apart, snapped
 # to distinct half-odd values, where tan and cot stay on the unit circle; the slack.

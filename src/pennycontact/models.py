@@ -44,6 +44,8 @@ from .specfun import (
     ConvergenceError,
     PoleError,
     SQRT_PI,
+    _POLE_TOL,
+    _SERIES_MAX_TERMS,
     _f_family,
     _f_family_below,
     _gamma_ratios,
@@ -65,8 +67,6 @@ DEFAULT_TRUNCATION = 60
 DEFAULT_ORDER = 120
 
 _SERIES_RTOL = 1e-16
-_SERIES_MAX_TERMS = 100_000
-_POLE_TOL = 1e-9
 
 
 class SingularSystemError(RuntimeError):

@@ -43,11 +43,12 @@ __all__ = [
 SQRT_PI = math.sqrt(math.pi)
 
 # Arguments closer than this to a pole raise PoleError instead of
-# returning a huge value.
+# returning a huge value, here and in models and factorization.
 _POLE_TOL = 1e-9
 
-# Positive series seeding the f_m family: relative tolerance, term cap and
-# array elements per cumulative-product block.
+# Positive series seeding the f_m family: relative tolerance, term cap (which
+# also bounds models' partial-fraction series) and array elements per
+# cumulative-product block.
 _FAMILY_RTOL = 1e-17
 _SERIES_MAX_TERMS = 100_000
 _FAMILY_BLOCK = 1 << 12

@@ -15,14 +15,27 @@ eliminated solves are checked against.  Its couplings divide each weight by
 its denominator (_couplings), where the library multiplies kernel products by
 the weights, so the two constructions differ; test_operator_reuse checks it
 entry by entry against a fresh build.
+
+solve_artifact is not an oracle: it reads a `solve` artifact back with
+json.loads and the library's dataclass constructors, under the key names the
+README gives, so a test of the writer (cli.coefficients_to_json) shares no
+code with it.
 """
 
+import json
 import math
 
 import mpmath as mp
 import numpy as np
 
-from pennycontact.models import _B_SLOTS, _row_weights
+from pennycontact.models import (
+    _B_SLOTS,
+    AnnulusProblem,
+    CoefficientSetAnnulus,
+    CoefficientSetDisc,
+    DiscProblem,
+    _row_weights,
+)
 
 # Hand-derived small-lambda expansion of the normalized intensity factor:
 # the coefficient of lambda**(j+1) is SIF_SERIES_COEFFS[j], the whole series
@@ -35,6 +48,21 @@ SIF_SERIES_COEFFS = (
     (4.0 / math.pi**2) * (16.0 / math.pi**4 + 5.0 / 9.0),
     256.0 / math.pi**8 + 112.0 / (9.0 * math.pi**4) + 1.0 / 5.0,
 )
+
+
+def solve_artifact(text):
+    """The problem and coefficient set that a `solve` artifact holds."""
+    doc = json.loads(text)
+    if doc["model"] == "disc":
+        problem = DiscProblem(lam=doc["lambda"], delta_star=doc["delta_star"])
+        kind, families = CoefficientSetDisc, ("A_plus", "B_minus")
+    else:
+        problem = AnnulusProblem(
+            lam0=doc["lambda0"], lam1=doc["lambda1"], delta_star=doc["delta_star"]
+        )
+        kind, families = CoefficientSetAnnulus, ("A_plus", "A_minus", "B_plus", "B_minus")
+    arrays = {name: np.array(doc[name]) for name in families}
+    return problem, kind(**arrays, truncation_N=doc["truncation_N"])
 
 
 def gamma_product_oracle(x, dps=50, shift=50):

@@ -113,6 +113,32 @@ class TestStressOuter:
             stress_outer(p, c, 0.9)
 
 
+class TestSmallLambdaLimits:
+    """lambda -> 0: the disc indents each face as a rigid flat punch of radius b.
+
+    Both ratios to the classical limit read 1 + (4/pi**2) lambda + O(lambda**2),
+    with O(lambda**2) measured at 0.16-0.5 lambda**2.
+    """
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2])
+    def test_flat_punch_stress(self, lam):
+        # theta1 sigma_z sqrt(b**2 - r**2)/delta -> -2/pi (Sneddon, Int. J.
+        # Eng. Sci. 3 (1965) 47-57), at every r < b
+        p, c = solved(lam)
+        r_over_b = np.array([0.0, 0.3, 0.6, 0.9, 0.99])
+        punch = stress_contact(p, c, r_over_b) * lam * np.sqrt(1.0 - r_over_b**2) / DELTA_OVER_A
+        ratio = punch / (-2.0 / PI)
+        assert np.all(np.abs(ratio - (1.0 + 4.0 / PI**2 * lam)) <= lam**2), ratio
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2])
+    def test_point_force_sif(self, lam):
+        # the punch's load as a pair of point forces at the crack centre:
+        # K_I = P/(pi a)**1.5, so the normalized factor -> 4 lam/pi**1.5
+        p, c = solved(lam)
+        ratio = sif_exact(p, c).normalized / (4.0 * lam / PI**1.5)
+        assert abs(ratio - (1.0 + 4.0 / PI**2 * lam)) <= lam**2, ratio
+
+
 class TestSif:
     def test_zero_coefficients_give_zero(self):
         p = DiscProblem(lam=0.5, delta_star=DSTAR)

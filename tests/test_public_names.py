@@ -13,10 +13,6 @@ import pennycontact
 
 PACKAGE = Path(pennycontact.__file__).parent
 
-# Only the tests call cli.load_coefficients, but it reads the solve
-# artifact, a file that comes from outside the program, and checks it.
-ALLOWED = {"load_coefficients"}
-
 
 def _public_names(tree: ast.Module) -> list[str]:
     for node in tree.body:
@@ -47,6 +43,6 @@ def test_every_public_name_is_loaded_in_the_package():
         f"{module}:{name}"
         for module, names in public.items()
         for name in names
-        if name not in loaded and name not in ALLOWED
+        if name not in loaded
     ]
     assert not unused, f"public names that no package code loads: {unused}"

@@ -3,7 +3,7 @@
 The forcing of each (problem, N) comes from one cache of four entries per
 model (models._disc_forcing, models._annulus_forcings), which a solve and its
 system_residual share; another problem gets its own entry, and coefficients
-read back from a file get the same bits as a forcing built afresh.  The
+read back from a `solve` artifact get the same bits as a forcing built afresh.  The
 results carry nothing but their dataclass fields.  The row weights and kept
 counts of each (lambda, t, N) come from one cache of four entries
 (models._geometry), and the Gamma ratios from one keyed by N alone
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from pennycontact import models
-from pennycontact.cli import coefficients_to_json, load_coefficients
+from pennycontact.cli import coefficients_to_json
 from pennycontact.models import (
     _MODEL_SCALE,
     AnnulusProblem,
@@ -34,6 +34,8 @@ from pennycontact.models import (
     system_residual,
 )
 from pennycontact.specfun import _gamma_ratios
+
+from oracles import solve_artifact
 
 N = 40
 DISC = DiscProblem(lam=0.6, delta_star=0.7)
@@ -85,12 +87,12 @@ def test_another_problem_gets_its_own_forcing(monkeypatch, model):
 
 
 @pytest.mark.parametrize("model", SOLVES)
-def test_a_reloaded_or_replaced_result_builds_no_forcing(tmp_path, model):
+def test_a_reloaded_or_replaced_result_builds_no_forcing(model):
     problem, solve, builder = SOLVES[model]
     coefficients = solve(problem, N)
-    path = tmp_path / "solve.json"
-    path.write_text(json.dumps(coefficients_to_json(problem, coefficients)))
-    reloaded_problem, reloaded = load_coefficients(path)
+    reloaded_problem, reloaded = solve_artifact(
+        json.dumps(coefficients_to_json(problem, coefficients))
+    )
     cached = getattr(models, builder)
     before = cached.cache_info()
     residuals = [
