@@ -34,7 +34,7 @@ from .models import (
     _solve_interleaved,
     _weighted,
 )
-from .specfun import _POLE_TOL, PoleError, _complex_points, cot_half_pi, tan_half_pi
+from .specfun import _POLE_TOL, PoleError, _as_given, _points, cot_half_pi, tan_half_pi
 
 __all__ = [
     "FitAmbiguityError",
@@ -192,20 +192,14 @@ def _unit(columns, index: int) -> np.ndarray:
     return np.array([float(col.column_index == index) for col in columns])
 
 
-def _matrices(rows, shape: tuple) -> np.ndarray:
-    """Matrix rows, each (points, columns), as matrices of shape shape + (rows, columns)."""
-    out = np.stack(rows, axis=1)
-    return out.reshape(shape + out.shape[1:])
-
-
 # eval_X_* and g0_* take a complex number, giving one matrix, or an array of
 # them, giving a stack of shape s.shape + (k, k).  An array is rejected whole
-# if any point is within 1e-9 of an integer.
+# if any point is non-finite, or in eval_X_* within 1e-9 of an integer.
 
 
 def eval_X_disc(side: str, s, columns) -> np.ndarray:
     """Evaluate the 2x2 factor matrix X+(s) or X-(s)."""
-    s, shape = _complex_points(s)
+    s, shape = _points(s, complex)
     _guard_integer(s)
     _check_side(side)
     lam = columns[0].lam
@@ -217,12 +211,12 @@ def eval_X_disc(side: str, s, columns) -> np.ndarray:
     else:
         factor = (lam**s * tan_half_pi(s))[:, np.newaxis]
         rows = (0.5 * (psi + factor * omega), omega / lam)
-    return _matrices(rows, shape)
+    return _as_given(np.stack(rows, axis=1), shape)
 
 
 def eval_X_annulus(side: str, s, columns) -> np.ndarray:
     """Evaluate the 3x3 factor matrix X+(s) or X-(s)."""
-    s, shape = _complex_points(s)
+    s, shape = _points(s, complex)
     _guard_integer(s)
     _check_side(side)
     lam0 = columns[0].lam0
@@ -250,23 +244,23 @@ def eval_X_annulus(side: str, s, columns) -> np.ndarray:
             (t**s * cot * psi_m + omega) / lam1,
             0.5 * psi_m,
         )
-    return _matrices(rows, shape)
+    return _as_given(np.stack(rows, axis=1), shape)
 
 
 def g0_disc(s, lam: float) -> np.ndarray:
     """Boundary matrix coefficient of the disc problem."""
-    s, shape = _complex_points(s)
+    s, shape = _points(s, complex)
     zero = np.zeros_like(s)
     rows = (
         np.stack([lam ** (-s) * cot_half_pi(s), zero], axis=1),
         np.stack([np.full_like(s, 2.0), -(lam ** (s + 1.0)) * tan_half_pi(s)], axis=1),
     )
-    return _matrices(rows, shape)
+    return _as_given(np.stack(rows, axis=1), shape)
 
 
 def g0_annulus(s, lam0: float, lam1: float) -> np.ndarray:
     """Boundary matrix coefficient of the annulus problem."""
-    s, shape = _complex_points(s)
+    s, shape = _points(s, complex)
     t = lam0 / lam1
     tan = tan_half_pi(s)
     zero = np.zeros_like(s)
@@ -275,7 +269,7 @@ def g0_annulus(s, lam0: float, lam1: float) -> np.ndarray:
         np.stack([zero, t ** (-s - 1.0) * tan, zero], axis=1),
         np.stack([np.full_like(s, 2.0), -(lam1 ** (s + 1.0)) * tan, 2.0 * lam0**s], axis=1),
     )
-    return _matrices(rows, shape)
+    return _as_given(np.stack(rows, axis=1), shape)
 
 
 def contour_samples(count: int) -> list[complex]:
@@ -306,14 +300,12 @@ def _geometry(column):
 def _boundary_defect(columns, s: np.ndarray, X_plus: np.ndarray, X_minus: np.ndarray) -> float:
     """max_s || X+(s) - G0(s) X-(s) ||_max from X+ and X- evaluated at the points s."""
     _, _, _, g0 = _geometry(columns[0])
-    return float(np.abs(X_plus - g0(s) @ X_minus).max())
+    return float(np.abs(X_plus - g0(s) @ X_minus).max(initial=0.0))
 
 
 def boundary_residual(columns, samples) -> float:
     """max_s || X+(s) - G0(s) X-(s) ||_max over the samples, evaluating X+ and X- there."""
     s = np.asarray(samples, dtype=complex)
-    if s.size == 0:
-        return 0.0
     _, _, evaluate, _ = _geometry(columns[0])
     return _boundary_defect(columns, s, evaluate("plus", s, columns), evaluate("minus", s, columns))
 

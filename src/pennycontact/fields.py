@@ -9,20 +9,19 @@ K column of _hyp_column at every point, and the *_edge forms make the
 square-root edge behavior explicit, for cross-checking.  Every sum over
 a coefficient family stops at the rounding-level weight cut (_kept).
 The stress and displacement evaluators take a float or an array of
-positions and return the same kind; an array is evaluated with one
-recurrence over the series index for all its points, and a float with
-the same recurrence on Python floats (specfun._recurrence).  The
-displacement evaluates one f_m family over both of its arguments,
-(lam/r)**2 and r**2, so a float takes the two-point paths, which give each
-point the bits of its one-point call.  The recurrence gives a point the
-same bits on either path, but a value need not have them: the sum over the
-series index is one matrix product over all the points, and the
-displacement's f_m seeds are summed in blocks whose width depends on how
-many points are live (specfun._series_blocks).  On the figures'
-displacement grids (lambda = 0.3, 0.5 and 0.7) an array and per-point
-calls differ in 168, 218 and 274 of 398 rows (one BLAS thread), by at most
-2.8e-17 absolute; the stresses differ by a few ulps as well.  The only
-scalar f_m call is the one that seeds the continuity column.
+positions and return a float or an array of the same shape (specfun._points
+and _as_given); an array is evaluated with one recurrence over the series
+index for all its points, and a float with the same recurrence on Python
+floats (specfun._recurrence).  The displacement evaluates one f_m family
+over both of its arguments, (lam/r)**2 and r**2, so a float takes the
+two-point paths, which give each point the bits of its one-point call.  The
+recurrence gives a point the same bits on either path, but a value need not
+have them: the sum over the series index is one matrix product over all the
+points, and the displacement's f_m seeds are summed in blocks whose width
+depends on how many points are live (specfun._series_blocks).  So on the
+figures' grids an array and per-point calls differ in the last bits of many
+rows, displacements and stresses alike.  The only scalar f_m call is the
+one that seeds the continuity column.
 """
 
 from __future__ import annotations
@@ -40,7 +39,9 @@ from .models import (
     _sif_coefficients,
     solve_disc_reduction,
 )
-from .specfun import SQRT_PI, _f_family, _f_from_seed, _gamma_ratios, _recurrence, f_m
+from .specfun import (
+    SQRT_PI, _as_given, _f_family, _f_from_seed, _gamma_ratios, _points, _recurrence, f_m,
+)
 
 __all__ = [
     "SifResult",
@@ -143,12 +144,12 @@ def stress_contact_edge(
     p: DiscProblem, c: CoefficientSetDisc, r_over_b: float | np.ndarray
 ) -> float | np.ndarray:
     """Contact stress via the finite double sum with the explicit edge factor."""
-    r, scalar = _points(r_over_b)
+    r, shape = _points(r_over_b, float)
     _check_unit_interval(r)
     u = 1.0 - r * r
     poly = _edge_poly(c.B_minus, u)
     value = (-p.delta_star + poly) / (p.lam * np.sqrt(math.pi * u))
-    return _result(value, scalar)
+    return _as_given(value, shape)
 
 
 def stress_contact(
@@ -161,24 +162,24 @@ def stress_contact(
     cancel like (lam**2 (2 - r**2))**m and fail at high lam and large N.
     Accepts a float or an array of r/b and returns the same kind.
     """
-    r, scalar = _points(r_over_b)
+    r, shape = _points(r_over_b, float)
     _check_unit_interval(r)
     x2 = r * r
     lead = -p.delta_star / (p.lam * np.sqrt(math.pi * (1.0 - x2)))
     tail = -_hyp_column(_kept(p, c)[0], x2) / (2.0 * p.lam * SQRT_PI)
-    return _result(lead + tail, scalar)
+    return _as_given(lead + tail, shape)
 
 
 def stress_outer_edge(
     p: DiscProblem, c: CoefficientSetDisc, r_over_a: float | np.ndarray
 ) -> float | np.ndarray:
     """Stress outside the crack with the near-tip edge factor pulled out."""
-    r, scalar = _points(r_over_a)
+    r, shape = _points(r_over_a, float)
     _check_outside_crack(r)
     x2 = 1.0 / (r * r)
     u = 1.0 - x2
     poly = _edge_poly(c.A_plus, u)
-    return _result(-2.0 * x2**1.5 * poly / np.sqrt(math.pi * u), scalar)
+    return _as_given(-2.0 * x2**1.5 * poly / np.sqrt(math.pi * u), shape)
 
 
 def stress_outer(
@@ -190,10 +191,10 @@ def stress_outer(
     stress_contact.  Accepts a float or an array of r/a and returns the
     same kind.
     """
-    r, scalar = _points(r_over_a)
+    r, shape = _points(r_over_a, float)
     _check_outside_crack(r)
     x2 = 1.0 / (r * r)
-    return _result(_hyp_column(_kept(p, c)[1], x2) * x2**1.5 / SQRT_PI, scalar)
+    return _as_given(_hyp_column(_kept(p, c)[1], x2) * x2**1.5 / SQRT_PI, shape)
 
 
 def sif_asymptotic(lam: float) -> float:
@@ -293,7 +294,7 @@ def displacement(
     with one seed series and one recurrence, serves both.  Accepts a float
     or an array of r/a and returns the same kind.
     """
-    r, scalar = _points(r_over_a)
+    r, shape = _points(r_over_a, float)
     outside = ~((p.lam < r) & (r < 1.0))
     if outside.any():
         raise ValueError(
@@ -313,7 +314,7 @@ def displacement(
         - (lam / (SQRT_PI * r)) * g_b
         + (2.0 / SQRT_PI) * g_a
     )
-    return _result(value, scalar)
+    return _as_given(value, shape)
 
 
 def continuity_defects(p: DiscProblem, c: CoefficientSetDisc) -> tuple[float, float]:
@@ -351,17 +352,6 @@ def continuity_defects(p: DiscProblem, c: CoefficientSetDisc) -> tuple[float, fl
     )
     defect_a = abs(chi_a)
     return defect_b, defect_a
-
-
-def _points(value) -> tuple[np.ndarray, bool]:
-    """Evaluation points as a flat float array, and whether a scalar came in."""
-    points = np.asarray(value, dtype=float)
-    return points.reshape(-1), points.ndim == 0
-
-
-def _result(values: np.ndarray, scalar: bool):
-    """The values as the caller passed its points: a float or an array."""
-    return float(values[0]) if scalar else values
 
 
 def _check_unit_interval(r_over_b: np.ndarray) -> None:

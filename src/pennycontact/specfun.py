@@ -10,13 +10,18 @@ Every gamma value comes from the complex log-gamma _log_gamma, except the
 real ratios Gamma(k+3/2)/Gamma(k+1) of _gamma_ratios and f_m_limit.
 The complex functions (the kernel and its factors, tan_half_pi,
 cot_half_pi) take a complex number or an array of them; the real ones
-take scalars.  Everything here is a pure function of its arguments; there
-is no shared mutable state: the one cache, _gamma_ratios', holds read-only
-arrays keyed by N alone.  Small point sets take per-point paths: the f_m
-seed series of up to _SERIES_POINTS points runs on 1-D arrays per point
-(_series_point), to the bits that the block path (_series_blocks) gives a
-one-point array, and a column recurrence of up to _FLOAT_POINTS points runs
-on Python floats per point.
+take scalars.  Every pointwise evaluator, here and in fields and
+factorization, takes its points through _points, which refuses a
+non-finite complex point (a real one meets the evaluator's own domain
+check), and answers through _as_given: a number for a number, and for an
+array of shape S an array of shape S, or S + (k, k) for matrices.
+Everything here is a pure function of its arguments; there is no shared
+mutable state: the one cache, _gamma_ratios', holds read-only arrays keyed
+by N alone.  Small point sets take per-point paths: the f_m seed series of
+up to _SERIES_POINTS points runs on 1-D arrays per point (_series_point),
+to the bits that the block path (_series_blocks) gives a one-point array,
+and a column recurrence of up to _FLOAT_POINTS points runs on Python floats
+per point.
 """
 
 from __future__ import annotations
@@ -72,6 +77,22 @@ class ConvergenceError(RuntimeError):
     """A series failed to meet the termination contract."""
 
 
+def _points(value, dtype) -> tuple[np.ndarray, tuple]:
+    """Points as a flat array of dtype, and the caller's shape; non-finite complex is refused."""
+    points = np.asarray(value, dtype=dtype)
+    flat = points.reshape(-1)
+    if dtype is complex and not np.isfinite(flat).all():
+        bad = flat[~np.isfinite(flat)][0]
+        raise ValueError(f"argument must be finite, got {complex(bad)!r}")
+    return flat, points.shape
+
+
+def _as_given(values: np.ndarray, shape: tuple):
+    """Values, a number or (k, k) matrix per point, in the caller's shape; a number for a number."""
+    out = values.reshape(shape + values.shape[1:])
+    return out.item() if out.ndim == 0 else out
+
+
 # ----------------------------------------------------------------------
 # gamma machinery
 # ----------------------------------------------------------------------
@@ -104,23 +125,6 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SHIFT_BLOCK = 1 << 12
 
 
-def _complex_points(z) -> tuple[np.ndarray, tuple]:
-    """A complex number or array of them as a flat complex array, and its shape."""
-    points = np.asarray(z, dtype=complex)
-    return points.reshape(-1), points.shape
-
-
-def _complex_result(values: np.ndarray, shape: tuple):
-    """Values as the caller passed its points: a complex number or an array."""
-    return complex(values[0]) if shape == () else values.reshape(shape)
-
-
-def _check_finite(z: np.ndarray) -> None:
-    bad = ~np.isfinite(z)
-    if bad.any():
-        raise ValueError(f"argument must be finite, got {complex(z[bad][0])!r}")
-
-
 def _lanczos_log_gamma(z: np.ndarray) -> np.ndarray:
     """Principal log-gamma for Re z >= 0.5 via the Lanczos sum."""
     zm1 = z - 1.0
@@ -140,7 +144,6 @@ def _log_gamma(z: np.ndarray) -> np.ndarray:
     stays on the principal branch.  The array is rejected whole if any point
     is within 1e-9 of a pole.
     """
-    _check_finite(z)
     dist, point = _nearest_lattice_point(z, 0, -1)
     near = dist < _POLE_TOL
     if near.any():
@@ -396,8 +399,8 @@ def _f_family(count: int, x: np.ndarray) -> np.ndarray:
     seeds, _FLOAT_POINTS recurrence columns).  A point's column has the bits
     of its one-point call wherever its seed does; the seed can differ by an
     ulp or two once more than 64 points are still summing after the first
-    block (_series_blocks), as in 29, 49 and 110 of the 796 seeds of the
-    figures' displacement families at lambda = 0.3, 0.5 and 0.7.
+    block (_series_blocks), as some seeds of the figures' displacement
+    families do.
     """
     return _f_from_seed(_f_seed(count - 1, x), count, x)
 
@@ -446,7 +449,7 @@ def _gamma_ratio_complex(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 # The kernel factors and the scaled tangents below take a complex number or
 # an array of them and return the same kind.  An array is rejected whole if
-# any point is within 1e-9 of a pole.
+# any point is non-finite or within 1e-9 of a pole.
 
 
 def l_plus(s):
@@ -455,10 +458,9 @@ def l_plus(s):
     Analytic and zero-free in Re s < 1; simple poles at s = 2n + 1 and
     zeros at s = 2n + 2 for n >= 0.
     """
-    s, shape = _complex_points(s)
-    _check_finite(s)
+    s, shape = _points(s, complex)
     _guard_pole(s, 1, 2, "L+")
-    return _complex_result(_gamma_ratio_complex(0.5 - s / 2.0, 1.0 - s / 2.0), shape)
+    return _as_given(_gamma_ratio_complex(0.5 - s / 2.0, 1.0 - s / 2.0), shape)
 
 
 def l_minus(s):
@@ -467,18 +469,16 @@ def l_minus(s):
     Analytic and zero-free in Re s > 0; simple poles at s = -2n - 1 and
     zeros at s = -2n for n >= 0.
     """
-    s, shape = _complex_points(s)
-    _check_finite(s)
+    s, shape = _points(s, complex)
     _guard_pole(s, -1, -2, "L-")
-    return _complex_result(_gamma_ratio_complex(0.5 + s / 2.0, s / 2.0), shape)
+    return _as_given(_gamma_ratio_complex(0.5 + s / 2.0, s / 2.0), shape)
 
 
 def l_minus_reciprocal(s):
     """1 / l_minus, returning an exact 0 at the poles s = -2n - 1 of l_minus."""
-    s, shape = _complex_points(s)
-    _check_finite(s)
+    s, shape = _points(s, complex)
     _guard_pole(s, 0, -2, "1/L-")
-    return _complex_result(_gamma_ratio_complex(s / 2.0, 0.5 + s / 2.0), shape)
+    return _as_given(_gamma_ratio_complex(s / 2.0, 0.5 + s / 2.0), shape)
 
 
 def kernel_L(s):
@@ -489,11 +489,10 @@ def kernel_L(s):
     s = 1, 3, 5, ...  The zeros at s = 2, 4, ... and s = -1, -3, ...
     come out exact.
     """
-    s, shape = _complex_points(s)
-    _check_finite(s)
+    s, shape = _points(s, complex)
     _guard_pole(s, 0, -2, "L")
     _guard_pole(s, 1, 2, "L")
-    return _complex_result(0.5 * l_plus(s) * l_minus_reciprocal(s), shape)
+    return _as_given(0.5 * l_plus(s) * l_minus_reciprocal(s), shape)
 
 
 def _half_pi_ratio(s, sign: float):
@@ -502,7 +501,7 @@ def _half_pi_ratio(s, sign: float):
     Past |Im s| = _TRIG_SCALE_IM both are written in q = exp(+-i pi s), with
     the sign of Im s chosen so that |q| < 1, and cannot overflow.
     """
-    s, shape = _complex_points(s)
+    s, shape = _points(s, complex)
     out = np.empty_like(s)
     near = np.abs(s.imag) <= _TRIG_SCALE_IM
     tan = np.tan(math.pi * s[near] / 2.0)
@@ -511,7 +510,7 @@ def _half_pi_ratio(s, sign: float):
     q = np.exp(side * 1j * math.pi * s[~near])
     num, den = (1.0 - q, 1.0 + q) if sign > 0 else (1.0 + q, 1.0 - q)
     out[~near] = sign * side * 1j * num / den
-    return _complex_result(out, shape)
+    return _as_given(out, shape)
 
 
 def tan_half_pi(s):

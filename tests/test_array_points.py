@@ -1,10 +1,13 @@
-"""Array forms: X+-(s), G0(s) and the complex kernel functions over many points."""
+"""Array forms: the fields, X+-(s), G0(s) and the complex kernel functions over many points."""
+
+import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
-from pennycontact import specfun
+from pennycontact import fields, specfun
 from pennycontact.factorization import (
     boundary_residual,
     contour_samples,
@@ -15,6 +18,7 @@ from pennycontact.factorization import (
     solve_factor_columns_annulus,
     solve_factor_columns_disc,
 )
+from pennycontact.models import DiscProblem, solve_disc_reduction
 from pennycontact.specfun import PoleError
 
 COMPLEX_FUNCTIONS = (
@@ -58,6 +62,27 @@ def assert_stacks_agree(stack, scalars, rtol=1e-14):
     assert np.all(defect <= rtol * scale), (defect / scale).max()
 
 
+# Each field evaluator with 20 points inside its domain at lam = 0.5.
+FIELD_POINTS = {
+    "stress_contact": np.linspace(0.0, 0.95, 20),
+    "stress_contact_edge": np.linspace(0.0, 0.95, 20),
+    "stress_outer": np.linspace(1.05, 4.0, 20),
+    "stress_outer_edge": np.linspace(1.05, 4.0, 20),
+    "displacement": np.linspace(0.55, 0.95, 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_POINTS))
+def test_field_keeps_the_callers_shape(name):
+    p = DiscProblem(lam=0.5, delta_star=0.1 / math.sqrt(math.pi))
+    c = solve_disc_reduction(p, 60)
+    fn, points = getattr(fields, name), FIELD_POINTS[name]
+    grid = fn(p, c, points.reshape(4, 5))
+    assert grid.shape == (4, 5)
+    assert np.array_equal(grid, fn(p, c, points).reshape(4, 5))
+    assert type(fn(p, c, float(points[0]))) is float
+
+
 class TestFactorMatrices:
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_disc_array_matches_scalar_calls(self, side, disc_columns):
@@ -95,6 +120,22 @@ class TestFactorMatrices:
         with pytest.raises(PoleError, match="s = 3"):
             eval_X_annulus("minus", s, annulus_columns)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [complex(math.nan), complex(math.inf), complex(0.5, -math.inf)])
+    def test_one_non_finite_point_rejects_the_array(self, bad, disc_columns, annulus_columns):
+        s = np.array([0.5 + 1j, bad])
+        message = re.escape(f"must be finite, got {bad!r}")
+        for call in (
+            lambda z: eval_X_disc("plus", z, disc_columns),
+            lambda z: eval_X_annulus("minus", z, annulus_columns),
+            lambda z: g0_disc(z, 0.5),
+            lambda z: g0_annulus(z, 0.2, 0.5),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call(s)
+            with pytest.raises(ValueError, match=message):
+                call(bad)
+
     def test_boundary_residual_of_no_samples_is_zero(self, disc_columns, annulus_columns):
         assert boundary_residual(disc_columns, []) == 0.0
         assert boundary_residual(annulus_columns, []) == 0.0
@@ -123,6 +164,17 @@ class TestComplexSpecfun:
             specfun.l_plus(np.array([0.5 + 1j, 3.0 + 0j]))
         with pytest.raises(PoleError):
             specfun._log_gamma(np.array([0.5 + 1j, -4.0 + 0j]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [complex(math.nan), complex(math.inf), complex(0.5, -math.inf)])
+    @pytest.mark.parametrize("name", COMPLEX_FUNCTIONS)
+    def test_one_non_finite_point_rejects_the_array(self, name, bad):
+        fn = getattr(specfun, name)
+        message = re.escape(f"must be finite, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            fn(np.array([0.5 + 1j, bad]))
+        with pytest.raises(ValueError, match=message):
+            fn(bad)
 
     def test_denominator_poles_give_exact_zeros_in_an_array(self):
         values = specfun.kernel_L(np.array([2.0, -3.0, 0.5]))

@@ -97,6 +97,7 @@ class TestStressOuter:
         ]
         # (a/r)^3 prefactor: r^3-scaled values approach a constant
         assert scaled[1] == pytest.approx(scaled[2], rel=1e-2)
+        assert stress_outer(p, c, math.inf) == 0.0
 
     def test_near_tip_coefficient(self):
         p, c = solved(0.5)
