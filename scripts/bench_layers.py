@@ -11,7 +11,9 @@ the annulus solve at (lam1, t, N) = (0.864, 0.919, 240) and (0.99, 0.99,
 fresh problem does), the disc and annulus system residuals at N = 240 and
 the annulus residual at N = 60 (each on the coefficients of a solve), the
 continuity defects, one stress and one displacement point, the displacement
-on the figures' grid at lam = 0.5 (N = 60), whole in-process commands at
+on the figures' grid at lam = 0.5 (N = 60), the displacement and the
+outer stress on the commands' 20 000-point grids at (lam, N) = (0.99,
+1000), which run in chunks, whole in-process commands at
 lam = 0.5 with their standard output captured (`displacement` at its
 defaults, and `stress` and `displacement` at --grid-points 8, whose
 recurrences run 8 and 16 points on floats), the SIF sweep at the default
@@ -24,7 +26,9 @@ defaults and its factorization checks alone at (lam, lam0, lam1, N) = (0.5,
 0.2, 0.5, 60). BLAS is pinned to one thread before numpy is imported, so a
 timing does not depend on how many cores the host lends the process. The
 library is imported from this checkout's ``src``. Each entry holds the
-median and the quartiles of its samples in microseconds; the file also
+median and the quartiles of its samples in microseconds, and the
+tracemalloc peak of one more call in MiB, which counts numpy's buffers;
+the file also
 records the commit, whether the source differs from it, and the Python and
 numpy versions.
 """
@@ -42,6 +46,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 # BLAS reads its thread count when numpy is first imported.
@@ -118,6 +123,14 @@ def cases() -> dict:
     timed["fields.displacement lam=0.5 figures grid N=60"] = (
         lambda: fields.displacement(disc[0.5], at_60, figure_grid)
     )
+    uncut_1000 = models.solve_disc_reduction(disc_uncut, 1000)
+    for name, points in (
+        ("displacement", cli._displacement_grid(0.99, 20000)),
+        ("stress_outer", cli._outer_grid(20000, cli.RunConfig.r_max)),
+    ):
+        timed[f"fields.{name} lam=0.99 grid_points=20000 N=1000"] = (
+            lambda fn=getattr(fields, name), points=points: fn(disc_uncut, uncut_1000, points)
+        )
     timed["cli.main displacement lam=0.5"] = command("displacement")
     timed["cli.main stress lam=0.5 grid_points=8"] = command("stress", "--grid-points", "8")
     timed["cli.main displacement lam=0.5 grid_points=8"] = command("displacement", "--grid-points", "8")
@@ -155,6 +168,16 @@ def sample(fn, repeats: int) -> list[float]:
     return times
 
 
+def peak_mib(fn) -> float:
+    """The tracemalloc peak of one call, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def summary(times: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
     return {"median_us": median, "q1_us": q1, "q3_us": q3, "samples": len(times)}
@@ -188,9 +211,11 @@ def main(argv=None) -> int:
         parser.error("--repeats must be at least 1")
     timings = {}
     for name, fn in cases().items():
-        timings[name] = summary(sample(fn, args.repeats))
-        entry = timings[name]
-        print(f"{name:60s} {entry['median_us']:10.1f} us  [{entry['q1_us']:.1f}, {entry['q3_us']:.1f}]")
+        entry = timings[name] = {**summary(sample(fn, args.repeats)), "peak_mib": peak_mib(fn)}
+        print(
+            f"{name:60s} {entry['median_us']:10.1f} us  [{entry['q1_us']:.1f}, {entry['q3_us']:.1f}]"
+            f"  {entry['peak_mib']:8.2f} MiB"
+        )
     record = {**provenance(), "repeats": args.repeats, "timings": timings}
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0

@@ -55,8 +55,10 @@ _FLOAT_FMT = "%.17g"
 # intensity-factor sweep run at lambda = 0.5.
 _FIGURE_LAMBDAS = (0.3, 0.5, 0.7)
 
-# Field grids evaluate grid_points x truncation_N values at once; the SIF
-# sweep's lambda grid is held to the same cap.
+# The field grids and the SIF sweep's lambda grid hold at most this many
+# points.  fields evaluates a grid in chunks of at most fields._GRID_BLOCK
+# values, kept rows x points, so a grid's memory grows with its points, not
+# with grid_points x truncation_N.
 _MAX_GRID_POINTS = 100_000
 _MAX_TRUNCATION_N = 1_000
 # The outer stress grid starts at r/a = 1 + 1e-4 (_outer_grid) and squares r/a

@@ -361,17 +361,28 @@ def order_fit(values) -> OrderFit:
     """Fit the order at infinity of every factor-matrix entry.
 
     values is X+ or X- evaluated at order_fit_points(side), one matrix per
-    point; the fit is the log-log slope of each entry against the radius.
+    point; the fit is the log-log slope of each entry against the radius,
+    the least-squares line's slope in closed form (_slope).
     """
     log_t = np.log(_ORDER_FIT_RADII)
     dim = values.shape[-1]
     mags = np.abs(values).reshape(len(log_t), dim * dim)
     keep = mags > 0.0
     slopes = np.full(dim * dim, np.nan)
-    # entries nonzero at every radius share one least-squares solve
+    # entries nonzero at every radius share one fit
     full = keep.all(axis=0)
     if full.any():
-        slopes[full] = np.polyfit(log_t, np.log(mags[:, full]), 1)[0]
+        slopes[full] = _slope(log_t, np.log(mags[:, full]))
     for e in np.flatnonzero(~full & (keep.sum(axis=0) >= 4)):
-        slopes[e] = np.polyfit(log_t[keep[:, e]], np.log(mags[keep[:, e], e]), 1)[0]
+        slopes[e] = _slope(log_t[keep[:, e]], np.log(mags[keep[:, e], e]))
     return OrderFit(-slopes.reshape(dim, dim))
+
+
+def _slope(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares slope of y against x, per column of y: sum dx dy / sum dx**2.
+
+    dx and dy are the deviations from the means.  This is the slope
+    np.polyfit(x, y, 1) fits, without LAPACK's least-squares solver.
+    """
+    dx = x - x.mean()
+    return dx @ (y - y.mean(axis=0)) / (dx @ dx)

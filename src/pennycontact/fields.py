@@ -21,7 +21,12 @@ points, and the displacement's f_m seeds are summed in blocks whose width
 depends on how many points are live (specfun._series_blocks).  So on the
 figures' grids an array and per-point calls differ in the last bits of many
 rows, displacements and stresses alike.  The only scalar f_m call is the
-one that seeds the continuity column.
+one that seeds the continuity column.  A grid is evaluated in chunks of
+points (_in_chunks), each holding at most _GRID_BLOCK elements of a family
+or column, kept rows times points, so memory is bounded by the chunk, not
+the grid.  Every grid of up to 524 points at N <= 1000 is one chunk, with
+the bits of an unchunked evaluation; a larger grid's chunks can move the
+bits of its f_m seeds and of its sums over the series index, as above.
 """
 
 from __future__ import annotations
@@ -70,6 +75,10 @@ _SERIES_TOL = 2.0**-53
 _MAX_SERIES_ORDER = 1024
 _SERIES_CHUNK = 4096
 _SERIES_STEP = 32
+# Elements per chunk of a field grid: kept rows times points, counting both
+# of the displacement's arguments.  One chunk's family or column is 8 MiB,
+# and every grid of up to 524 points at N <= 1000 fits one.
+_GRID_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,17 +136,39 @@ def _kept(p: DiscProblem, c: CoefficientSetDisc) -> tuple[np.ndarray, np.ndarray
     return c.B_minus[:n], c.A_plus[:n]
 
 
+def _in_chunks(evaluate, points: np.ndarray, per_point: int) -> np.ndarray:
+    """evaluate(chunk) over consecutive chunks of points, into one array.
+
+    A chunk holds at most _GRID_BLOCK // per_point points, and at least one,
+    so what evaluate builds at per_point elements a point is bounded by the
+    chunk.  Points that fit one chunk are one evaluate call.
+    """
+    width = max(1, _GRID_BLOCK // per_point)
+    if len(points) <= width:
+        return evaluate(points)
+    values = np.empty(len(points))
+    for start in range(0, len(points), width):
+        values[start : start + width] = evaluate(points[start : start + width])
+    return values
+
+
 def _hyp_column(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_m coeffs[m] * 2F1(3/2, 1/2-m; 3/2-m; x) / (m - 1/2) at every x.
 
     The column H_m = 2F1(3/2, 1/2-m; 3/2-m; x) follows the forward
     recurrence H_m = (1-x)**-1/2 + x m/(m - 3/2) H_{m-1} from the exact
     H_0 = (1-x)**-1/2; it runs on K_m = sqrt(1-x) H_m, for the same reason
-    as the G_m of specfun._f_from_seed, and on floats for one point.
+    as the G_m of specfun._f_from_seed, and on floats for one point.  The
+    points run in chunks of at most _GRID_BLOCK column elements.
     """
     m = np.arange(1.0, len(coeffs))
-    K = _recurrence(1.0, m / (m - 1.5), x)
-    return (coeffs / (np.arange(len(coeffs)) - 0.5)) @ K / np.sqrt(1.0 - x)
+    steps = m / (m - 1.5)
+    weights = coeffs / (np.arange(len(coeffs)) - 0.5)
+
+    def column_sum(x):
+        return weights @ _recurrence(1.0, steps, x) / np.sqrt(1.0 - x)
+
+    return _in_chunks(column_sum, x, len(coeffs))
 
 
 def stress_contact_edge(
@@ -291,7 +322,9 @@ def displacement(
 
     The B- sum meets f_m at (lam/r)**2 and the A+ sum f_m at r**2, both cut
     at the same row (_kept), so one f_m family over both sets of arguments,
-    with one seed series and one recurrence, serves both.  Accepts a float
+    with one seed series and one recurrence, serves both.  The points run
+    in chunks of at most _GRID_BLOCK family elements, both arguments
+    counted, once every point has passed the domain check.  Accepts a float
     or an array of r/a and returns the same kind.
     """
     r, shape = _points(r_over_a, float)
@@ -303,18 +336,22 @@ def displacement(
     lam = p.lam
     B_minus, A_plus = _kept(p, c)
     two_m1 = 2.0 * np.arange(len(A_plus)) + 1.0
-    # One family over both arguments.  Each half is copied out contiguous:
-    # a product over a strided half sums in another order, and a lone point
-    # would lose the bits of its separate family calls.
-    F = _f_family(len(A_plus), np.concatenate([(lam / r) ** 2, r * r]))
-    g_b = (B_minus / two_m1) @ np.ascontiguousarray(F[:, : len(r)])
-    g_a = (A_plus / two_m1) @ np.ascontiguousarray(F[:, len(r) :])
-    value = (
-        (p.delta_star / SQRT_PI) * np.arcsin(lam / r)
-        - (lam / (SQRT_PI * r)) * g_b
-        + (2.0 / SQRT_PI) * g_a
-    )
-    return _as_given(value, shape)
+    b_weights, a_weights = B_minus / two_m1, A_plus / two_m1
+
+    def chunk(r):
+        # One family over both arguments.  Each half is copied out
+        # contiguous: a product over a strided half sums in another order,
+        # and a lone point would lose the bits of its separate family calls.
+        F = _f_family(len(A_plus), np.concatenate([(lam / r) ** 2, r * r]))
+        g_b = b_weights @ np.ascontiguousarray(F[:, : len(r)])
+        g_a = a_weights @ np.ascontiguousarray(F[:, len(r) :])
+        return (
+            (p.delta_star / SQRT_PI) * np.arcsin(lam / r)
+            - (lam / (SQRT_PI * r)) * g_b
+            + (2.0 / SQRT_PI) * g_a
+        )
+
+    return _as_given(_in_chunks(chunk, r, 2 * len(A_plus)), shape)
 
 
 def continuity_defects(p: DiscProblem, c: CoefficientSetDisc) -> tuple[float, float]:

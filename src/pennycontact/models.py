@@ -265,13 +265,20 @@ _kernel_table: list[np.ndarray] = []
 
 
 def _build_kernels(N: int) -> list[np.ndarray]:
-    """hankel[n, m] = 1/(pi (n + m + 1/2)) and toeplitz[n, m] = 1/(pi (n - m + 1/2)), read-only, shape (N, N + 1)."""
-    j = np.arange(N)[:, np.newaxis] + np.arange(N + 1)  # n + m
-    hankel = 1.0 / (math.pi * (j + 0.5))
-    toeplitz = 1.0 / (math.pi * (j[:, ::-1] - N + 0.5))  # n + (N - m) - N
-    hankel.flags.writeable = False
-    toeplitz.flags.writeable = False
-    return [hankel, toeplitz]
+    """hankel[n, m] = 1/(pi (n + m + 1/2)) and toeplitz[n, m] = 1/(pi (n - m + 1/2)), read-only, shape (N, N + 1).
+
+    Each table is built in its own buffer: n + (m + 1/2) or n + (1/2 - m),
+    exact in floats, then times pi, then its reciprocal.  So a build holds
+    the two tables and no (N, N + 1) temporary beside them.
+    """
+    n = np.arange(N, dtype=float)[:, np.newaxis]
+    m = np.arange(N + 1, dtype=float)
+    tables = [np.add(n, m + 0.5), np.add(n, 0.5 - m)]
+    for table in tables:
+        table *= math.pi
+        np.divide(1.0, table, out=table)
+        table.flags.writeable = False
+    return tables
 
 
 def _kernels(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -520,7 +527,8 @@ def _power_table(n_rows: int, K: int) -> tuple[np.ndarray, np.ndarray]:
     starts at power 2n + 1, so the tables have min(n_rows, (K + 1) // 2)
     rows.  Fewer rows than that clip each sum to m < n_rows, which gives the
     system truncated to n_rows unknowns per family (_sif_coefficients);
-    otherwise the tables are the infinite system's, to power K.
+    otherwise the tables are the infinite system's, to power K.  H is
+    doubled in place, so a build holds the two tables and no third.
     """
     if n_rows < 1 or K < 1:
         raise ValueError("n_rows and K must be >= 1")
@@ -536,7 +544,8 @@ def _power_table(n_rows: int, K: int) -> tuple[np.ndarray, np.ndarray]:
         flat_h[k : k + step * count : step] = a[:m, k] @ window[:m, :count]
         count = min(rows, (K - k + 1) // 2)
         flat_a[k + 1 : k + 1 + step * count : step] = h[:m, k] @ window[:m, :count]
-    return a, 2.0 * h
+    h *= 2.0
+    return a, h
 
 
 # ----------------------------------------------------------------------

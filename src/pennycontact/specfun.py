@@ -316,7 +316,9 @@ def _recurrence(first, steps: np.ndarray, x: np.ndarray, downward: bool = False)
     costs a tenth of one on a numpy row of size 1; more points run on numpy
     rows.  Both paths take the same IEEE operations in the same order,
     (x * steps[k]) * y_k and then 1 + that, so a point gives the same bits
-    either way, alone or beside any other points.
+    either way, alone or beside any other points.  The numpy path writes
+    every x * steps[k] into its row at once, then finishes the rows in
+    place, two numpy calls a step and no temporary.
     """
     if len(x) <= _FLOAT_POINTS:
         factors = steps.tolist()
@@ -328,10 +330,14 @@ def _recurrence(first, steps: np.ndarray, x: np.ndarray, downward: bool = False)
             values += _float_column(point, y, factors, downward)
         return np.ascontiguousarray(np.array(values).reshape(len(x), len(steps) + 1).T)
     Y = np.empty((len(steps) + 1, len(x)))
-    rows = range(len(steps), -1, -1) if downward else range(len(steps) + 1)
-    Y[rows[0]] = first
-    for prev, row, c in zip(rows, rows[1:], steps.tolist()):
-        Y[row] = 1.0 + x * c * Y[prev]
+    rows = list(Y[::-1] if downward else Y)
+    rows[0][...] = first
+    products = Y[-2::-1] if downward else Y[1:]  # row k holds x * steps[k]
+    products[...] = steps[:, np.newaxis]
+    products *= x
+    for prev, row in zip(rows, rows[1:]):
+        row *= prev
+        row += 1.0
     return Y
 
 
