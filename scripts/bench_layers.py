@@ -1,6 +1,6 @@
 """Per-layer timings of the library, written to a BENCH_*.json file.
 
-    python scripts/bench_layers.py --out BENCH_NEW.json [--repeats 30]
+    python scripts/bench_layers.py --out BENCH_NEW.json [--repeats 30] [--append]
 
 Times, one call per sample after one warm-up call, each of: the scalar f_m,
 the one-point f_m seed, the f_m family on one point and on a grid, the disc
@@ -10,7 +10,8 @@ the annulus solve at (lam1, t, N) = (0.864, 0.919, 240) and (0.99, 0.99,
 (each solve with both forcing caches cleared, so it builds its forcing as a
 fresh problem does), the disc and annulus system residuals at N = 240 and
 the annulus residual at N = 60 (each on the coefficients of a solve), the
-continuity defects, one stress and one displacement point, the displacement
+continuity defects, one stress and one displacement point, one whole
+solve_sweep case at N = 60 and at N = 240 (sweep_case), the displacement
 on the figures' grid at lam = 0.5 (N = 60), the displacement and the
 outer stress on the commands' 20 000-point grids at (lam, N) = (0.99,
 1000), which run in chunks, whole in-process commands at
@@ -30,7 +31,15 @@ median and the quartiles of its samples in microseconds, and the
 tracemalloc peak of one more call in MiB, which counts numpy's buffers;
 the file also
 records the commit, whether the source differs from it, and the Python and
-numpy versions.
+numpy versions.  With --append, a run adds its samples to those of the runs
+already in the file (each entry keeps them, rounded to 0.1 us, and its
+summary is over all of them), so two checkouts can be timed in alternated
+rounds, a round of each in turn, rather than in one run each a minute apart:
+
+    for round in 1 2 3; do
+        python ../parent/scripts/bench_layers.py --append --out BENCH_parent.json
+        python scripts/bench_layers.py --append --out BENCH_NEW.json
+    done
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -70,6 +80,37 @@ def fresh(solve, problem, n: int):
         models._disc_forcing.cache_clear()
         models._annulus_forcings.cache_clear()
         solve(problem, n)
+
+    return call
+
+
+def sweep_case(n: int):
+    """One solve_sweep case at truncation n, as benchmarks/workloads.run_case runs it.
+
+    Both solves and the recurrence, both residuals, the coefficient
+    agreement, the continuity defects, the SIF and one point of each field,
+    at lam = 0.5, lam0/lam1 = 0.4.  Every call nudges lam by 1e-9, so the
+    problems are fresh, as the sweep's draws are: every cache keyed by a
+    problem or a lambda misses, and every cache keyed by an index count
+    serves.
+    """
+    calls = itertools.count()
+
+    def call():
+        lam = 0.5 + 1e-9 * next(calls)
+        disc = models.DiscProblem(lam=lam, delta_star=DELTA_STAR)
+        red = models.solve_disc_reduction(disc, n)
+        _, rec = models.solve_disc_recurrence(disc, n, 120)
+        annulus = models.AnnulusProblem(lam0=0.4 * lam, lam1=lam, delta_star=DELTA_STAR)
+        ann = models.solve_annulus_reduction(annulus, n)
+        models.system_residual(disc, red)
+        models.system_residual(annulus, ann)
+        float(np.abs(red.A_plus - rec.A_plus).max())
+        max(fields.continuity_defects(disc, red))
+        fields.sif_exact(disc, red)
+        fields.stress_contact(disc, red, 0.5)
+        fields.stress_outer(disc, red, 2.5)
+        fields.displacement(disc, red, 0.75)
 
     return call
 
@@ -120,6 +161,8 @@ def cases() -> dict:
         )
     timed["fields.stress_contact point N=60"] = lambda: fields.stress_contact(disc[0.5], at_60, 0.5)
     timed["fields.displacement point N=60"] = lambda: fields.displacement(disc[0.5], at_60, 0.75)
+    for n in (60, 240):
+        timed[f"solve_sweep case N={n}"] = sweep_case(n)
     timed["fields.displacement lam=0.5 figures grid N=60"] = (
         lambda: fields.displacement(disc[0.5], at_60, figure_grid)
     )
@@ -183,6 +226,12 @@ def summary(times: list[float]) -> dict:
     return {"median_us": median, "q1_us": q1, "q3_us": q3, "samples": len(times)}
 
 
+def merged(old: dict, times: list[float], peak: float) -> dict:
+    """An entry over the samples of an earlier entry (none if old is empty) and these times."""
+    samples = old.get("samples_us", []) + [round(t, 1) for t in times]
+    return {**summary(samples), "peak_mib": max(peak, old.get("peak_mib", 0.0)), "samples_us": samples}
+
+
 def _git(*args: str) -> str | None:
     try:
         proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
@@ -206,18 +255,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=30, help="samples per timing (default 30)")
     parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--append", action="store_true", help="add this run's samples to those in --out")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    out = Path(args.out)
+    earlier = json.loads(out.read_text()) if args.append and out.exists() else {"rounds": 0, "timings": {}}
     timings = {}
     for name, fn in cases().items():
-        entry = timings[name] = {**summary(sample(fn, args.repeats)), "peak_mib": peak_mib(fn)}
+        times = sample(fn, args.repeats)
+        entry = timings[name] = merged(earlier["timings"].get(name, {}), times, peak_mib(fn))
         print(
             f"{name:60s} {entry['median_us']:10.1f} us  [{entry['q1_us']:.1f}, {entry['q3_us']:.1f}]"
             f"  {entry['peak_mib']:8.2f} MiB"
         )
-    record = {**provenance(), "repeats": args.repeats, "timings": timings}
-    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    record = {**provenance(), "repeats": args.repeats, "rounds": earlier["rounds"] + 1, "timings": timings}
+    out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

@@ -45,7 +45,16 @@ from .models import (
     solve_disc_reduction,
 )
 from .specfun import (
-    SQRT_PI, _as_given, _f_family, _f_from_seed, _gamma_ratios, _points, _recurrence, f_m,
+    SQRT_PI,
+    _STEP_COUNTS,
+    _as_given,
+    _f_family,
+    _f_from_seed,
+    _frozen,
+    _gamma_ratios,
+    _points,
+    _recurrence,
+    f_m,
 )
 
 __all__ = [
@@ -103,9 +112,7 @@ def _edge_weights(count: int) -> np.ndarray:
     T = np.ones((count, count))
     for j in range(1, count):
         T[:, j] = T[:, j - 1] * (j - 1.0 - np.arange(count)) / (j - 0.5)
-    T = np.tril(T)
-    T.flags.writeable = False
-    return T
+    return _frozen(np.tril(T))
 
 
 def _edge_poly(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -161,14 +168,34 @@ def _hyp_column(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     as the G_m of specfun._f_from_seed, and on floats for one point.  The
     points run in chunks of at most _GRID_BLOCK column elements.
     """
-    m = np.arange(1.0, len(coeffs))
-    steps = m / (m - 1.5)
-    weights = coeffs / (np.arange(len(coeffs)) - 0.5)
+    steps, halves = _hyp_steps(len(coeffs))
+    weights = coeffs / halves
 
     def column_sum(x):
         return weights @ _recurrence(1.0, steps, x) / np.sqrt(1.0 - x)
 
     return _in_chunks(column_sum, x, len(coeffs))
+
+
+# These two are sized as specfun's recurrence steps: an entry is two
+# vectors of count floats, 16 KB at count 1001.
+@lru_cache(maxsize=_STEP_COUNTS)
+def _hyp_steps(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """_hyp_column's steps m/(m - 3/2) for 1 <= m < count, and m - 1/2 for m < count; read-only."""
+    m = np.arange(1.0, count)
+    return _frozen(m / (m - 1.5)), _frozen(np.arange(count) - 0.5)
+
+
+@lru_cache(maxsize=_STEP_COUNTS)
+def _family_weights(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """2m + 1 and Gamma(m + 1/2)/m! for m < count, read-only.
+
+    The divisors of the f_m family in the displacement and the continuity
+    defects, and the family's boundary values at x = 1, which the first
+    count running Gamma products (specfun._gamma_ratios) give to the bit.
+    """
+    m = np.arange(count)
+    return _frozen(2.0 * m + 1.0), _frozen(_gamma_ratios(count) / (m + 0.5))
 
 
 def stress_contact_edge(
@@ -335,7 +362,7 @@ def displacement(
         )
     lam = p.lam
     B_minus, A_plus = _kept(p, c)
-    two_m1 = 2.0 * np.arange(len(A_plus)) + 1.0
+    two_m1 = _family_weights(len(A_plus))[0]
     b_weights, a_weights = B_minus / two_m1, A_plus / two_m1
 
     def chunk(r):
@@ -369,10 +396,9 @@ def continuity_defects(p: DiscProblem, c: CoefficientSetDisc) -> tuple[float, fl
     B_minus, A_plus = _kept(p, c)
     count = len(A_plus)
     # (2/sqrt(pi)) * f_m(1-) / (2m+1) telescopes to Gamma(m+1/2)/m!
-    gam = _gamma_ratios(len(c.A_plus))[:count] / (np.arange(count) + 0.5)
+    two_m1, gam = _family_weights(count)
     x = np.array([lam * lam])
     f_lam = _f_from_seed(f_m(count - 1, lam * lam), count, x)[:, 0]
-    two_m1 = 2.0 * np.arange(count) + 1.0
 
     delta0 = p.delta_over_a
     chi_b = (

@@ -30,6 +30,17 @@ model, which a solve and its system_residual share; the row weights and
 kept counts of each (lambda, t, N) in another (_geometry); the kernels of
 every N in one table (_kernels); the Hankel factors in one cache per
 (N, window) (_hankel_factor).  The coefficient sets hold only their fields.
+
+What depends on an index count alone, never on lambda, is built once per
+count, read-only and on first use, in a bounded cache keyed by that count:
+here the weights' exponents per N (_weight_exponents, 4 entries), the disc
+forcing's divisors per N (_odd_divisors, 8), the annulus forcing's
+lambda-free columns per N (_annulus_columns, 4), the recurrence solve's
+powers per K (_power_range, 2) and the coupling windows per (N, h), cut
+once per kernel table (_windows, 4); in specfun the seed series' term
+ratios and the f_m recurrences' steps, and in fields the H_m column's steps
+and the f_m family's weights.  At N <= 1000 (and K <= 2000) these caches
+hold at most 1.5 MiB together; full of their largest entries they hold 1.3.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ from .specfun import (
     _SERIES_MAX_TERMS,
     _f_family,
     _f_family_below,
+    _frozen,
     _gamma_ratios,
 )
 
@@ -214,11 +226,18 @@ def _row_weights(lam: float, t: float | None, N: int) -> np.ndarray:
     -lam**(2n) (B-), -lam**(2n+1) (A+), t**(2n+1) (A-) and t**(2n+2) (B+):
     in magnitude each falls monotonically with n.  Written only here; see _weighted.
     """
-    power = np.arange(2 * N).reshape(N, 2).T  # rows 2n and 2n + 1
+    power, power_plus_1 = _weight_exponents(N)
     weights = -(lam**power)
     if t is not None:
-        weights = np.concatenate([weights, t ** (power + 1)])
+        weights = np.concatenate([weights, t**power_plus_1])
     return weights
+
+
+@lru_cache(maxsize=4)  # sized as _geometry
+def _weight_exponents(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents of _row_weights, rows 2n and 2n + 1, and those plus 1; read-only."""
+    power = np.arange(2 * N).reshape(N, 2).T
+    return _frozen(power), _frozen(power + 1)
 
 
 def _kept_counts(weights: np.ndarray) -> list[int]:
@@ -244,8 +263,7 @@ def _geometry(lam: float, t: float | None, N: int) -> tuple[np.ndarray, tuple[in
     _apply_operator and fields._kept) takes them from here, so each is built
     once per (lam, t, N) instead of once per reader.
     """
-    weights = _row_weights(lam, t, N)
-    weights.flags.writeable = False
+    weights = _frozen(_row_weights(lam, t, N))
     return weights, tuple(_kept_counts(weights))
 
 
@@ -295,6 +313,7 @@ def _kernels(N: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"N must be >= 1, got {N!r}")
     if not _kernel_table or len(_kernel_table[0]) < N:
         _kernel_table[:] = _build_kernels(N)
+        _windows.cache_clear()
     hankel, toeplitz = _kernel_table
     return hankel[:N, : N + 1], toeplitz[:N, : N + 1]
 
@@ -342,9 +361,7 @@ def _hankel_factor(N: int, window: int) -> np.ndarray:
         residual -= column * column
         residual[p] = 0.0
         rank += 1
-    factor = columns[:rank].T.copy()
-    factor.flags.writeable = False
-    return factor
+    return _frozen(columns[:rank].T.copy())
 
 
 def _coupling_kernels(N: int, h: int) -> list[list[np.ndarray]]:
@@ -355,9 +372,22 @@ def _coupling_kernels(N: int, h: int) -> list[list[np.ndarray]]:
     B slot j, and the block-diagonal P_j = diag(w_Bj) K[j][j] couples B slot j
     to A slot j, the w being _row_weights.  K[i][j] is
     1/(pi (n + m + j + 1/2)) if i == j, else 1/(pi (n - m - j + 1/2)).
+    Each call passes through _kernels(N), which grows the table if N needs it.
     """
-    hankel, toeplitz = _kernels(N)
-    return [[(hankel if i == j else toeplitz)[:, j : j + N] for j in range(h)] for i in range(h)]
+    _kernels(N)
+    return _windows(N, h)
+
+
+# Four entries, two N of both models.  An entry holds h**2 views and no data.
+@lru_cache(maxsize=4)
+def _windows(N: int, h: int) -> list[list[np.ndarray]]:
+    """_coupling_kernels(N, h), cut from _kernel_table once per table.
+
+    _kernels empties this cache whenever it builds the table again, so no
+    view keeps a superseded table alive.
+    """
+    hankel, toeplitz = _kernel_table
+    return [[(hankel if i == j else toeplitz)[:N, j : j + N] for j in range(h)] for i in range(h)]
 
 
 def _apply_operator(lam: float, t: float | None, x: np.ndarray) -> np.ndarray:
@@ -497,7 +527,9 @@ def _low_rank_rows(K, factors, w_a, w_b, n_a, n_b) -> list[np.ndarray]:
             else K[i][j][:rows, : n_b[j]] @ weighted[j]
             for j in range(len(factors))
         ]
-        rows_of_x.append(w_a[i, :rows] * np.concatenate(blocks, axis=1))
+        x_i = np.concatenate(blocks, axis=1)
+        x_i *= w_a[i, :rows]  # in place: a second (rows, R) array would lift the heap's peak
+        rows_of_x.append(x_i)
     return rows_of_x
 
 
@@ -563,10 +595,14 @@ def _disc_forcing(p: DiscProblem, N: int) -> np.ndarray:
     times the disc forcing omega_1^-(s) = -delta_star/s at s = 2n+1.
     """
     column = np.zeros((N, 2))
-    column[:, 1] = -p.delta_star / (math.pi * (2.0 * np.arange(N) + 1.0))
-    forcing = _weighted(p.lam, None, column)
-    forcing.flags.writeable = False
-    return forcing
+    column[:, 1] = -p.delta_star / _odd_divisors(N)
+    return _frozen(_weighted(p.lam, None, column))
+
+
+@lru_cache(maxsize=8)
+def _odd_divisors(N: int) -> np.ndarray:
+    """pi s at s = 2n + 1 for n < N, the disc forcing's divisors; read-only."""
+    return _frozen(math.pi * (2.0 * np.arange(N) + 1.0))
 
 
 def solve_disc_reduction(p: DiscProblem, N: int = DEFAULT_TRUNCATION) -> CoefficientSetDisc:
@@ -586,9 +622,7 @@ def _disc_table(n_rows: int, K: int) -> tuple[np.ndarray, np.ndarray]:
     recurrence solve at this order reuses them.
     """
     a, b = _power_table(n_rows, K)
-    a.flags.writeable = False
-    b.flags.writeable = False
-    return a, b
+    return _frozen(a), _frozen(b)
 
 
 # Its own cache, apart from _disc_table's two entries: a sweep asks for one
@@ -602,9 +636,7 @@ def _sif_coefficients(N: int, K: int) -> np.ndarray:
     N-truncated system that solve_disc_reduction solves.  The vector depends
     on neither lambda nor the loading.
     """
-    coefficients = _power_table(N, K)[0].sum(axis=0)
-    coefficients.flags.writeable = False
-    return coefficients
+    return _frozen(_power_table(N, K)[0].sum(axis=0))
 
 
 def solve_disc_recurrence(
@@ -620,10 +652,16 @@ def solve_disc_recurrence(
     if N < 1 or K < 1:
         raise ValueError("N and K must be >= 1")
     a, b = table = _disc_table((K + 1) // 2, K)
-    powers = p.lam ** np.arange(K + 1)
+    powers = p.lam ** _power_range(K)
     sums = np.zeros((2, max(N, len(a))))
     sums[:, : len(a)] = p.delta_star * np.stack([b @ powers, a @ powers])
     return table, CoefficientSetDisc(A_plus=sums[1, :N], B_minus=sums[0, :N], truncation_N=N)
+
+
+@lru_cache(maxsize=2)  # sized as _disc_table
+def _power_range(K: int) -> np.ndarray:
+    """0, 1, ..., K, the powers of lambda that a recurrence solve of order K sums; read-only."""
+    return _frozen(np.arange(K + 1))
 
 
 # ----------------------------------------------------------------------
@@ -643,15 +681,9 @@ def _omega_tilde_columns(ratio: float, N: int) -> np.ndarray:
     """
     x = ratio * ratio
     f = _f_family(N + 1, np.array([x]))[:, 0]
-    s = 2.0 * np.arange(N) + 1.0
-    return np.stack(
-        [
-            2.0 * (_f_family_below(N, np.array([x]))[:, 0] - 1.0) / (SQRT_PI * s),
-            2.0 * (f[:N] - 1.0) / (SQRT_PI * -s),
-            ratio * f[1:] / (SQRT_PI * (s + 2.0)),
-        ],
-        axis=1,
-    )
+    below = _f_family_below(N, np.array([x]))[:, 0]
+    numerators = np.array([2.0 * (below - 1.0), 2.0 * (f[:N] - 1.0), ratio * f[1:]])
+    return (numerators / _annulus_columns(N)[0]).T
 
 
 def _annulus_omegas(p: AnnulusProblem, N: int) -> np.ndarray:
@@ -664,20 +696,28 @@ def _annulus_omegas(p: AnnulusProblem, N: int) -> np.ndarray:
         omega_1^-(s) = (2/s) (t**s / L+(s) - 1/sqrt(pi)) - wt+(s)
         omega_2^-(s) = L-(s)/s - wt-(s)
     where wt is omega-tilde (_omega_tilde_columns).  At lam0 = 0 wt vanishes
-    and omega_1^- is the disc forcing.
+    and omega_1^- is the disc forcing.  The terms other than wt depend on N
+    alone (_annulus_columns).
+    """
+    wt = _omega_tilde_columns(p.radius_ratio, N)
+    scale = 0.5 * p.delta_star * SQRT_PI  # delta / a
+    return scale * (_annulus_columns(N)[1].T - wt)
+
+
+@lru_cache(maxsize=4)  # sized as _annulus_forcings
+def _annulus_columns(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lambda-free rows of the annulus forcing, each (3, N) and read-only.
+
+    With s = 2k+1 and g = Gamma(k+3/2)/Gamma(k+1): the divisors sqrt(pi) s,
+    sqrt(pi) (-s) and sqrt(pi) (s + 2) of _omega_tilde_columns, and the terms
+    -2/(sqrt(pi) s), (2/-s) (g - 1/sqrt(pi)) and g/(s + 1) of _annulus_omegas.
+    Rows, not columns, so the per-call values stack without np.stack.
     """
     s = 2.0 * np.arange(N) + 1.0
     g = _gamma_ratios(N)
-    wt = _omega_tilde_columns(p.radius_ratio, N)
-    scale = 0.5 * p.delta_star * SQRT_PI  # delta / a
-    return scale * np.stack(
-        [
-            -2.0 / (s * SQRT_PI) - wt[:, 0],
-            (2.0 / -s) * (g - 1.0 / SQRT_PI) - wt[:, 1],
-            g / (s + 1.0) - wt[:, 2],
-        ],
-        axis=1,
-    )
+    divisors = np.array([SQRT_PI * s, SQRT_PI * -s, SQRT_PI * (s + 2.0)])
+    terms = np.array([-2.0 / (s * SQRT_PI), (2.0 / -s) * (g - 1.0 / SQRT_PI), g / (s + 1.0)])
+    return _frozen(divisors), _frozen(terms)
 
 
 @lru_cache(maxsize=4)  # sized as _disc_forcing
@@ -688,9 +728,7 @@ def _annulus_forcings(p: AnnulusProblem, N: int) -> np.ndarray:
     """
     column = np.zeros((N, 4))
     column[:, 1:] = _annulus_omegas(p, N) * [1.0, 1.0, 4.0] / math.pi
-    forcing = _weighted(p.lam1, p.radius_ratio, column)
-    forcing.flags.writeable = False
-    return forcing
+    return _frozen(_weighted(p.lam1, p.radius_ratio, column))
 
 
 def solve_annulus_reduction(

@@ -15,9 +15,13 @@ factorization, takes its points through _points, which refuses a
 non-finite complex point (a real one meets the evaluator's own domain
 check), and answers through _as_given: a number for a number, and for an
 array of shape S an array of shape S, or S + (k, k) for matrices.
-Everything here is a pure function of its arguments; there is no shared
-mutable state: the one cache, _gamma_ratios', holds read-only arrays keyed
-by N alone.  Small point sets take per-point paths: the f_m seed series of
+Everything here is a pure function of its arguments.  The caches hold
+read-only vectors that depend on an index alone, never on the point, each
+keyed by that index and built on first use: the seed series' term ratios
+per (side, top) (_ratio_slot, whose table is replaced by a longer one as a
+series outgrows it, at most 512 KiB in all), and the f_m recurrences' steps
+per count (_down_steps, _below_steps, 8 entries each, 8 KB an entry at
+count 1001).  Small point sets take per-point paths: the f_m seed series of
 up to _SERIES_POINTS points runs on 1-D arrays per point (_series_point),
 to the bits that the block path (_series_blocks) gives a one-point array,
 and a column recurrence of up to _FLOAT_POINTS points runs on Python floats
@@ -63,6 +67,13 @@ _FAMILY_BLOCK = 1 << 12
 # even at about three seed points, the rows at about 20 recurrence points.
 _SERIES_POINTS = 2
 _FLOAT_POINTS = 16
+# The seed series' term ratios depend on the side and the top index alone:
+# one table per (side, top), started at _RATIO_START terms and doubled up to
+# _FAMILY_BLOCK (_ratio_slot).  An entry is at most 32 KiB, the cache 512 KiB.
+_RATIO_START = 256
+_RATIO_TABLES = 16
+# Entries of each index-keyed cache of a recurrence's steps, count floats each.
+_STEP_COUNTS = 8
 
 # exp(i*pi*s) scaling kicks in for tan/cot once the naive evaluation
 # would overflow double precision.
@@ -91,6 +102,12 @@ def _as_given(values: np.ndarray, shape: tuple):
     """Values, a number or (k, k) matrix per point, in the caller's shape; a number for a number."""
     out = values.reshape(shape + values.shape[1:])
     return out.item() if out.ndim == 0 else out
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """array, marked read-only, as every array the package caches is."""
+    array.flags.writeable = False
+    return array
 
 
 # ----------------------------------------------------------------------
@@ -215,9 +232,6 @@ def f_m_limit(m: int) -> float:
     return math.pi / 2.0 * ((2 * m + 1) * math.comb(2 * m, m) / 4**m)
 
 
-# Keyed by N alone, like models._kernels: a solve and the continuity defects
-# at one truncation share an entry, whatever lambda is.  At most 32 KB.
-@lru_cache(maxsize=4)
 def _gamma_ratios(N: int) -> np.ndarray:
     """Gamma(k+3/2)/Gamma(k+1) for k < N, one running product from Gamma(3/2); read-only.
 
@@ -226,9 +240,7 @@ def _gamma_ratios(N: int) -> np.ndarray:
     the first n entries are _gamma_ratios(n) to the bit.
     """
     k = np.arange(1.0, N)
-    ratios = np.cumprod(np.concatenate([[0.5 * SQRT_PI], (k + 0.5) / k]))[:N]
-    ratios.flags.writeable = False
-    return ratios
+    return _frozen(np.cumprod(np.concatenate([[0.5 * SQRT_PI], (k + 0.5) / k]))[:N])
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +364,49 @@ def _float_column(point: float, y: float, factors: list, downward: bool) -> list
     return column
 
 
+def _term_ratio(near: bool, top: int, k: np.ndarray) -> np.ndarray:
+    """Ratio of terms k + 1 and k of _f_seed's series at top, over the point: the edge form's if near."""
+    if near:
+        return (top + 1.0 + k) / (k + 1.5)
+    return (k + 0.5) * (top + 0.5 + k) / ((top + 1.5 + k) * (k + 1.0))
+
+
+@lru_cache(maxsize=_RATIO_TABLES)
+def _ratio_slot(near: bool, top: int) -> list:
+    """[table]: _term_ratio(near, top, k) for k < len(table), read-only, replaced as it grows.
+
+    A series that runs past the table replaces it by one of twice the length,
+    up to _FAMILY_BLOCK terms, whose head has the bits of the old one: each
+    ratio is one rounding of a quotient of exact sums and products.
+    """
+    return [_frozen(_term_ratio(near, top, np.arange(float(_RATIO_START))))]
+
+
+def _series_ratio(near: bool, top: int):
+    """ratio(k) of _positive_series for _f_seed's series, sliced from its (near, top) table.
+
+    A block past _FAMILY_BLOCK terms, which only points at the series switch
+    of a high top reach, takes _term_ratio itself, to the same bits.
+    """
+    slot = _ratio_slot(near, top)
+
+    def ratio(k):
+        start = int(k[0])
+        stop = start + len(k)
+        table = slot[0]
+        if stop > len(table):
+            if stop > _FAMILY_BLOCK:
+                return _term_ratio(near, top, k)
+            length = len(table)
+            while length < stop:
+                length *= 2
+            more = _term_ratio(near, top, np.arange(float(len(table)), float(length)))
+            slot[0] = table = _frozen(np.concatenate([table, more]))
+        return table[start:stop]
+
+    return ratio
+
+
 def _f_seed(top: int, x: np.ndarray) -> np.ndarray:
     """f_top(x) at every point of x, from a series with positive terms.
 
@@ -360,18 +415,15 @@ def _f_seed(top: int, x: np.ndarray) -> np.ndarray:
     whose series in 1-x has positive terms as well.
     """
 
-    def far_ratio(k):
-        return (k + 0.5) * (top + 0.5 + k) / ((top + 1.5 + k) * (k + 1.0))
-
     near = (1.0 - x) * max(top, 2) <= 1.0
     if not near.any():
-        return _positive_series(far_ratio, x)
+        return _positive_series(_series_ratio(False, top), x)
     seed = np.empty_like(x)
     far = ~near
     if far.any():
-        seed[far] = _positive_series(far_ratio, x[far])
+        seed[far] = _positive_series(_series_ratio(False, top), x[far])
     u = 1.0 - x[near]
-    tail = _positive_series(lambda k: (top + 1.0 + k) / (k + 1.5), u)
+    tail = _positive_series(_series_ratio(True, top), u)
     seed[near] = (
         f_m_limit(top) * x[near] ** -(top + 0.5)
         - (2 * top + 1) * np.sqrt(u) * tail
@@ -390,8 +442,7 @@ def _f_from_seed(seed, count: int, x: np.ndarray) -> np.ndarray:
     family.
     """
     root = np.sqrt(1.0 - x)
-    m = np.arange(count - 2, -1, -1.0)
-    F = _recurrence(seed / root, (m + 1.0) / (m + 1.5), x, downward=True)
+    F = _recurrence(seed / root, _down_steps(count), x, downward=True)
     F *= root
     return F
 
@@ -419,8 +470,21 @@ def _f_family_below(count: int, x: np.ndarray) -> np.ndarray:
     G_{-1} = 1.  For m <= -2 the multiplier is positive, so every step adds
     positive terms and a relative error cannot grow.
     """
+    return _recurrence(1.0, _below_steps(count), x) * np.sqrt(1.0 - x)
+
+
+@lru_cache(maxsize=_STEP_COUNTS)
+def _down_steps(count: int) -> np.ndarray:
+    """(m + 1)/(m + 3/2) for m from count - 2 down to 0: _f_from_seed's steps, read-only."""
+    m = np.arange(count - 2, -1, -1.0)
+    return _frozen((m + 1.0) / (m + 1.5))
+
+
+@lru_cache(maxsize=_STEP_COUNTS)
+def _below_steps(count: int) -> np.ndarray:
+    """(j + 1)/(j + 1/2) for j < count - 1: _f_family_below's steps, read-only."""
     j = np.arange(count - 1.0)
-    return _recurrence(1.0, (j + 1.0) / (j + 0.5), x) * np.sqrt(1.0 - x)
+    return _frozen((j + 1.0) / (j + 0.5))
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,18 +69,26 @@ class VerificationReport:
         }
 
 
-def _strip_samples(count=100, seed=7121) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    re = rng.uniform(0.02, 0.98, count)
-    im = rng.uniform(-20.0, 20.0, count)
-    return re + 1j * im
-
-
 # The factorization checks' contour samples, built once and read-only.  The
-# random point sets are drawn per call: a module-level generator would import
-# numpy.random with every command.
-_CONTOUR = np.array(fz.contour_samples(20))
-_CONTOUR.flags.writeable = False
+# random point sets are drawn once per process, on first use: a module-level
+# generator would import numpy.random with every command.
+_CONTOUR = specfun._frozen(np.array(fz.contour_samples(20)))
+
+
+@lru_cache(maxsize=1)
+def _strip_samples() -> np.ndarray:
+    """100 points in 0.02 < Re s < 0.98, |Im s| < 20, from seed 7121; read-only."""
+    rng = np.random.default_rng(7121)
+    re = rng.uniform(0.02, 0.98, 100)
+    im = rng.uniform(-20.0, 20.0, 100)
+    return specfun._frozen(re + 1j * im)
+
+
+@lru_cache(maxsize=1)
+def _constancy_draws() -> np.ndarray:
+    """50 points in -0.4 < Re s < 0.49, |Im s| < 30, from seed 314, each drawn re first, then im; read-only."""
+    draws = np.random.default_rng(314).uniform((-0.4, -30.0), (0.49, 30.0), (50, 2))
+    return specfun._frozen(draws[:, 0] + 1j * draws[:, 1])
 
 
 def _check_specfun(report: VerificationReport) -> None:
@@ -252,12 +261,8 @@ def _sides(evaluate, columns, draws=()):
 def _check_factorization(
     report: VerificationReport, lam: float, lam0: float, lam1: float, n_trunc: int
 ) -> None:
-    # 50 points in -0.4 < Re s < 0.49, |Im s| < 30, each drawn re first, then im
-    draws = np.random.default_rng(314).uniform((-0.4, -30.0), (0.49, 30.0), (50, 2))
     disc_cols = fz.solve_factor_columns_disc(lam, n_trunc)
-    X_plus, X_minus, at_draws, disc_fits = _sides(
-        fz.eval_X_disc, disc_cols, draws[:, 0] + 1j * draws[:, 1]
-    )
+    X_plus, X_minus, at_draws, disc_fits = _sides(fz.eval_X_disc, disc_cols, _constancy_draws())
     det_p = np.linalg.det(X_plus)
     det_m = np.linalg.det(X_minus)
     report.add("factorization.disc_det_plus", np.max(np.abs(det_p + 0.5)), 1e-9)

@@ -6,8 +6,8 @@ system_residual share; another problem gets its own entry, and coefficients
 read back from a `solve` artifact get the same bits as a forcing built afresh.  The
 results carry nothing but their dataclass fields.  The row weights and kept
 counts of each (lambda, t, N) come from one cache of four entries
-(models._geometry), and the Gamma ratios from one keyed by N alone
-(specfun._gamma_ratios).
+(models._geometry), and the Gamma ratios (specfun._gamma_ratios) are one
+running product, whose prefixes have the bits of shorter products.
 """
 
 import dataclasses
